@@ -375,27 +375,23 @@ func runSweep(ctx context.Context, im *flow.Implementation, ambients []float64, 
 }
 
 // runSweepBatch guardbands the ambients in lockstep chunks of batch lanes
-// through guardband.RunBatch, each chunk warm-started from the previous
-// chunk's converged solver output. Every row is bit-identical to runSweep's;
+// through guardband.RunBatch. Every row is bit-identical to runSweep's;
 // only wall time and the kernel accounting (batch counters included)
 // change. A chunk error still prints the completed rows.
 func runSweepBatch(ctx context.Context, im *flow.Implementation, ambients []float64, batch int) {
 	fmt.Printf("\nThermal-aware guardbanding ambient sweep (batch %d):\n", batch)
 	fmt.Printf("%10s %12s %12s %8s %7s %8s %9s\n", "Tamb(C)", "fmax(MHz)", "worst(MHz)", "gain(%)", "iters", "rise(C)", "converged")
 	var agg guardband.Stats
-	var seed []float64
 	var failed error
 	for lo := 0; lo < len(ambients) && failed == nil; lo += batch {
 		hi := min(lo+batch, len(ambients))
 		o := tafpga.GuardbandOptions(ambients[lo])
 		o.Ctx = ctx
-		o.ThermalSeed = seed
 		rs, err := im.GuardbandBatch(ambients[lo:hi], o)
 		if err != nil {
 			failed = err
 			break
 		}
-		seed = rs[len(rs)-1].SeedTemps
 		for i, r := range rs {
 			agg.Add(r.Stats)
 			fmt.Printf("%10.1f %12.1f %12.1f %8.1f %7d %8.2f %9t\n",

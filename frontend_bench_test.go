@@ -23,6 +23,7 @@ import (
 	"tafpga/internal/flow"
 	"tafpga/internal/hotspot"
 	"tafpga/internal/netlist"
+	"tafpga/internal/oracle"
 	"tafpga/internal/pack"
 	"tafpga/internal/place"
 	"tafpga/internal/route"
@@ -173,15 +174,14 @@ func BenchmarkFlowBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowBuildReference measures the same build forced onto the seed
-// placer and router — the "before" half of the front-end harness.
+// BenchmarkFlowBuildReference measures the same build through the seed
+// placer and router (oracle.Implement) — the "before" half of the
+// front-end harness.
 func BenchmarkFlowBuildReference(b *testing.B) {
 	f := frontendSetup(b)
-	opts := f.opts
-	opts.Reference = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := flow.Implement(f.nl, f.dev, opts); err != nil {
+		if _, err := oracle.Implement(f.nl, f.dev, f.opts); err != nil {
 			b.Fatal(err)
 		}
 	}

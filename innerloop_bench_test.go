@@ -2,7 +2,8 @@
 // spends its time in — the full-netlist timing probe, the steady-state
 // thermal solve, and the complete guardbanding run — each measured in its
 // optimized form and against the seed ("Reference") implementation kept in
-// the same binary, so before/after speedups come from one build:
+// the same test binary (whole runs through internal/oracle), so
+// before/after speedups come from one build:
 //
 //	scripts/bench.sh    # runs these and emits BENCH_inner_loop.json
 //
@@ -17,6 +18,7 @@ import (
 
 	"tafpga/internal/flow"
 	"tafpga/internal/guardband"
+	"tafpga/internal/oracle"
 	"tafpga/internal/sta"
 )
 
@@ -63,21 +65,6 @@ func BenchmarkHotspotSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkHotspotSolveIterative measures the optimized Gauss-Seidel
-// fallback (precomputed neighbor lists), cold-started.
-func BenchmarkHotspotSolveIterative(b *testing.B) {
-	im := innerLoopFixture(b)
-	p := im.Power.Vector(100, hotTemps(im))
-	m := *im.Thermal
-	m.DisableDirect = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(p, 25); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkHotspotSolveReference measures the seed Gauss-Seidel solver.
 func BenchmarkHotspotSolveReference(b *testing.B) {
 	im := innerLoopFixture(b)
@@ -109,47 +96,6 @@ func BenchmarkSTAAnalyzeReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if rep := im.Timing.AnalyzeReference(temps); rep.PeriodPs <= 0 {
-			b.Fatal("degenerate probe")
-		}
-	}
-}
-
-// BenchmarkSTAIncrementalLocal measures the delta-layer analyzer on a
-// localized perturbation: each probe nudges one tile and re-analyzes, so
-// only the arcs reading that tile's delays are recomputed. Paired against
-// BenchmarkSTAAnalyzeLocal, the dense probe on the identical temperature
-// trajectory (the reports are bit-identical; only the work differs).
-func BenchmarkSTAIncrementalLocal(b *testing.B) {
-	im := innerLoopFixture(b)
-	temps := hotTemps(im)
-	inc := sta.NewIncremental(im.Timing)
-	if rep := inc.Analyze(temps); rep.PeriodPs <= 0 {
-		b.Fatal("degenerate warm-up probe")
-	}
-	n := im.Grid.NumTiles()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		temps[i%n] += 0.25
-		if rep := inc.Analyze(temps); rep.PeriodPs <= 0 {
-			b.Fatal("degenerate probe")
-		}
-	}
-}
-
-// BenchmarkSTAAnalyzeLocal is the dense "before" twin of
-// BenchmarkSTAIncrementalLocal: the same one-tile-per-probe trajectory,
-// re-analyzed from scratch every time.
-func BenchmarkSTAAnalyzeLocal(b *testing.B) {
-	im := innerLoopFixture(b)
-	temps := hotTemps(im)
-	if rep := im.Timing.Analyze(temps); rep.PeriodPs <= 0 {
-		b.Fatal("degenerate warm-up probe")
-	}
-	n := im.Grid.NumTiles()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		temps[i%n] += 0.25
-		if rep := im.Timing.Analyze(temps); rep.PeriodPs <= 0 {
 			b.Fatal("degenerate probe")
 		}
 	}
@@ -207,7 +153,7 @@ func TestSlacksIntoAllocationBound(t *testing.T) {
 }
 
 // BenchmarkGuardbandRun measures one complete Algorithm-1 run with the
-// optimized kernels (compiled STA, direct thermal solve, warm start).
+// optimized kernels (compiled STA, direct thermal solve).
 func BenchmarkGuardbandRun(b *testing.B) {
 	im := innerLoopFixture(b)
 	b.ResetTimer()
@@ -218,20 +164,18 @@ func BenchmarkGuardbandRun(b *testing.B) {
 		}
 		if i == b.N-1 {
 			b.ReportMetric(float64(res.Stats.STAProbes), "sta-probes")
-			b.ReportMetric(float64(res.Stats.ThermalSweeps), "gs-sweeps")
 		}
 	}
 }
 
-// BenchmarkGuardbandRunReference measures the same run forced onto the seed
-// kernels — the "before" number of the perf harness.
+// BenchmarkGuardbandRunReference measures the same run on the seed kernels
+// (oracle.Run) — the "before" number of the perf harness.
 func BenchmarkGuardbandRunReference(b *testing.B) {
 	im := innerLoopFixture(b)
 	opts := guardband.DefaultOptions(25)
-	opts.Reference = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := im.Guardband(opts); err != nil {
+		if _, err := oracle.Run(im.Timing, im.Power, im.Thermal, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,22 +192,17 @@ func sweepAmbients() []float64 {
 }
 
 // BenchmarkGuardbandSweepSerial measures the serial ambient sweep: one
-// warm-started Algorithm-1 run per ambient, as GuardbandSweep executes it
-// without batching. The "before" half of the sweep-batching pair.
+// Algorithm-1 run per ambient, as GuardbandSweep executes it without
+// batching. The "before" half of the sweep-batching pair.
 func BenchmarkGuardbandSweepSerial(b *testing.B) {
 	im := innerLoopFixture(b)
 	ambients := sweepAmbients()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var seed []float64
 		for _, amb := range ambients {
-			opts := guardband.DefaultOptions(amb)
-			opts.ThermalSeed = seed
-			res, err := im.Guardband(opts)
-			if err != nil {
+			if _, err := im.Guardband(guardband.DefaultOptions(amb)); err != nil {
 				b.Fatal(err)
 			}
-			seed = res.SeedTemps
 		}
 	}
 }
@@ -414,9 +353,7 @@ func TestInnerLoopBenchmarkAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOpts := guardband.DefaultOptions(25)
-	refOpts.Reference = true
-	ref, err := im.Guardband(refOpts)
+	ref, err := oracle.Run(im.Timing, im.Power, im.Thermal, guardband.DefaultOptions(25))
 	if err != nil {
 		t.Fatal(err)
 	}

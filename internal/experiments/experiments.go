@@ -485,13 +485,10 @@ func (c *Context) guardbandSuite(ambientC float64) ([]BenchResult, error) {
 }
 
 // GuardbandSweep runs Algorithm 1 on one benchmark at each ambient in order
-// (the Fig. 6 → Fig. 7 → Fig. 8 temperature axis), warm-starting every
-// ambient's first thermal solve from the previous ambient's converged solver
-// output. The warm start cannot change any reported number — the default
-// direct solver ignores the seed and the iterative fallback converges to the
-// same fixed tolerance — so the results are bit-identical to len(ambients)
-// independent Guardband calls; only Stats.ThermalSweeps (fallback work)
-// differs. One result per ambient, in sweep order.
+// (the Fig. 6 → Fig. 7 → Fig. 8 temperature axis), serially or in lockstep
+// batches of SweepBatch lanes. Every ambient is an independent run, so the
+// results are bit-identical to len(ambients) Guardband calls at any batch
+// width. One result per ambient, in sweep order.
 func (c *Context) GuardbandSweep(name string, ambients []float64) ([]BenchResult, error) {
 	im, err := c.Implementation(name)
 	if err != nil {
@@ -512,28 +509,21 @@ func (c *Context) GuardbandSweep(name string, ambients []float64) ([]BenchResult
 }
 
 // sweepResults runs one benchmark's ambient axis, serially or in lockstep
-// batches of SweepBatch lanes, handing the converged solver output of each
-// chunk to the next as a warm start. Results are per-ambient, in sweep
-// order; on error the completed prefix is returned alongside it.
+// batches of SweepBatch lanes. Results are per-ambient, in sweep order; on
+// error the completed prefix is returned alongside it.
 func (c *Context) sweepResults(im *flow.Implementation, name string, ambients []float64) ([]*guardband.Result, error) {
-	batch := c.SweepBatch
-	if batch <= 1 {
-		batch = 1
-	}
-	var seed []float64
+	batch := max(c.SweepBatch, 1)
 	out := make([]*guardband.Result, 0, len(ambients))
 	for lo := 0; lo < len(ambients); lo += batch {
 		chunk := ambients[lo:min(lo+batch, len(ambients))]
 		opts := c.gbOptions(name, chunk[0])
-		opts.ThermalSeed = seed
 		if batch == 1 {
 			res, err := im.Guardband(opts)
 			if err != nil {
 				// Partial flush: completed ambients stay valid (each is an
-				// independent run; the seed is a pure accelerator).
+				// independent run).
 				return out, fmt.Errorf("experiments: %s at %g°C: %w", name, chunk[0], err)
 			}
-			seed = res.SeedTemps
 			out = append(out, res)
 			continue
 		}
@@ -545,7 +535,6 @@ func (c *Context) sweepResults(im *flow.Implementation, name string, ambients []
 			return out, fmt.Errorf("experiments: %s at %g..%g°C: %w",
 				name, chunk[0], chunk[len(chunk)-1], err)
 		}
-		seed = rs[len(rs)-1].SeedTemps
 		out = append(out, rs...)
 	}
 	return out, nil

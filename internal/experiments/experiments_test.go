@@ -232,9 +232,8 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-// TestGuardbandSweepInvariance: the warm-started ambient sweep must be
-// bit-identical to independent Guardband runs at each ambient — the seed is
-// a pure accelerator, never a result input.
+// TestGuardbandSweepInvariance: the ambient sweep must be bit-identical to
+// independent Guardband runs at each ambient.
 func TestGuardbandSweepInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-flow experiment")
@@ -384,8 +383,7 @@ func TestScorecard(t *testing.T) {
 
 // TestGuardbandSweepBatchInvariance: the batched sweep engine must be
 // bit-identical to the serial sweep at every batch size — including sizes
-// that split the ambient axis mid-stream, exercising the ThermalSeed
-// handoff across chunk boundaries — and must report its lane counts.
+// that split the ambient axis mid-stream — and must report its lane counts.
 func TestGuardbandSweepBatchInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-flow experiment")

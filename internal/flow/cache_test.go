@@ -217,57 +217,3 @@ func TestFlowCancelBetweenStages(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
-
-// TestFlowReferenceMatchesOptimized is the flow-level equivalence check:
-// the Reference path (seed placer + seed router) and the optimized path
-// must produce identical placements, routings, and guardband results.
-func TestFlowReferenceMatchesOptimized(t *testing.T) {
-	d, _ := devices(t)
-	prof, err := bench.ByName("raygentop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl, err := bench.Generate(prof.Scaled(1.0/32), bench.SeedFor("raygentop"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := testOptions("raygentop")
-	fast, err := Implement(nl, d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Reference = true
-	ref, err := Implement(nl, d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Placed.Cost != ref.Placed.Cost {
-		t.Fatalf("placement cost diverged: %v vs %v", fast.Placed.Cost, ref.Placed.Cost)
-	}
-	for i := range ref.Placed.TileOf {
-		if fast.Placed.TileOf[i] != ref.Placed.TileOf[i] {
-			t.Fatalf("TileOf diverged at block %d", i)
-		}
-	}
-	if fast.Routed.Iters != ref.Routed.Iters || fast.Routed.MaxOcc != ref.Routed.MaxOcc {
-		t.Fatal("routing metadata diverged")
-	}
-	for dd, rn := range ref.Routed.Nets {
-		gn := fast.Routed.Nets[dd]
-		if gn == nil || gn.WireLenTiles != rn.WireLenTiles || len(gn.Paths) != len(rn.Paths) {
-			t.Fatalf("net %d diverged", dd)
-		}
-		for s, rp := range rn.Paths {
-			gp := gn.Paths[s]
-			if len(gp) != len(rp) {
-				t.Fatalf("net %d→%d path length diverged", dd, s)
-			}
-			for i := range rp {
-				if gp[i] != rp[i] {
-					t.Fatalf("net %d→%d hop %d diverged", dd, s, i)
-				}
-			}
-		}
-	}
-	requireSameGuardband(t, fast, ref)
-}

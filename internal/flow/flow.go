@@ -46,11 +46,6 @@ type Options struct {
 	// returned Implementation carries a nil Routed.Graph — the downstream
 	// models never read it.
 	Cache *Cache
-	// Reference routes the flow through the retained seed implementations
-	// (place.PlaceReference, route.RouteReference) and bypasses the cache:
-	// the honest "before" half of the front-end benchmarks and the flow-
-	// level equivalence tests.
-	Reference bool
 	// Ctx, when non-nil, cancels the flow between pipeline stages (after
 	// packing, before placement, and before routing). A nil Ctx never
 	// cancels. Cancellation cannot leave a partially built Implementation:
@@ -142,7 +137,7 @@ func Implement(nl *netlist.Netlist, dev *coffe.Device, opts Options) (*Implement
 	}
 
 	var key string
-	if opts.Cache != nil && !opts.Reference {
+	if opts.Cache != nil {
 		if k, err := cacheKey(nl, dev, params, opts); err == nil {
 			key = k
 			if pay, ok := opts.Cache.lookup(key); ok {
@@ -153,10 +148,8 @@ func Implement(nl *netlist.Netlist, dev *coffe.Device, opts Options) (*Implement
 		}
 	}
 
-	placeFn, routeFn := place.Place, route.Route
-	if opts.Reference {
-		placeFn, routeFn = place.PlaceReference, route.RouteReference
-	} else if opts.ThermalPlace.enabled() {
+	placeFn := place.Place
+	if opts.ThermalPlace.enabled() {
 		tc, err := thermalCost(nl, dev, grid, act, opts.ThermalPlace)
 		if err != nil {
 			return nil, fmt.Errorf("flow: thermal place: %w", err)
@@ -186,7 +179,7 @@ func Implement(nl *netlist.Netlist, dev *coffe.Device, opts Options) (*Implement
 		return nil, fmt.Errorf("flow: route: %w", err)
 	}
 	graph := BuildGraph(grid)
-	routed, err := routeFn(placed, graph, opts.Router)
+	routed, err := route.Route(placed, graph, opts.Router)
 	if err != nil {
 		return nil, fmt.Errorf("flow: route: %w", err)
 	}

@@ -3,7 +3,6 @@ package guardband
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"tafpga/internal/faults"
 	"tafpga/internal/hotspot"
@@ -68,10 +67,7 @@ func RunAdaptive(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, profile [
 	// The conventional worst-case baseline depends only on the
 	// implementation and T_worst, not on the epoch ambient: analyze it
 	// once and share it across every epoch.
-	t0 := time.Now()
-	worst := analyzeAt(an, sta.UniformTemps(an.PL.Grid.NumTiles(), o.WorstCaseC), o.Reference)
-	res.Stats.STAProbes++
-	res.Stats.STANs += time.Since(t0).Nanoseconds()
+	worst := baseline(an, o, &res.Stats)
 	res.BaselineMHz = worst.FmaxMHz
 	totalH := 0.0
 	weighted := 0.0
@@ -79,16 +75,11 @@ func RunAdaptive(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, profile [
 		if pt.Hours <= 0 {
 			return nil, fmt.Errorf("guardband: non-positive epoch duration %g h", pt.Hours)
 		}
-		o.AmbientC = pt.AmbientC
-		r, err := runWithBaseline(an, pm, th, o, worst)
-		if err != nil {
+		ln := &lane{ambientC: pt.AmbientC}
+		if err := converge(an, pm, th, []*lane{ln}, o); err != nil {
 			return nil, fmt.Errorf("guardband: epoch at %g°C: %w", pt.AmbientC, err)
 		}
-		// Consecutive epochs differ only in ambient, so each epoch's
-		// converged map is an excellent warm start for the next one. The
-		// seed cannot change any result (the direct solver ignores it and
-		// the fallback converges to a fixed tolerance), only sweep counts.
-		o.ThermalSeed = r.SeedTemps
+		r := &ln.res
 		res.Epochs = append(res.Epochs, Epoch{ProfilePoint: pt, FmaxMHz: r.FmaxMHz, RiseC: r.RiseC})
 		res.Stats.Add(r.Stats)
 		totalH += pt.Hours

@@ -1,24 +1,16 @@
 package guardband
 
 // batch.go runs Algorithm 1 across many ambient lanes in lockstep, the way
-// batched inference amortizes weights across requests: each round issues
-// one batched STA traversal (sta.AnalyzeBatch), one power evaluation per
-// lane into reused buffers, and one multi-RHS thermal solve
-// (hotspot.SolveBatchSeeded) for every lane still iterating. A lane whose
-// temperature map meets δT retires continuous-batching style — its final
-// margined probe runs with the other lanes retiring that round, its Result
-// freezes, and the survivors keep iterating — so a batch's wall time tracks
-// the slowest lane instead of the sum. Every batched kernel preserves the
-// serial per-lane floating-point order, so lane l's Result is bit-identical
-// to Run at ambients[l] on every physics field (Stats is accounting, not
-// physics: kernel wall times are shared-work shares and the batch counters
-// only exist here).
+// batched inference amortizes weights across requests: the engine issues
+// one batched STA traversal and one multi-RHS thermal solve per round for
+// every lane still iterating, and a lane whose temperature map meets δT
+// retires continuous-batching style while the survivors keep iterating —
+// so a batch's wall time tracks the slowest lane instead of the sum. Lane
+// l's Result is bit-identical to Run at ambients[l] on every physics field
+// (Stats is accounting, not physics: kernel wall times are shared-work
+// shares and the batch counters only exist here).
 
 import (
-	"fmt"
-	"time"
-
-	"tafpga/internal/faults"
 	"tafpga/internal/hotspot"
 	"tafpga/internal/power"
 	"tafpga/internal/sta"
@@ -28,198 +20,43 @@ import (
 // matches Run(an, pm, th, opts-with-AmbientC=ambients[l]) bit for bit on
 // every physics field (FmaxMHz, BaselineMHz, Converged, GainPct,
 // Iterations, Temps, RiseC, SpreadC, Breakdown, SeedTemps). opts.AmbientC
-// is ignored — the lane's ambient comes from ambients[l] — and
-// opts.ThermalSeed, when set, seeds every lane's first thermal solve.
-// Options.Reference is rejected: the seed kernels have no batched form, so
-// a reference comparison runs Run per ambient. An empty ambient list
-// returns (nil, nil).
+// is ignored — the lane's ambient comes from ambients[l]. An empty ambient
+// list returns (nil, nil).
 func RunBatch(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, ambients []float64, opts Options) ([]*Result, error) {
-	if opts.Reference {
-		return nil, fmt.Errorf("guardband: RunBatch does not support Options.Reference; run the seed kernels per ambient with Run")
-	}
 	opts.normalize()
-	lanes := len(ambients)
-	if lanes == 0 {
+	if len(ambients) == 0 {
 		return nil, nil
 	}
-	nTiles := an.PL.Grid.NumTiles()
-
+	lanes := make([]*lane, len(ambients))
+	for l, amb := range ambients {
+		lanes[l] = &lane{ambientC: amb}
+	}
 	// The conventional worst-case baseline depends only on the
-	// implementation and T_worst, so one probe serves the whole batch (the
-	// same sharing runWithBaseline offers RunAdaptive). Its accounting goes
-	// to lane 0: summing the batch's Stats then counts the probe once, like
-	// the batch itself did.
-	t0 := time.Now()
-	worst := an.Analyze(sta.UniformTemps(nTiles, opts.WorstCaseC))
-	baseNs := time.Since(t0).Nanoseconds()
-
-	results := make([]*Result, lanes)
-	temps := make([][]float64, lanes)      // current per-lane map (post-collapse)
-	prevSolved := make([][]float64, lanes) // raw solver output per lane
-	powerBuf := make([][]float64, lanes)   // reused power vectors
-	active := make([]int, 0, lanes)
-	for l := 0; l < lanes; l++ {
-		results[l] = &Result{Stats: Stats{BatchLanes: 1}}
-		temps[l] = sta.UniformTemps(nTiles, ambients[l])
-		prevSolved[l] = opts.ThermalSeed
-		active = append(active, l)
+	// implementation and T_worst, so one probe serves the whole batch. Its
+	// accounting goes to lane 0: summing the batch's Stats then counts the
+	// probe once, like the batch itself did.
+	worst := baseline(an, opts, &lanes[0].res.Stats)
+	if err := converge(an, pm, th, lanes, opts); err != nil {
+		return nil, err
 	}
-	results[0].Stats.STAProbes++
-	results[0].Stats.STANs += baseNs
 
-	// Per-round gather buffers over the active lanes.
-	laneTemps := make([][]float64, 0, lanes)
-	lanePowers := make([][]float64, 0, lanes)
-	laneAmb := make([]float64, 0, lanes)
-	laneSeeds := make([][]float64, 0, lanes)
-	laneStats := make([]hotspot.SolveStats, lanes)
-	finishing := make([]int, 0, lanes)
-	margined := make([][]float64, 0, lanes)
-
+	// Batch counters: the lockstep round count (the slowest lane's
+	// iterations) rides on lane 0, so a summed batch counts its rounds
+	// once, and a lane retired early when it stopped iterating before the
+	// batch's final round.
 	rounds := 0
-	for len(active) > 0 {
-		rounds++
-		// Cancellation and fault injection share the round boundary, like
-		// the serial loop shares the iteration boundary: the whole batch
-		// stops between coherent lockstep iterates.
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("guardband: cancelled after %d lockstep rounds: %w", rounds-1, err)
-			}
-		}
-		if err := faults.Check("guardband.iter"); err != nil {
-			return nil, fmt.Errorf("guardband: lockstep round %d: %w", rounds, err)
-		}
-
-		// Line 4, batched: one SoA traversal probes every active lane.
-		laneTemps = laneTemps[:0]
-		for _, l := range active {
-			laneTemps = append(laneTemps, temps[l])
-		}
-		t0 := time.Now()
-		reps := an.AnalyzeBatch(laneTemps)
-		staNs := time.Since(t0).Nanoseconds() / int64(len(active))
-
-		// Line 5 per lane: dynamic power at the lane's frequency plus
-		// leakage at its temperatures, into the lane's reused buffer.
-		t0 = time.Now()
-		lanePowers = lanePowers[:0]
-		for i, l := range active {
-			leakTemps := temps[l]
-			if opts.FreezeLeakage {
-				leakTemps = sta.UniformTemps(nTiles, ambients[l])
-			}
-			powerBuf[l] = pm.VectorInto(reps[i].FmaxMHz, leakTemps, powerBuf[l])
-			lanePowers = append(lanePowers, powerBuf[l])
-		}
-		powerNs := time.Since(t0).Nanoseconds() / int64(len(active))
-
-		// Line 7, batched: one multi-RHS solve for every active lane.
-		laneAmb = laneAmb[:0]
-		laneSeeds = laneSeeds[:0]
-		for _, l := range active {
-			laneAmb = append(laneAmb, ambients[l])
-			laneSeeds = append(laneSeeds, prevSolved[l])
-		}
-		sst := laneStats[:len(active)]
-		t0 = time.Now()
-		solved, err := th.SolveBatchSeeded(lanePowers, laneAmb, laneSeeds, sst)
-		thermalNs := time.Since(t0).Nanoseconds() / int64(len(active))
-		if err != nil {
-			return nil, fmt.Errorf("guardband: %w", err)
-		}
-
-		// Per-lane bookkeeping, convergence, and retirement.
-		finishing = finishing[:0]
-		survivors := active[:0]
-		for i, l := range active {
-			res := results[l]
-			res.Iterations = rounds
-			res.Stats.STAProbes++
-			res.Stats.STANs += staNs
-			res.Stats.PowerNs += powerNs
-			res.Stats.ThermalSolves++
-			res.Stats.ThermalSweeps += sst[i].Sweeps
-			if sst[i].Direct {
-				res.Stats.ThermalDirect++
-			}
-			res.Stats.ThermalNs += thermalNs
-
-			prevSolved[l] = solved[i]
-			next := solved[i]
-			if opts.UniformT {
-				next = sta.UniformTemps(nTiles, hotspot.Max(next))
-			}
-			maxDelta := 0.0
-			for j := range next {
-				d := next[j] - temps[l][j]
-				if d < 0 {
-					d = -d
-				}
-				if d > maxDelta {
-					maxDelta = d
-				}
-			}
-			temps[l] = next
-			converged := maxDelta <= opts.DeltaTC
-			if opts.OnIteration != nil {
-				opts.OnIteration(Progress{
-					Iteration: rounds, AmbientC: ambients[l], FmaxMHz: reps[i].FmaxMHz,
-					MaxDeltaC: maxDelta, MaxC: hotspot.Max(next), Converged: converged,
-				})
-			}
-			if converged {
-				res.Converged = true
-			}
-			if converged || rounds >= opts.MaxIters {
-				finishing = append(finishing, l)
-			} else {
-				survivors = append(survivors, l)
-			}
-		}
-		active = survivors
-
-		// Line 9 for the lanes retiring this round, batched: their final
-		// margined probes share one traversal.
-		if len(finishing) > 0 {
-			margined = margined[:0]
-			for _, l := range finishing {
-				mg := make([]float64, nTiles)
-				for j := range temps[l] {
-					mg[j] = temps[l][j] + opts.DeltaTC
-				}
-				margined = append(margined, mg)
-			}
-			t0 := time.Now()
-			finals := an.AnalyzeBatch(margined)
-			finalNs := time.Since(t0).Nanoseconds() / int64(len(finishing))
-			for i, l := range finishing {
-				res := results[l]
-				final := finals[i]
-				res.Stats.STAProbes++
-				res.Stats.STANs += finalNs
-				res.FmaxMHz = final.FmaxMHz
-				res.BaselineMHz = worst.FmaxMHz
-				if worst.FmaxMHz > 0 {
-					res.GainPct = (final.FmaxMHz/worst.FmaxMHz - 1) * 100
-				}
-				res.Temps = temps[l]
-				res.RiseC = hotspot.Mean(temps[l]) - ambients[l]
-				res.SpreadC = hotspot.Spread(temps[l])
-				res.Breakdown = final.Breakdown
-				res.SeedTemps = prevSolved[l]
-			}
-		}
+	for _, ln := range lanes {
+		rounds = max(rounds, ln.res.Iterations)
 	}
-
-	// Batch counters: the lockstep round count rides on lane 0 (so a
-	// summed batch counts its rounds once), and a lane retired early when
-	// it stopped iterating before the batch's final round.
+	results := make([]*Result, len(lanes))
+	for l, ln := range lanes {
+		r := ln.result(worst)
+		r.Stats.BatchLanes = 1
+		if r.Iterations < rounds {
+			r.Stats.RetiredEarly = 1
+		}
+		results[l] = r
+	}
 	results[0].Stats.LockstepIters = rounds
-	for _, res := range results {
-		if res.Iterations < rounds {
-			res.Stats.RetiredEarly = 1
-		}
-	}
 	return results, nil
 }

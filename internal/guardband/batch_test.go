@@ -157,22 +157,16 @@ func TestRunBatchProgressAttribution(t *testing.T) {
 	}
 }
 
-// TestRunBatchEdges: empty batch is a no-op, Reference is rejected, and a
-// cancelled context stops the lockstep loop.
+// TestRunBatchEdges: empty batch is a no-op, and a cancelled context stops
+// the lockstep loop.
 func TestRunBatchEdges(t *testing.T) {
 	f := setup(t)
 	if res, err := RunBatch(f.an, f.pm, f.th, nil, DefaultOptions(0)); res != nil || err != nil {
 		t.Fatalf("empty batch: got (%v, %v) want (nil, nil)", res, err)
 	}
-	opts := DefaultOptions(0)
-	opts.Reference = true
-	if _, err := RunBatch(f.an, f.pm, f.th, []float64{25}, opts); err == nil ||
-		!strings.Contains(err.Error(), "Reference") {
-		t.Fatalf("Reference batch: err=%v, want rejection", err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opts = DefaultOptions(0)
+	opts := DefaultOptions(0)
 	opts.Ctx = ctx
 	if _, err := RunBatch(f.an, f.pm, f.th, []float64{25, 70}, opts); err == nil ||
 		!strings.Contains(err.Error(), "cancelled") {
@@ -180,9 +174,8 @@ func TestRunBatchEdges(t *testing.T) {
 	}
 }
 
-// TestRunBatchSeeded: a shared ThermalSeed warm-starts every lane without
-// changing any physics field (the direct solver ignores seeds; the
-// iterative fallback converges to the same tolerance).
+// TestRunBatchSeeded: the deprecated ThermalSeed is ignored — setting it
+// changes no physics field of any lane.
 func TestRunBatchSeeded(t *testing.T) {
 	f := setup(t)
 	warm, err := Run(f.an, f.pm, f.th, DefaultOptions(25))

@@ -15,9 +15,7 @@ package guardband
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"tafpga/internal/faults"
 	"tafpga/internal/hotspot"
 	"tafpga/internal/power"
 	"tafpga/internal/sta"
@@ -137,18 +135,6 @@ type EnergyResult struct {
 	Stats Stats
 }
 
-// energyProbeOut is the internal outcome of one rail probe.
-type energyProbeOut struct {
-	feasible      bool
-	nonConducting bool
-	fmaxMHz       float64
-	powerUW       float64
-	iterations    int
-	converged     bool
-	temps         []float64
-	seedTemps     []float64
-}
-
 // RunEnergy executes the min-energy objective: bisect the minimum supply
 // that still meets the target frequency through the full Algorithm-1
 // convergence at the run's ambient. Infeasibility of the target at the
@@ -179,60 +165,51 @@ func RunEnergy(opts EnergyOptions) (*EnergyResult, error) {
 
 	// The conventional worst-case clock at the nominal rail: the frequency
 	// the margin is measured against, and the default iso-frequency target.
-	t0 := time.Now()
-	worst := analyzeAt(nom.Timing,
-		sta.UniformTemps(nom.Timing.PL.Grid.NumTiles(), opts.WorstCaseC), opts.Reference)
-	res.Stats.STAProbes++
-	res.Stats.STANs += time.Since(t0).Nanoseconds()
+	worst := baseline(nom.Timing, opts.Options, &res.Stats)
 	res.BaselineMHz = worst.FmaxMHz
 	res.TargetMHz = opts.TargetMHz
 	if res.TargetMHz <= 0 {
 		res.TargetMHz = worst.FmaxMHz
 	}
 
-	// seed chains each probe's converged solver output into the next
-	// probe's first thermal solve. Like Options.ThermalSeed this is a pure
-	// accelerator: the direct solver ignores it and the iterative fallback
-	// converges to the same fixed tolerance, so results are seed-independent.
-	var seed []float64
+	// probe converges one rail as a pinned engine lane: the clock is held at
+	// the target, and the lane's margined final probe decides feasibility.
+	// A rail that does not conduct returns a nil lane (an infeasible bound).
 	probeN := 0
-	probe := func(vdd, loV, hiV float64) (*energyProbeOut, error) {
+	probe := func(vdd, loV, hiV float64) (*lane, error) {
 		probeN++
-		var m EnergyModels
-		if vdd == opts.NominalVddV {
-			m = nom
-		} else {
+		m := nom
+		if vdd != opts.NominalVddV {
 			var err error
 			m, err = opts.ModelsAt(vdd)
 			if errors.Is(err, techmodel.ErrNonConducting) {
-				out := &energyProbeOut{nonConducting: true}
 				if opts.OnProbe != nil {
 					opts.OnProbe(EnergyProbe{
 						Probe: probeN, VddV: vdd, AmbientC: opts.AmbientC,
 						NonConducting: true, LoV: loV, HiV: hiV,
 					})
 				}
-				return out, nil
+				return nil, nil
 			}
 			if err != nil {
 				return nil, fmt.Errorf("guardband: rail %.3f V: %w", vdd, err)
 			}
 		}
-		out, err := convergeAtTarget(m, res.TargetMHz, opts, seed, &res.Stats)
-		if err != nil {
+		ln := &lane{ambientC: opts.AmbientC, pinned: true, pinnedMHz: res.TargetMHz, vddV: vdd}
+		if err := converge(m.Timing, m.Power, m.Thermal, []*lane{ln}, opts.Options); err != nil {
 			return nil, err
 		}
-		seed = out.seedTemps
-		res.Iterations += out.iterations
+		res.Stats.Add(ln.res.Stats)
+		res.Iterations += ln.res.Iterations
 		if opts.OnProbe != nil {
 			opts.OnProbe(EnergyProbe{
 				Probe: probeN, VddV: vdd, AmbientC: opts.AmbientC,
-				Feasible: out.feasible, FmaxMHz: out.fmaxMHz, PowerUW: out.powerUW,
-				Iterations: out.iterations, Converged: out.converged,
+				Feasible: feasible(ln, res.TargetMHz), FmaxMHz: ln.res.FmaxMHz, PowerUW: ln.powerUW,
+				Iterations: ln.res.Iterations, Converged: ln.res.Converged,
 				LoV: loV, HiV: hiV,
 			})
 		}
-		return out, nil
+		return ln, nil
 	}
 
 	// The nominal rail anchors the comparison and the bisection's feasible
@@ -245,15 +222,13 @@ func RunEnergy(opts EnergyOptions) (*EnergyResult, error) {
 	if res.TargetMHz > 0 {
 		res.NominalEnergyPJ = pn.powerUW / res.TargetMHz
 	}
-	fill := func(p *energyProbeOut, vdd float64) {
+	fill := func(p *lane, vdd float64) {
 		res.MinVddV = vdd
 		res.PowerUW = p.powerUW
-		res.FmaxMHz = p.fmaxMHz
-		res.Converged = p.converged
-		res.Temps = p.temps
-		if len(p.temps) > 0 {
-			res.RiseC = hotspot.Mean(p.temps) - opts.AmbientC
-		}
+		res.FmaxMHz = p.res.FmaxMHz
+		res.Converged = p.res.Converged
+		res.Temps = p.res.Temps
+		res.RiseC = p.res.RiseC
 		if res.TargetMHz > 0 {
 			res.EnergyPJ = p.powerUW / res.TargetMHz
 		}
@@ -261,7 +236,7 @@ func RunEnergy(opts EnergyOptions) (*EnergyResult, error) {
 			res.SavingsPct = (1 - p.powerUW/res.NominalPowerUW) * 100
 		}
 	}
-	if !pn.feasible {
+	if !feasible(pn, res.TargetMHz) {
 		// The target is out of reach even at full supply: report the
 		// nominal operating point and let the caller decide.
 		fill(pn, opts.NominalVddV)
@@ -281,7 +256,7 @@ func RunEnergy(opts EnergyOptions) (*EnergyResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pf.feasible {
+		if feasible(pf, res.TargetMHz) {
 			hi = lo
 			best, bestV = pf, lo
 		} else {
@@ -291,7 +266,7 @@ func RunEnergy(opts EnergyOptions) (*EnergyResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				if pm.feasible {
+				if feasible(pm, res.TargetMHz) {
 					hi = mid
 					best, bestV = pm, mid
 				} else {
@@ -305,109 +280,10 @@ func RunEnergy(opts EnergyOptions) (*EnergyResult, error) {
 	return res, nil
 }
 
-// convergeAtTarget runs the Algorithm-1 convergence loop with the clock
-// pinned at fMHz: the STA step of the loop only feeds the frequency into the
-// power model, so pinning f reduces the loop to power→thermal; one final
-// margined STA probe then decides whether the rail actually clocks fMHz.
-// Cancellation, fault injection, and kernel accounting mirror Run.
-func convergeAtTarget(m EnergyModels, fMHz float64, opts EnergyOptions,
-	thermalSeed []float64, stats *Stats) (*energyProbeOut, error) {
-	nTiles := m.Timing.PL.Grid.NumTiles()
-	temps := sta.UniformTemps(nTiles, opts.AmbientC)
-	out := &energyProbeOut{}
-	prevSolved := thermalSeed
-
-	for iter := 1; iter <= opts.MaxIters; iter++ {
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("guardband: cancelled after %d iterations: %w", out.iterations, err)
-			}
-		}
-		if err := faults.Check("guardband.iter"); err != nil {
-			return nil, fmt.Errorf("guardband: iteration %d: %w", iter, err)
-		}
-		out.iterations = iter
-
-		leakTemps := temps
-		if opts.FreezeLeakage {
-			leakTemps = sta.UniformTemps(nTiles, opts.AmbientC)
-		}
-		t0 := time.Now()
-		p := m.Power.Vector(fMHz, leakTemps)
-		stats.PowerNs += time.Since(t0).Nanoseconds()
-
-		t0 = time.Now()
-		var next []float64
-		var err error
-		var sst hotspot.SolveStats
-		if opts.Reference {
-			next, err = m.Thermal.SolveReference(p, opts.AmbientC)
-		} else {
-			next, err = m.Thermal.SolveSeeded(p, opts.AmbientC, prevSolved, &sst)
-		}
-		stats.ThermalSolves++
-		stats.ThermalSweeps += sst.Sweeps
-		if sst.Direct {
-			stats.ThermalDirect++
-		}
-		stats.ThermalNs += time.Since(t0).Nanoseconds()
-		if err != nil {
-			return nil, fmt.Errorf("guardband: %w", err)
-		}
-		prevSolved = next
-		if opts.UniformT {
-			next = sta.UniformTemps(nTiles, hotspot.Max(next))
-		}
-
-		maxDelta := 0.0
-		for i := range next {
-			d := next[i] - temps[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
-		temps = next
-		if maxDelta <= opts.DeltaTC {
-			out.converged = true
-			break
-		}
-	}
-
-	// Final margined timing probe at the probe rail: the rail is feasible
-	// when the margined clock still meets the target. The converged power
-	// is evaluated once more at the final temperatures so the reported
-	// wattage matches the temperature map it is quoted with.
-	margined := make([]float64, nTiles)
-	for i := range temps {
-		margined[i] = temps[i] + opts.DeltaTC
-	}
-	t0 := time.Now()
-	rep := analyzeAt(m.Timing, margined, opts.Reference)
-	stats.STAProbes++
-	stats.STANs += time.Since(t0).Nanoseconds()
-
-	leakTemps := temps
-	if opts.FreezeLeakage {
-		leakTemps = sta.UniformTemps(nTiles, opts.AmbientC)
-	}
-	t0 = time.Now()
-	pv := m.Power.Vector(fMHz, leakTemps)
-	stats.PowerNs += time.Since(t0).Nanoseconds()
-	total := 0.0
-	for _, w := range pv {
-		total += w
-	}
-
-	out.fmaxMHz = rep.FmaxMHz
-	out.powerUW = total
-	out.temps = temps
-	out.seedTemps = prevSolved
-	// Feasibility follows the repo's reporting convention: an unconverged
-	// probe still reports its last iterate (flagged via Converged) rather
-	// than poisoning the search.
-	out.feasible = rep.FmaxMHz >= fMHz
-	return out, nil
+// feasible reports whether a probed rail clocks the target with the δT
+// margin. Like every result in the repo an unconverged probe still reports
+// its last iterate (flagged via Converged) rather than poisoning the
+// search; a non-conducting rail (nil lane) is never feasible.
+func feasible(ln *lane, targetMHz float64) bool {
+	return ln != nil && ln.res.FmaxMHz >= targetMHz
 }

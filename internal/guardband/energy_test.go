@@ -265,3 +265,48 @@ func TestRunEnergyInfeasibleTarget(t *testing.T) {
 		t.Fatalf("infeasible run reported %.1f%% savings", res.SavingsPct)
 	}
 }
+
+// TestRunEnergyOnIteration: EnergyOptions embeds Options, whose OnIteration
+// promises one Progress per convergence iteration — the min-energy search
+// included. Every event narrates a probe that converged at its rail: the
+// event count equals EnergyResult.Iterations, every VddV is a rail the
+// search probed (and that conducted), each probe's events count its own
+// iterations from 1, and the clock is the pinned target.
+func TestRunEnergyOnIteration(t *testing.T) {
+	f := energySetup(t)
+	opts := energyOptions(f, 25)
+	var events []Progress
+	opts.OnIteration = func(p Progress) { events = append(events, p) }
+	var probes []EnergyProbe
+	opts.OnProbe = func(p EnergyProbe) { probes = append(probes, p) }
+	res, err := RunEnergy(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != res.Iterations || res.Iterations == 0 {
+		t.Fatalf("%d iteration events, result reports %d iterations", len(events), res.Iterations)
+	}
+	next := 0
+	for _, p := range probes {
+		if p.NonConducting {
+			continue
+		}
+		for it := 1; it <= p.Iterations; it++ {
+			e := events[next]
+			next++
+			if e.VddV != p.VddV || e.VddV <= 0 {
+				t.Fatalf("probe %d: event rail %.4f V, want the probed %.4f V", p.Probe, e.VddV, p.VddV)
+			}
+			if e.Iteration != it || e.AmbientC != opts.AmbientC || e.FmaxMHz != res.TargetMHz {
+				t.Fatalf("probe %d: event %+v, want iteration %d at %g°C clocked at the %.3f MHz target",
+					p.Probe, e, it, opts.AmbientC, res.TargetMHz)
+			}
+			if e.Converged != (it == p.Iterations && p.Converged) {
+				t.Fatalf("probe %d iteration %d: Converged=%v", p.Probe, it, e.Converged)
+			}
+		}
+	}
+	if next != len(events) {
+		t.Fatalf("%d events not attributable to a probe", len(events)-next)
+	}
+}

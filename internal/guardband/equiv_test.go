@@ -1,46 +1,14 @@
 package guardband
 
 import (
-	"math"
+	"fmt"
+	"strings"
 	"testing"
 )
 
-// TestOptimizedRunMatchesReferenceRun: the optimized inner loop (compiled
-// STA, factorized thermal solver, warm start) must land on the same
-// operating point as the seed kernels. The thermal paths differ by at most
-// the Gauss-Seidel tolerance (1e-5 °C), far inside the δT = 0.5 °C margin,
-// so the resulting frequencies agree to a few parts per million.
-func TestOptimizedRunMatchesReferenceRun(t *testing.T) {
-	t.Parallel()
-	f := setup(t)
-	for _, amb := range []float64{25, 70} {
-		opt, err := Run(f.an, f.pm, f.th, DefaultOptions(amb))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refOpts := DefaultOptions(amb)
-		refOpts.Reference = true
-		ref, err := Run(f.an, f.pm, f.th, refOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if opt.BaselineMHz != ref.BaselineMHz {
-			t.Fatalf("amb %g: baseline %v != reference %v (worst-case STA must be bit-identical)",
-				amb, opt.BaselineMHz, ref.BaselineMHz)
-		}
-		if rel := math.Abs(opt.FmaxMHz-ref.FmaxMHz) / ref.FmaxMHz; rel > 1e-5 {
-			t.Fatalf("amb %g: fmax %v vs reference %v (rel %g)", amb, opt.FmaxMHz, ref.FmaxMHz, rel)
-		}
-		if opt.Iterations != ref.Iterations || opt.Converged != ref.Converged {
-			t.Fatalf("amb %g: convergence trajectory diverged: %d/%v vs %d/%v",
-				amb, opt.Iterations, opt.Converged, ref.Iterations, ref.Converged)
-		}
-	}
-}
-
 // TestRunStatsAccounting: the stats must reflect the loop structure — one
-// probe per iteration plus the baseline and final margined probes, one
-// thermal solve per iteration, all served by the direct path by default.
+// probe per iteration plus the baseline and final margined probes, and one
+// thermal solve per iteration.
 func TestRunStatsAccounting(t *testing.T) {
 	t.Parallel()
 	f := setup(t)
@@ -55,55 +23,15 @@ func TestRunStatsAccounting(t *testing.T) {
 	if st.ThermalSolves != res.Iterations {
 		t.Fatalf("%d thermal solves for %d iterations", st.ThermalSolves, res.Iterations)
 	}
-	if st.ThermalDirect != st.ThermalSolves {
-		t.Fatalf("only %d of %d solves were direct on a factorized model", st.ThermalDirect, st.ThermalSolves)
-	}
-	if st.ThermalSweeps != 0 {
-		t.Fatalf("direct solves reported %d GS sweeps", st.ThermalSweeps)
+	if st.BatchLanes != 0 || st.LockstepIters != 0 || st.RetiredEarly != 0 {
+		t.Fatalf("serial run carries batch counters: %+v", st)
 	}
 	if st.STANs <= 0 || st.ThermalNs <= 0 {
 		t.Fatalf("kernel timings not recorded: %+v", st)
 	}
-	if s := st.String(); s == "" {
-		t.Fatal("empty stats rendering")
-	}
-}
-
-// TestWarmStartedIterativeRunConverges: with the direct path disabled the
-// loop exercises the warm-started Gauss-Seidel fallback; iteration k must
-// seed from k−1 so later solves take far fewer sweeps than the first, and
-// the answer must still match the default path.
-func TestWarmStartedIterativeRunConverges(t *testing.T) {
-	t.Parallel()
-	f := setup(t)
-	direct, err := Run(f.an, f.pm, f.th, DefaultOptions(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	iter := *f.th
-	iter.DisableDirect = true
-	res, err := Run(f.an, f.pm, &iter, DefaultOptions(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.ThermalDirect != 0 {
-		t.Fatal("DisableDirect model still took the direct path")
-	}
-	if res.Stats.ThermalSweeps <= 0 {
-		t.Fatal("iterative run recorded no sweeps")
-	}
-	if res.Stats.ThermalSolves > 1 {
-		// Warm starting makes the per-solve average far cheaper than a
-		// cold solve every iteration would be.
-		avg := float64(res.Stats.ThermalSweeps) / float64(res.Stats.ThermalSolves)
-		cold := float64(res.Stats.ThermalSweeps) // at minimum the first solve is cold
-		if avg >= cold {
-			t.Fatalf("warm start had no effect: avg %.1f sweeps/solve over %d solves", avg, res.Stats.ThermalSolves)
-		}
-	}
-	if rel := math.Abs(res.FmaxMHz-direct.FmaxMHz) / direct.FmaxMHz; rel > 1e-5 {
-		t.Fatalf("iterative fmax %v vs direct %v (rel %g)", res.FmaxMHz, direct.FmaxMHz, rel)
+	want := fmt.Sprintf("thermal %d solves ", st.ThermalSolves)
+	if s := st.String(); !strings.Contains(s, want) || strings.Contains(s, "sweeps") {
+		t.Fatalf("stats rendering %q, want %q and no solver-path breakdown", s, want)
 	}
 }
 

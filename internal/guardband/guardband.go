@@ -9,11 +9,8 @@ package guardband
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"tafpga/internal/coffe"
-	"tafpga/internal/faults"
 	"tafpga/internal/hotspot"
 	"tafpga/internal/power"
 	"tafpga/internal/sta"
@@ -39,17 +36,7 @@ type Options struct {
 	// iterated temperatures, disabling the leakage-temperature feedback
 	// loop. Used for ablation.
 	FreezeLeakage bool
-	// Reference, when set, routes every kernel through the seed
-	// implementations (sta.AnalyzeReference and hotspot.SolveReference,
-	// without warm starting): the "before" half of the perf-regression
-	// harness and the golden path the equivalence tests compare against.
-	Reference bool
-	// ThermalSeed, when non-nil, warm-starts the first iteration's thermal
-	// solve (typically the SeedTemps of a run at a nearby ambient). The
-	// default direct solver ignores the seed entirely, and the iterative
-	// fallback converges to the same fixed tolerance, so results are
-	// identical either way — only the sweep count changes. Ignored under
-	// Reference.
+	// Deprecated: ignored; the thermal solve is exact
 	ThermalSeed []float64
 	// Ctx, when non-nil, is checked at the top of every Algorithm-1
 	// iteration: a cancelled or expired context stops the run between
@@ -71,7 +58,8 @@ type Progress struct {
 	// AmbientC is the ambient temperature of the run (the lane's ambient in
 	// a batched sweep, where iterations from several lanes interleave).
 	AmbientC float64
-	// FmaxMHz is the timing result at the iteration's input temperatures.
+	// FmaxMHz is the timing result at the iteration's input temperatures —
+	// or, on a min-energy probe's iteration, the pinned target clock.
 	FmaxMHz float64
 	// MaxDeltaC is the infinity-norm change of the temperature map this
 	// iteration (compared against δT for convergence).
@@ -80,9 +68,9 @@ type Progress struct {
 	MaxC float64
 	// Converged marks the iteration that met the δT threshold.
 	Converged bool
-	// VddV is the candidate core rail when the event narrates a min-energy
-	// bisection probe (RunEnergy); 0 on the fmax objective's iteration
-	// events, whose runs never leave the nominal rail.
+	// VddV is the probe's candidate core rail on a min-energy iteration
+	// (RunEnergy); 0 on the fmax objective's iteration events, whose runs
+	// never leave the nominal rail.
 	VddV float64
 }
 
@@ -119,9 +107,8 @@ type Result struct {
 	// Stats accounts the kernel work (probes, solves, wall time) the run
 	// performed.
 	Stats Stats
-	// SeedTemps is the raw solver output of the final iteration (before any
-	// UniformT collapse) — the right vector to pass as ThermalSeed to a run
-	// at a nearby ambient.
+	// SeedTemps is the raw solver output of the final iteration, before any
+	// UniformT collapse.
 	SeedTemps []float64
 }
 
@@ -138,164 +125,10 @@ func (o *Options) normalize() {
 // Run executes Algorithm 1 on one routed implementation.
 func Run(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, opts Options) (*Result, error) {
 	opts.normalize()
-	t0 := time.Now()
-	worst := analyzeAt(an, sta.UniformTemps(an.PL.Grid.NumTiles(), opts.WorstCaseC), opts.Reference)
-	baseNs := time.Since(t0).Nanoseconds()
-	res, err := runWithBaseline(an, pm, th, opts, worst)
-	if err != nil {
+	ln := &lane{ambientC: opts.AmbientC}
+	worst := baseline(an, opts, &ln.res.Stats)
+	if err := converge(an, pm, th, []*lane{ln}, opts); err != nil {
 		return nil, err
 	}
-	res.Stats.STAProbes++
-	res.Stats.STANs += baseNs
-	return res, nil
-}
-
-// analyzeAt dispatches a timing probe to the compiled or seed analyzer.
-func analyzeAt(an *sta.Analyzer, temps []float64, reference bool) sta.Report {
-	if reference {
-		return an.AnalyzeReference(temps)
-	}
-	return an.Analyze(temps)
-}
-
-// runWithBaseline is Run with the conventional worst-case STA precomputed:
-// the baseline depends only on the implementation and T_worst, so callers
-// sweeping ambient conditions (RunAdaptive) analyze it once and share it.
-// opts must already be normalized.
-func runWithBaseline(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, opts Options, worst sta.Report) (*Result, error) {
-	nTiles := an.PL.Grid.NumTiles()
-
-	// Line 1-2: start from ambient everywhere.
-	temps := sta.UniformTemps(nTiles, opts.AmbientC)
-	res := &Result{}
-
-	// The compiled path probes through the incremental analyzer: between
-	// Algorithm-1 iterations only the temperature map moves, so each probe
-	// re-prices only the (kind, tile) pairs whose tile actually changed and
-	// re-propagates from the affected frontier. Every probe is bit-identical
-	// to sta.Analyze (the equivalence tests hold it to ==), so Reference
-	// comparisons and cached results are unaffected; when the thermal solve
-	// moves the whole map, the layer falls back to the dense sweep on its
-	// own.
-	var inc *sta.Incremental
-	if !opts.Reference {
-		inc = sta.NewIncremental(an)
-	}
-	probe := func(t []float64) sta.Report {
-		if opts.Reference {
-			return an.AnalyzeReference(t)
-		}
-		return inc.Analyze(t)
-	}
-
-	// prevSolved is the raw solver output of the previous iteration (before
-	// any UniformT collapse); it warm-starts the iterative thermal fallback,
-	// which then converges in a handful of sweeps because consecutive
-	// Algorithm-1 iterates differ by at most a few degrees. The first
-	// iteration can be seeded from a run at a nearby ambient.
-	prevSolved := opts.ThermalSeed
-
-	var rep sta.Report
-	for iter := 1; iter <= opts.MaxIters; iter++ {
-		// Cancellation is checked between iterations only: each
-		// STA→power→thermal round is short, and stopping on a round
-		// boundary keeps the partial state coherent.
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("guardband: cancelled after %d iterations: %w", res.Iterations, err)
-			}
-		}
-		// Fault injection shares the iteration boundary with cancellation:
-		// an injected failure aborts between coherent iterates, exercising
-		// the serving layer's retry path without perturbing any number.
-		if err := faults.Check("guardband.iter"); err != nil {
-			return nil, fmt.Errorf("guardband: iteration %d: %w", iter, err)
-		}
-		res.Iterations = iter
-		// Line 4: full-netlist timing at the current temperature map.
-		t0 := time.Now()
-		rep = probe(temps)
-		res.Stats.STAProbes++
-		res.Stats.STANs += time.Since(t0).Nanoseconds()
-		f := rep.FmaxMHz
-
-		// Line 5: dynamic power at f plus leakage at the tile temperatures.
-		leakTemps := temps
-		if opts.FreezeLeakage {
-			leakTemps = sta.UniformTemps(nTiles, opts.AmbientC)
-		}
-		t0 = time.Now()
-		p := pm.Vector(f, leakTemps)
-		res.Stats.PowerNs += time.Since(t0).Nanoseconds()
-
-		// Line 7: thermal simulation.
-		t0 = time.Now()
-		var next []float64
-		var err error
-		var sst hotspot.SolveStats
-		if opts.Reference {
-			next, err = th.SolveReference(p, opts.AmbientC)
-		} else {
-			next, err = th.SolveSeeded(p, opts.AmbientC, prevSolved, &sst)
-		}
-		res.Stats.ThermalSolves++
-		res.Stats.ThermalSweeps += sst.Sweeps
-		if sst.Direct {
-			res.Stats.ThermalDirect++
-		}
-		res.Stats.ThermalNs += time.Since(t0).Nanoseconds()
-		if err != nil {
-			return nil, fmt.Errorf("guardband: %w", err)
-		}
-		prevSolved = next
-		if opts.UniformT {
-			next = sta.UniformTemps(nTiles, hotspot.Max(next))
-		}
-
-		// Line 3/8: convergence on the infinity norm.
-		maxDelta := 0.0
-		for i := range next {
-			d := next[i] - temps[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
-		temps = next
-		converged := maxDelta <= opts.DeltaTC
-		if opts.OnIteration != nil {
-			opts.OnIteration(Progress{
-				Iteration: iter, AmbientC: opts.AmbientC, FmaxMHz: f,
-				MaxDeltaC: maxDelta, MaxC: hotspot.Max(next), Converged: converged,
-			})
-		}
-		if converged {
-			res.Converged = true
-			break
-		}
-	}
-
-	// Line 9: final frequency with the δT safety margin.
-	margined := make([]float64, nTiles)
-	for i := range temps {
-		margined[i] = temps[i] + opts.DeltaTC
-	}
-	t0 := time.Now()
-	final := probe(margined)
-	res.Stats.STAProbes++
-	res.Stats.STANs += time.Since(t0).Nanoseconds()
-
-	res.FmaxMHz = final.FmaxMHz
-	res.BaselineMHz = worst.FmaxMHz
-	if worst.FmaxMHz > 0 {
-		res.GainPct = (final.FmaxMHz/worst.FmaxMHz - 1) * 100
-	}
-	res.Temps = temps
-	res.RiseC = hotspot.Mean(temps) - opts.AmbientC
-	res.SpreadC = hotspot.Spread(temps)
-	res.Breakdown = final.Breakdown
-	res.SeedTemps = prevSolved
-	return res, nil
+	return ln.result(worst), nil
 }

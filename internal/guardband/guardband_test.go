@@ -265,10 +265,9 @@ func TestAdaptiveBaselineEpochIndependent(t *testing.T) {
 	}
 }
 
-// TestThermalSeedInvariance: seeding a run with another ambient's converged
-// map must not change a single reported number — the default direct solver
-// ignores the seed entirely, and the iterative fallback converges to the
-// same fixed tolerance regardless of its starting point.
+// TestThermalSeedInvariance: the deprecated ThermalSeed is ignored — seeding
+// a run with another ambient's converged map must not change a single
+// reported number.
 func TestThermalSeedInvariance(t *testing.T) {
 	t.Parallel()
 	f := setup(t)
@@ -306,9 +305,8 @@ func TestThermalSeedInvariance(t *testing.T) {
 	}
 }
 
-// TestAdaptiveEpochsMatchIndependentRuns: the cross-epoch warm start in
-// RunAdaptive must leave every epoch bit-identical to a standalone Run at
-// the same ambient.
+// TestAdaptiveEpochsMatchIndependentRuns: every RunAdaptive epoch must be
+// bit-identical to a standalone Run at the same ambient.
 func TestAdaptiveEpochsMatchIndependentRuns(t *testing.T) {
 	t.Parallel()
 	f := setup(t)

@@ -4,7 +4,7 @@ import "fmt"
 
 // Stats accounts the kernel work one Algorithm-1 run performed: how many
 // full-netlist timing probes and thermal solves the convergence loop issued,
-// which solver path served them, and the wall time each kernel consumed.
+// and the wall time each kernel consumed.
 // taexp and tafpga -sweep surface it so perf regressions in the inner loop
 // show up next to the scientific results they would slow down.
 type Stats struct {
@@ -13,10 +13,6 @@ type Stats struct {
 	STAProbes int
 	// ThermalSolves counts steady-state thermal solves.
 	ThermalSolves int
-	// ThermalDirect counts the solves served by the factorized direct path.
-	ThermalDirect int
-	// ThermalSweeps totals the Gauss-Seidel sweeps of the iterative solves.
-	ThermalSweeps int
 	// STANs, PowerNs, and ThermalNs are the wall-clock nanoseconds spent in
 	// each kernel.
 	STANs     int64
@@ -37,8 +33,6 @@ type Stats struct {
 func (s *Stats) Add(o Stats) {
 	s.STAProbes += o.STAProbes
 	s.ThermalSolves += o.ThermalSolves
-	s.ThermalDirect += o.ThermalDirect
-	s.ThermalSweeps += o.ThermalSweeps
 	s.STANs += o.STANs
 	s.PowerNs += o.PowerNs
 	s.ThermalNs += o.ThermalNs
@@ -49,10 +43,10 @@ func (s *Stats) Add(o Stats) {
 
 // String renders a one-line kernel accounting.
 func (s Stats) String() string {
-	line := fmt.Sprintf("sta %d probes %.2fms | power %.2fms | thermal %d solves (%d direct, %d GS sweeps) %.2fms",
+	line := fmt.Sprintf("sta %d probes %.2fms | power %.2fms | thermal %d solves %.2fms",
 		s.STAProbes, float64(s.STANs)/1e6,
 		float64(s.PowerNs)/1e6,
-		s.ThermalSolves, s.ThermalDirect, s.ThermalSweeps, float64(s.ThermalNs)/1e6)
+		s.ThermalSolves, float64(s.ThermalNs)/1e6)
 	if s.BatchLanes > 0 {
 		line += fmt.Sprintf(" | batch %d lanes (%d lockstep rounds, %d retired early)",
 			s.BatchLanes, s.LockstepIters, s.RetiredEarly)

@@ -12,29 +12,15 @@ package hotspot
 import "fmt"
 
 // SolveBatch solves one lane per (powers[l], ambients[l]) pair. Lane l of
-// the result is bit-identical to Solve(powers[l], ambients[l]). A zero-lane
-// batch is a no-op returning (nil, nil); mismatched slice lengths — between
-// powers and ambients, or a power lane of the wrong tile count — are
-// errors.
+// the result is bit-identical to Solve(powers[l], ambients[l]); a
+// one-lane batch runs Solve's own substitution, which the interleaved form
+// only pays off against from two lanes up. A zero-lane batch is a no-op
+// returning (nil, nil); mismatched slice lengths — between powers and
+// ambients, or a power lane of the wrong tile count — are errors.
 func (m *Model) SolveBatch(powers [][]float64, ambients []float64) ([][]float64, error) {
-	return m.SolveBatchSeeded(powers, ambients, nil, nil)
-}
-
-// SolveBatchSeeded is SolveBatch with the per-lane extras of SolveSeeded:
-// seeds[l], when present, warm-starts lane l's iterative fallback (the
-// direct path ignores seeds, and the fallback converges to the same fixed
-// tolerance, so results are seed-independent on both paths), and st, when
-// non-nil, must have one SolveStats slot per lane.
-func (m *Model) SolveBatchSeeded(powers [][]float64, ambients []float64, seeds [][]float64, st []SolveStats) ([][]float64, error) {
 	lanes := len(powers)
 	if lanes != len(ambients) {
 		return nil, fmt.Errorf("hotspot: %d power lanes vs %d ambients", lanes, len(ambients))
-	}
-	if seeds != nil && len(seeds) != lanes {
-		return nil, fmt.Errorf("hotspot: %d seed lanes vs %d power lanes", len(seeds), lanes)
-	}
-	if st != nil && len(st) != lanes {
-		return nil, fmt.Errorf("hotspot: %d stats slots vs %d power lanes", len(st), lanes)
 	}
 	if lanes == 0 {
 		return nil, nil
@@ -47,41 +33,13 @@ func (m *Model) SolveBatchSeeded(powers [][]float64, ambients []float64, seeds [
 		}
 		tSpread[l] = ts
 	}
-
-	if m.fact != nil && !m.DisableDirect {
-		for l := range st {
-			st[l] = SolveStats{Direct: true}
-		}
-		return m.solveDirectBatch(powers, tSpread), nil
+	if err := m.factorized(); err != nil {
+		return nil, err
 	}
-
-	// Iterative fallback: the sweeps are dominated by the per-lane
-	// relaxation itself, so lanes run through the serial kernels — same
-	// code, same numbers, per-lane warm starts preserved.
-	out := make([][]float64, lanes)
-	for l := range powers {
-		var lst *SolveStats
-		if st != nil {
-			st[l] = SolveStats{}
-			lst = &st[l]
-		}
-		var seed []float64
-		if seeds != nil {
-			seed = seeds[l]
-		}
-		var temps []float64
-		var err error
-		if m.nbrs == nil {
-			temps, err = m.referenceSweeps(powers[l], tSpread[l], lst)
-		} else {
-			temps, err = m.solveIterative(powers[l], tSpread[l], seed, lst)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("lane %d: %w", l, err)
-		}
-		out[l] = temps
+	if lanes == 1 {
+		return [][]float64{m.solveDirect(powers[0], tSpread[0])}, nil
 	}
-	return out, nil
+	return m.solveDirectBatch(powers, tSpread), nil
 }
 
 // solveDirectBatch is the multi-RHS twin of solveDirect: the permuted

@@ -6,83 +6,35 @@ import (
 	"testing"
 )
 
-// TestSolveBatchMatchesSolve: every lane, on every grid shape, on both the
-// direct and iterative paths, must be bit-identical (==) to the serial
-// Solve at that lane's (power, ambient).
+// TestSolveBatchMatchesSolve: every lane, on every grid shape and at every
+// width from the one-lane dispatch up, must be bit-identical (==) to the
+// serial Solve at that lane's (power, ambient).
 func TestSolveBatchMatchesSolve(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(41))
 	for _, g := range equivGrids {
-		for _, disable := range []bool{false, true} {
-			m := model(t, g[0], g[1], 40000)
-			m.DisableDirect = disable
-			const lanes = 5
+		m := model(t, g[0], g[1], 40000)
+		for lanes := 1; lanes <= 5; lanes++ {
 			powers := make([][]float64, lanes)
 			ambients := make([]float64, lanes)
 			for l := 0; l < lanes; l++ {
 				powers[l] = randomPower(rng, g[0]*g[1])
 				ambients[l] = 10 + float64(l)*20
 			}
-			st := make([]SolveStats, lanes)
-			batch, err := m.SolveBatchSeeded(powers, ambients, nil, st)
+			batch, err := m.SolveBatch(powers, ambients)
 			if err != nil {
-				t.Fatalf("%dx%d disable=%v: %v", g[0], g[1], disable, err)
+				t.Fatalf("%dx%d lanes=%d: %v", g[0], g[1], lanes, err)
 			}
 			for l := 0; l < lanes; l++ {
-				var sst SolveStats
-				serial, err := m.SolveSeeded(powers[l], ambients[l], nil, &sst)
+				serial, err := m.Solve(powers[l], ambients[l])
 				if err != nil {
 					t.Fatal(err)
 				}
 				if d := maxAbsDiff(batch[l], serial); d != 0 {
-					t.Fatalf("%dx%d disable=%v lane %d: max diff %g, want bit-identical",
-						g[0], g[1], disable, l, d)
-				}
-				if st[l] != sst {
-					t.Fatalf("%dx%d disable=%v lane %d: stats %+v vs serial %+v",
-						g[0], g[1], disable, l, st[l], sst)
+					t.Fatalf("%dx%d lanes=%d lane %d: max diff %g, want bit-identical",
+						g[0], g[1], lanes, l, d)
 				}
 			}
-		}
-	}
-}
-
-// TestSolveBatchSeededMatchesSerialSeeds: identical per-lane seeds must give
-// the identical iterative trajectory, sweep counts included.
-func TestSolveBatchSeededMatchesSerialSeeds(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(43))
-	m := model(t, 9, 9, 40000)
-	m.DisableDirect = true
-	const lanes = 3
-	powers := make([][]float64, lanes)
-	ambients := make([]float64, lanes)
-	seeds := make([][]float64, lanes)
-	for l := 0; l < lanes; l++ {
-		powers[l] = randomPower(rng, 81)
-		ambients[l] = 25 + float64(l)*15
-		seed, err := m.Solve(powers[l], ambients[l]-5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seeds[l] = seed
-	}
-	st := make([]SolveStats, lanes)
-	batch, err := m.SolveBatchSeeded(powers, ambients, seeds, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := 0; l < lanes; l++ {
-		var sst SolveStats
-		serial, err := m.SolveSeeded(powers[l], ambients[l], seeds[l], &sst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(batch[l], serial); d != 0 {
-			t.Fatalf("lane %d: max diff %g, want bit-identical", l, d)
-		}
-		if st[l] != sst {
-			t.Fatalf("lane %d: stats %+v vs serial %+v", l, st[l], sst)
 		}
 	}
 }
@@ -106,8 +58,6 @@ func TestSolveBatchEdgeCases(t *testing.T) {
 	check("powers/ambients mismatch", err, "2 power lanes vs 1 ambients")
 	_, err = m.SolveBatch([][]float64{p, make([]float64, 3)}, []float64{25, 25})
 	check("ragged power lane", err, "lane 1")
-	_, err = m.SolveBatchSeeded([][]float64{p}, []float64{25}, [][]float64{p, p}, nil)
-	check("seed lane mismatch", err, "2 seed lanes vs 1 power lanes")
-	_, err = m.SolveBatchSeeded([][]float64{p}, []float64{25}, nil, make([]SolveStats, 3))
-	check("stats slot mismatch", err, "3 stats slots vs 1 power lanes")
+	_, err = m.SolveBatch([][]float64{make([]float64, 3)}, []float64{25})
+	check("ragged single lane", err, "lane 0")
 }

@@ -1,12 +1,12 @@
 package hotspot
 
-// direct.go is the factorized fast path of Solve. The thermal network's
+// direct.go is the factorized solver behind Solve. The thermal network's
 // conductance matrix depends only on the grid shape and the lateral/vertical
 // resistances — never on the power vector or the ambient — so NewModel
 // factors it once (banded Cholesky, the structure DiffChip-style repeated
 // thermal solves exploit) and every Solve afterwards is one forward/backward
 // substitution of O(n·bandwidth) work instead of up to MaxSweeps
-// Gauss-Seidel sweeps over the die.
+// Gauss-Seidel sweeps over the die (SolveReference, the seed solver).
 
 import (
 	"math"
@@ -33,8 +33,8 @@ type cholFactor struct {
 // factorize builds and factors the conductance matrix of a w×h die layer
 // with vertical conductance gVert per tile and lateral conductance gLat per
 // adjacent pair. It returns nil if the matrix is not positive definite
-// (cannot happen for positive conductances; the caller then falls back to
-// the iterative solver).
+// (cannot happen for positive conductances; NewModel then reports an
+// error).
 func factorize(w, h int, gVert, gLat float64) *cholFactor {
 	n := w * h
 	b := w

@@ -3,11 +3,12 @@ package hotspot
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// equivGrids covers the degenerate and non-square shapes the solver
-// dispatch must handle: 1×1, 1×N, N×1, squares, and wide/tall rectangles
+// equivGrids covers the degenerate and non-square shapes the solver must
+// handle: 1×1, 1×N, N×1, squares, and wide/tall rectangles
 // (wide grids exercise the transposed band ordering).
 var equivGrids = [][2]int{
 	{1, 1}, {1, 7}, {7, 1}, {2, 2}, {5, 5}, {3, 11}, {11, 3}, {16, 16}, {24, 6},
@@ -81,34 +82,6 @@ func TestDirectSolvesTheNetworkExactly(t *testing.T) {
 	}
 }
 
-// TestIterativeFallbackBitIdenticalToReference: the optimized Gauss-Seidel
-// fallback (precomputed neighbor lists and denominators) performs exactly
-// the seed implementation's arithmetic, so a cold start must agree bit for
-// bit — not merely within tolerance.
-func TestIterativeFallbackBitIdenticalToReference(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(11))
-	for _, g := range equivGrids {
-		w, h := g[0], g[1]
-		m := model(t, w, h, 30000)
-		m.DisableDirect = true
-		p := randomPower(rng, w*h)
-		opt, err := m.Solve(p, 25)
-		if err != nil {
-			t.Fatalf("%dx%d: %v", w, h, err)
-		}
-		ref, err := m.SolveReference(p, 25)
-		if err != nil {
-			t.Fatalf("%dx%d: %v", w, h, err)
-		}
-		for i := range ref {
-			if opt[i] != ref[i] {
-				t.Fatalf("%dx%d: tile %d diverged: optimized %v, reference %v", w, h, i, opt[i], ref[i])
-			}
-		}
-	}
-}
-
 // TestDirectMatchesConvergedGaussSeidel: with the relaxation tolerance
 // tightened far below its production setting, the seed iterative solution
 // approaches the direct solution — the two paths solve the same network.
@@ -148,104 +121,26 @@ func TestDirectMatchesConvergedGaussSeidel(t *testing.T) {
 	}
 }
 
-// TestWarmStartNeverChangesConvergedResults: seeding the iterative solver
-// from an unrelated previous map must land on the same converged solution
-// (within the relaxation tolerance) as a cold start, and must never alter
-// the direct path at all.
-func TestWarmStartNeverChangesConvergedResults(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(17))
-	for _, g := range equivGrids {
-		w, h := g[0], g[1]
-		n := w * h
-		m := model(t, w, h, 35000)
-
-		pa := randomPower(rng, n)
-		pb := randomPower(rng, n)
-		seedMap, err := m.Solve(pa, 25)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Direct path: the seed must be ignored entirely.
-		d1, err := m.SolveSeeded(pb, 25, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := m.SolveSeeded(pb, 25, seedMap, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if maxAbsDiff(d1, d2) != 0 {
-			t.Fatalf("%dx%d: warm start changed the direct solution", w, h)
-		}
-
-		// Iterative path: cold and warm starts converge to the same map.
-		m.DisableDirect = true
-		var cold, warm SolveStats
-		c, err := m.SolveSeeded(pb, 25, nil, &cold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wstart, err := m.SolveSeeded(pb, 25, seedMap, &warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.DisableDirect = false
-		if d := maxAbsDiff(c, wstart); d > 100*m.Tolerance {
-			t.Fatalf("%dx%d: warm start moved the converged map by %g °C", w, h, d)
-		}
-		if cold.Direct || warm.Direct {
-			t.Fatal("iterative solves must not report the direct path")
-		}
-		if cold.Sweeps <= 0 || warm.Sweeps <= 0 {
-			t.Fatal("iterative solves must report their sweep counts")
-		}
-		// Re-seeding with the answer itself must converge almost instantly.
-		var again SolveStats
-		m.DisableDirect = true
-		if _, err := m.SolveSeeded(pb, 25, c, &again); err != nil {
-			t.Fatal(err)
-		}
-		m.DisableDirect = false
-		if again.Sweeps > 3 {
-			t.Fatalf("%dx%d: re-seeding with the solution still took %d sweeps", w, h, again.Sweeps)
-		}
-	}
-}
-
-// TestSolveStatsReportDirect: the default path reports Direct with zero
-// sweeps.
-func TestSolveStatsReportDirect(t *testing.T) {
-	t.Parallel()
-	m := model(t, 6, 4, 20000)
-	var st SolveStats
-	if _, err := m.SolveSeeded(make([]float64, 24), 25, nil, &st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Direct || st.Sweeps != 0 {
-		t.Fatalf("default solve should be direct with 0 sweeps, got %+v", st)
-	}
-}
-
-// TestLiteralModelStillSolves: a Model assembled by struct literal (no
-// NewModel, so no factorization or neighbor lists) must still solve via the
-// seed path.
-func TestLiteralModelStillSolves(t *testing.T) {
+// TestLiteralModelSolveErrors: a Model assembled by struct literal (no
+// NewModel, so no factorization) has no solver to fall back on — Solve,
+// SolveBatch, and Influence report an error instead of answering — while
+// the seed relaxation, which needs no factorization, still solves it.
+func TestLiteralModelSolveErrors(t *testing.T) {
 	t.Parallel()
 	m := &Model{W: 4, H: 3, RSinkKPerW: 2, RVertKPerW: 1800, RLatKPerW: 450,
 		Tolerance: 1e-6, MaxSweeps: 50000}
 	p := make([]float64, 12)
 	p[5] = 4000
-	got, err := m.Solve(p, 25)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := m.Solve(p, 25); err == nil || !strings.Contains(err.Error(), "no factorization") {
+		t.Fatalf("Solve on a literal model: err=%v, want a missing-factorization error", err)
 	}
-	ref, err := m.SolveReference(p, 25)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := m.SolveBatch([][]float64{p, p}, []float64{25, 30}); err == nil {
+		t.Fatal("SolveBatch on a literal model must error")
 	}
-	if maxAbsDiff(got, ref) != 0 {
-		t.Fatal("literal model must run the reference path")
+	if err := m.Influence(0, make([]float64, 12)); err == nil {
+		t.Fatal("Influence on a literal model must error")
+	}
+	if _, err := m.SolveReference(p, 25); err != nil {
+		t.Fatalf("SolveReference needs no factorization: %v", err)
 	}
 }

@@ -30,34 +30,15 @@ type Model struct {
 	// RLatKPerW couples laterally adjacent tiles, in K/W.
 	RLatKPerW float64
 
-	// Tolerance terminates the Gauss-Seidel relaxation.
+	// Tolerance terminates the Gauss-Seidel relaxation of SolveReference.
 	Tolerance float64
-	// MaxSweeps bounds the relaxation.
+	// MaxSweeps bounds that relaxation.
 	MaxSweeps int
-
-	// DisableDirect forces the iterative Gauss-Seidel path even when the
-	// factorization is available (equivalence tests and the before/after
-	// benchmark harness use it).
-	DisableDirect bool
 
 	// fact is the banded Cholesky factorization of the conductance matrix,
 	// built once at NewModel time (see direct.go). Nil on models assembled
-	// by struct literal, which then run the iterative path.
+	// by struct literal, which therefore cannot Solve.
 	fact *cholFactor
-	// nbrs/nbrLo are the flattened per-node neighbor index lists in the
-	// seed's {+x, -x, +y, -y} visit order, and den the matching
-	// denominators, hoisted out of the Gauss-Seidel inner loop.
-	nbrs  []int32
-	nbrLo []int32
-	den   []float64
-}
-
-// SolveStats reports the work one Solve call performed.
-type SolveStats struct {
-	// Direct is true when the factorized direct path served the call.
-	Direct bool
-	// Sweeps is the number of Gauss-Seidel sweeps consumed (0 when Direct).
-	Sweeps int
 }
 
 // XPESensitivity is the paper's cross-validation constant:
@@ -95,40 +76,11 @@ func NewModel(w, h int, basePowerUW float64) (*Model, error) {
 		Tolerance:  1e-5,
 		MaxSweeps:  20000,
 	}
-	m.precompute()
-	return m, nil
-}
-
-// precompute builds the factorized direct solver and the flattened
-// neighbor topology of the iterative fallback. Called once per model.
-func (m *Model) precompute() {
-	gVert := 1 / m.RVertKPerW
-	gLat := 1 / m.RLatKPerW
-	m.fact = factorize(m.W, m.H, gVert, gLat)
-
-	n := m.W * m.H
-	m.nbrLo = make([]int32, n+1)
-	m.nbrs = make([]int32, 0, 4*n)
-	m.den = make([]float64, n)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			i := y*m.W + x
-			// den accumulates by repeated addition in the seed's neighbor
-			// order so the fallback stays bit-identical to the original
-			// inner loop, which rebuilt it every visit.
-			den := gVert
-			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				nx, ny := x+d[0], y+d[1]
-				if nx < 0 || ny < 0 || nx >= m.W || ny >= m.H {
-					continue
-				}
-				m.nbrs = append(m.nbrs, int32(ny*m.W+nx))
-				den += gLat
-			}
-			m.den[i] = den
-			m.nbrLo[i+1] = int32(len(m.nbrs))
-		}
+	m.fact = factorize(w, h, 1/rVert, 1/rLat)
+	if m.fact == nil {
+		return nil, fmt.Errorf("hotspot: %dx%d conductance matrix is not positive definite", w, h)
 	}
+	return m, nil
 }
 
 // validate checks a power vector and returns the spreader temperature.
@@ -149,95 +101,44 @@ func (m *Model) validate(powerUW []float64, ambientC float64) (float64, error) {
 }
 
 // Solve returns the per-tile junction temperature in °C for the per-tile
-// power vector (µW) and ambient temperature.
+// power vector (µW) and ambient temperature: one exact banded substitution
+// through the factorization NewModel built.
 func (m *Model) Solve(powerUW []float64, ambientC float64) ([]float64, error) {
-	return m.SolveSeeded(powerUW, ambientC, nil, nil)
-}
-
-// SolveSeeded is Solve with two optional extras for the guardbanding loop:
-// seed warm-starts the iterative fallback from a previous temperature map
-// (ignored — harmlessly — by the direct path, whose answer is exact), and
-// st, when non-nil, receives the work the call performed.
-func (m *Model) SolveSeeded(powerUW []float64, ambientC float64, seed []float64, st *SolveStats) ([]float64, error) {
 	tSpread, err := m.validate(powerUW, ambientC)
 	if err != nil {
 		return nil, err
 	}
-	if m.fact != nil && !m.DisableDirect {
-		if st != nil {
-			st.Direct = true
-			st.Sweeps = 0
-		}
-		return m.solveDirect(powerUW, tSpread), nil
+	if err := m.factorized(); err != nil {
+		return nil, err
 	}
-	if st != nil {
-		st.Direct = false
-	}
-	if m.nbrs == nil {
-		// Struct-literal model without precomputed topology: run the seed
-		// relaxation as-is.
-		return m.referenceSweeps(powerUW, tSpread, st)
-	}
-	return m.solveIterative(powerUW, tSpread, seed, st)
+	return m.solveDirect(powerUW, tSpread), nil
 }
 
-// solveIterative is the Gauss-Seidel/SOR fallback with the per-node
-// neighbor lists and denominators hoisted out of the sweep. A cold start
-// (nil seed) is bit-identical to the seed implementation; a warm start
-// seeds the relaxation from a previous map and typically converges in a
-// handful of sweeps.
-func (m *Model) solveIterative(powerUW []float64, tSpread float64, seed []float64, st *SolveStats) ([]float64, error) {
-	n := m.W * m.H
-	temps := make([]float64, n)
-	if len(seed) == n {
-		copy(temps, seed)
-	} else {
-		for i := range temps {
-			temps[i] = tSpread
-		}
+// factorized reports whether the model carries the factorization every
+// production solve runs through; struct-literal models do not.
+func (m *Model) factorized() error {
+	if m.fact == nil {
+		return fmt.Errorf("hotspot: %dx%d model has no factorization (build it with NewModel)", m.W, m.H)
 	}
-	gVert := 1 / m.RVertKPerW
-	gLat := 1 / m.RLatKPerW
-	const omega = 1.6
-	for sweep := 0; sweep < m.MaxSweeps; sweep++ {
-		maxDelta := 0.0
-		for i := 0; i < n; i++ {
-			num := powerUW[i]*1e-6 + gVert*tSpread
-			for _, j := range m.nbrs[m.nbrLo[i]:m.nbrLo[i+1]] {
-				num += gLat * temps[j]
-			}
-			next := num / m.den[i]
-			next = temps[i] + omega*(next-temps[i])
-			if d := math.Abs(next - temps[i]); d > maxDelta {
-				maxDelta = d
-			}
-			temps[i] = next
-		}
-		if maxDelta < m.Tolerance {
-			if st != nil {
-				st.Sweeps = sweep + 1
-			}
-			return temps, nil
-		}
-	}
-	return nil, fmt.Errorf("hotspot: Gauss-Seidel did not converge in %d sweeps", m.MaxSweeps)
+	return nil
 }
 
 // SolveReference is the seed Gauss-Seidel implementation, kept verbatim as
-// the golden reference for the optimized paths and the "before" half of the
-// perf harness. It neither factorizes nor warm-starts.
+// the golden reference for the direct solve and the "before" half of the
+// perf harness. It needs no factorization, so it also solves struct-literal
+// models.
 func (m *Model) SolveReference(powerUW []float64, ambientC float64) ([]float64, error) {
 	tSpread, err := m.validate(powerUW, ambientC)
 	if err != nil {
 		return nil, err
 	}
-	return m.referenceSweeps(powerUW, tSpread, nil)
+	return m.referenceSweeps(powerUW, tSpread)
 }
 
 // referenceSweeps is the original relaxation inner loop: neighbor offsets
 // and denominators rebuilt at every node visit, cold start from the
 // spreader temperature.
-func (m *Model) referenceSweeps(powerUW []float64, tSpread float64, st *SolveStats) ([]float64, error) {
+func (m *Model) referenceSweeps(powerUW []float64, tSpread float64) ([]float64, error) {
 	n := m.W * m.H
 	// Gauss-Seidel with successive over-relaxation on the die layer.
 	temps := make([]float64, n)
@@ -271,9 +172,6 @@ func (m *Model) referenceSweeps(powerUW []float64, tSpread float64, st *SolveSta
 			}
 		}
 		if maxDelta < m.Tolerance {
-			if st != nil {
-				st.Sweeps = sweep + 1
-			}
 			return temps, nil
 		}
 	}

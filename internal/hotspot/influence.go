@@ -13,9 +13,7 @@ import "fmt"
 // Influence fills out (length W·H, row-major grid order) with column src
 // of K⁻¹: out[j] is the steady-state temperature rise at tile j, in kelvin
 // per watt injected at tile src, measured above the spreader temperature.
-// The factorized path answers in one banded substitution; models without a
-// factorization fall back to the iterative relaxation on a unit-impulse
-// power map.
+// The factorized model answers in one banded substitution.
 func (m *Model) Influence(src int, out []float64) error {
 	n := m.W * m.H
 	if src < 0 || src >= n {
@@ -24,38 +22,22 @@ func (m *Model) Influence(src int, out []float64) error {
 	if len(out) != n {
 		return fmt.Errorf("hotspot: influence output length %d != %d tiles", len(out), n)
 	}
-	if m.fact != nil && !m.DisableDirect {
-		f := m.fact
-		rhs := f.rhsPool.Get().([]float64)
-		for s, g := range f.perm {
-			if int(g) == src {
-				rhs[s] = 1
-			} else {
-				rhs[s] = 0
-			}
-		}
-		f.solveInPlace(rhs)
-		for s, g := range f.perm {
-			out[g] = rhs[s]
-		}
-		f.rhsPool.Put(rhs) //nolint:staticcheck // slice header allocation is negligible
-		return nil
-	}
-	// Iterative fallback: a unit impulse is 1 W = 1e6 µW at src with the
-	// spreader held at zero, so the relaxation converges straight onto the
-	// rise field.
-	power := make([]float64, n)
-	power[src] = 1e6
-	var temps []float64
-	var err error
-	if m.nbrs == nil {
-		temps, err = m.referenceSweeps(power, 0, nil)
-	} else {
-		temps, err = m.solveIterative(power, 0, nil, nil)
-	}
-	if err != nil {
+	if err := m.factorized(); err != nil {
 		return err
 	}
-	copy(out, temps)
+	f := m.fact
+	rhs := f.rhsPool.Get().([]float64)
+	for s, g := range f.perm {
+		if int(g) == src {
+			rhs[s] = 1
+		} else {
+			rhs[s] = 0
+		}
+	}
+	f.solveInPlace(rhs)
+	for s, g := range f.perm {
+		out[g] = rhs[s]
+	}
+	f.rhsPool.Put(rhs) //nolint:staticcheck // slice header allocation is negligible
 	return nil
 }

@@ -355,6 +355,6 @@ func TestKeyCanonicalization(t *testing.T) {
 	s1 := Spec{Kind: KindSweep, Benchmark: "sha", Ambients: []float64{25, 45}}
 	s2 := Spec{Kind: KindSweep, Benchmark: "sha", Ambients: []float64{45, 25}}
 	if s1.Key() == s2.Key() {
-		t.Fatal("sweep order is semantic (warm starts), keys must differ")
+		t.Fatal("sweep order is semantic (result order), keys must differ")
 	}
 }

@@ -52,14 +52,18 @@ func (a *Analyzer) newBatchScratch(b int) *batchScratch {
 
 // AnalyzeBatch runs one full-netlist probe per temperature lane in a single
 // structure-of-arrays traversal. Report l is bit-identical to
-// Analyze(temps[l]); an empty batch returns nil. The endpoint scan and
-// critical-path trace reuse the serial finish() on each lane's
-// de-interleaved working set, so the batched layer cannot drift from the
-// serial semantics there either.
+// Analyze(temps[l]); an empty batch returns nil, and a one-lane batch runs
+// Analyze itself, which the interleaved traversal only beats from two lanes
+// up. The endpoint scan and critical-path trace reuse the serial finish()
+// on each lane's de-interleaved working set, so the batched layer cannot
+// drift from the serial semantics there either.
 func (a *Analyzer) AnalyzeBatch(temps [][]float64) []Report {
 	b := len(temps)
-	if b == 0 {
+	switch b {
+	case 0:
 		return nil
+	case 1:
+		return []Report{a.Analyze(temps[0])}
 	}
 	sc := a.newBatchScratch(b)
 	a.fillTermValsBatch(temps, sc)

@@ -31,10 +31,11 @@
 #               every width; like route_workers this is recorded in the JSON
 #               so the speedup is never read without its batch width.
 #
-# The optimized and seed kernels live in the same binary (Analyze vs
+# The optimized and seed kernels live in the same test binary (Analyze vs
 # AnalyzeReference, Solve vs SolveReference, Place vs PlaceReference, Route
-# vs RouteReference, Options.Reference), so every pair below is measured by
-# one build on one machine.
+# vs RouteReference, and the whole-run compositions of internal/oracle for
+# GuardbandRunReference and FlowBuildReference), so every pair below is
+# measured by one build on one machine.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -68,13 +69,13 @@ ROUTE_WORKERS_JSON=""
 SWEEP_BATCH_JSON=""
 case "$SUITE" in
 inner)
-	BENCH='BenchmarkHotspotSolve|BenchmarkSTAAnalyze|BenchmarkSTAIncremental|BenchmarkSTASlacks|BenchmarkGuardbandRun|BenchmarkGuardbandSweep|BenchmarkMinEnergy'
+	BENCH='BenchmarkHotspotSolve|BenchmarkSTAAnalyze|BenchmarkSTASlacks|BenchmarkGuardbandRun|BenchmarkGuardbandSweep|BenchmarkMinEnergy'
 	BENCHTIME="${BENCHTIME:-10x}"
 	OUT="${OUT:-BENCH_inner_loop.json}"
 	# MinEnergySearch (one VddLab sharing per-rail derivations across the
 	# ambient axis) is paired against the naive per-probe rebuild; the
 	# physics is bit-identical (TestMinEnergyBenchmarkAgreement).
-	PAIRS='HotspotSolve=HotspotSolveReference,HotspotSolveIterative=HotspotSolveReference,STAAnalyze=STAAnalyzeReference,STAIncrementalLocal=STAAnalyzeLocal,GuardbandRun=GuardbandRunReference,GuardbandSweepBatch=GuardbandSweepSerial,MinEnergySearch=MinEnergyRebuild'
+	PAIRS='HotspotSolve=HotspotSolveReference,STAAnalyze=STAAnalyzeReference,GuardbandRun=GuardbandRunReference,GuardbandSweepBatch=GuardbandSweepSerial,MinEnergySearch=MinEnergyRebuild'
 	# The batched sweep runs at full width (one lane per ambient of the
 	# 0:100:10 axis); record the width next to the speedup.
 	SWEEP_BATCH_JSON="${SWEEP_BATCH:-11}"
