@@ -195,7 +195,7 @@ func RunEnergy(opts EnergyOptions) (*EnergyResult, error) {
 				return nil, fmt.Errorf("guardband: rail %.3f V: %w", vdd, err)
 			}
 		}
-		ln := &lane{ambientC: opts.AmbientC, pinned: true, pinnedMHz: res.TargetMHz, vddV: vdd}
+		ln := &lane{ambientC: opts.AmbientC, pinned: true, fMHz: res.TargetMHz, vddV: vdd}
 		if err := converge(m.Timing, m.Power, m.Thermal, []*lane{ln}, opts.Options); err != nil {
 			return nil, err
 		}

@@ -24,13 +24,12 @@ import (
 // lane is one Algorithm-1 run inside the engine.
 type lane struct {
 	ambientC float64
-	// pinned holds the clock at pinnedMHz instead of re-timing the design
-	// every round — the min-energy probe, where the STA step only fed the
-	// frequency into the power model. vddV is the probe's rail, reported on
-	// its Progress events.
-	pinned    bool
-	pinnedMHz float64
-	vddV      float64
+	// pinned holds the clock at the driver-set fMHz instead of re-timing
+	// the design every round — the min-energy probe, where the STA step
+	// only fed the frequency into the power model. vddV is the probe's
+	// rail, reported on its Progress events.
+	pinned bool
+	vddV   float64
 
 	// res accumulates the lane's outcome: Iterations, Converged, Temps,
 	// SeedTemps, Stats, and from the final probe FmaxMHz, Breakdown, RiseC
@@ -39,7 +38,7 @@ type lane struct {
 	// powerUW is a pinned lane's total power at its final temperatures.
 	powerUW float64
 
-	fMHz   float64   // this round's clock
+	fMHz   float64   // this round's clock (fixed when pinned)
 	frozen []float64 // the ambient map leakage is priced at under FreezeLeakage
 	power  []float64 // reused power vector
 }
@@ -76,9 +75,6 @@ func converge(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, lanes []*lan
 		ln.res.Temps = sta.UniformTemps(nTiles, ln.ambientC)
 		if opts.FreezeLeakage {
 			ln.frozen = sta.UniformTemps(nTiles, ln.ambientC)
-		}
-		if ln.pinned {
-			ln.fMHz = ln.pinnedMHz
 		}
 		active = append(active, ln)
 	}
@@ -215,7 +211,7 @@ func retire(an *sta.Analyzer, pm *power.Model, lanes []*lane, opts Options) {
 		r.SpreadC = hotspot.Spread(r.Temps)
 		if ln.pinned {
 			t0 := time.Now()
-			ln.power = pm.VectorInto(ln.pinnedMHz, ln.leakTemps(), ln.power)
+			ln.power = pm.VectorInto(ln.fMHz, ln.leakTemps(), ln.power)
 			r.Stats.PowerNs += time.Since(t0).Nanoseconds()
 			total := 0.0
 			for _, w := range ln.power {

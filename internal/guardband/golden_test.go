@@ -6,17 +6,19 @@ package guardband_test
 // field and every work count is kept, so any refactor of the convergence
 // loop must reproduce the recorded bytes exactly.
 //
-// Regenerate (only when a change is meant to move the physics) with
-//
-//	go test ./internal/guardband -run TestGoldenPhysics -update
+// To regenerate (only when a change is meant to move the physics), delete
+// the file and run the test once: it records the current physics and fails
+// so the new file is reviewed before it is committed.
 
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"testing"
 
 	"tafpga/internal/coffe"
@@ -24,8 +26,6 @@ import (
 	"tafpga/internal/flow"
 	"tafpga/internal/guardband"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/golden_physics.ndjson")
 
 const goldenPath = "testdata/golden_physics.ndjson"
 
@@ -188,7 +188,7 @@ func recordDesign(t *testing.T, c *experiments.Context, name string) goldenDesig
 				t.Fatalf("%s Run %g %s: %v", name, amb, variant, err)
 			}
 			d.Runs = append(d.Runs, goldenRun{
-				Label: variant + "@" + itoa(int(amb)), Result: resultOf(r), Progress: prog,
+				Label: variant + "@" + strconv.Itoa(int(amb)), Result: resultOf(r), Progress: prog,
 			})
 		}
 	}
@@ -284,11 +284,6 @@ func recordDesign(t *testing.T, c *experiments.Context, name string) goldenDesig
 	return d
 }
 
-func itoa(n int) string {
-	b, _ := json.Marshal(n)
-	return string(b)
-}
-
 // goldenLine is one record of the golden file: a compact JSON line per
 // entry-point call, so a drift report names the call that moved.
 type goldenLine struct {
@@ -324,18 +319,18 @@ func TestGoldenPhysics(t *testing.T) {
 			add(name, "GuardbandSweep", s)
 		}
 	}
-	if *update {
+	want, err := os.ReadFile(goldenPath)
+	if errors.Is(err, fs.ErrNotExist) {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
+		t.Fatalf("recorded %s; review and commit it, then rerun", goldenPath)
 	}
-	want, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatalf("%v (generate it with -update)", err)
+		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))

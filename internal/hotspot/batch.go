@@ -12,11 +12,12 @@ package hotspot
 import "fmt"
 
 // SolveBatch solves one lane per (powers[l], ambients[l]) pair. Lane l of
-// the result is bit-identical to Solve(powers[l], ambients[l]); a
-// one-lane batch runs Solve's own substitution, which the interleaved form
-// only pays off against from two lanes up. A zero-lane batch is a no-op
-// returning (nil, nil); mismatched slice lengths — between powers and
-// ambients, or a power lane of the wrong tile count — are errors.
+// the result is bit-identical to Solve(powers[l], ambients[l]). A one-lane
+// batch takes Solve's serial substitution, which beats the interleaved form
+// at that width, so callers never need a width-1 branch of their own. A
+// zero-lane batch is a no-op returning (nil, nil); mismatched slice lengths
+// — between powers and ambients, or a power lane of the wrong tile count —
+// are errors.
 func (m *Model) SolveBatch(powers [][]float64, ambients []float64) ([][]float64, error) {
 	lanes := len(powers)
 	if lanes != len(ambients) {

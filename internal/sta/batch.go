@@ -53,10 +53,11 @@ func (a *Analyzer) newBatchScratch(b int) *batchScratch {
 // AnalyzeBatch runs one full-netlist probe per temperature lane in a single
 // structure-of-arrays traversal. Report l is bit-identical to
 // Analyze(temps[l]); an empty batch returns nil, and a one-lane batch runs
-// Analyze itself, which the interleaved traversal only beats from two lanes
-// up. The endpoint scan and critical-path trace reuse the serial finish()
-// on each lane's de-interleaved working set, so the batched layer cannot
-// drift from the serial semantics there either.
+// Analyze itself, which beats the interleaved traversal at that width, so
+// callers never need a width-1 branch of their own. The endpoint scan and
+// critical-path trace reuse the serial finish() on each lane's
+// de-interleaved working set, so the batched layer cannot drift from the
+// serial semantics there either.
 func (a *Analyzer) AnalyzeBatch(temps [][]float64) []Report {
 	b := len(temps)
 	switch b {
