@@ -22,7 +22,8 @@
 //	-seed n       random seed override (default: derived from the name)
 //	-blif path    write the generated netlist as BLIF to path
 //	-sweep spec   guardband an ambient sweep instead of one point:
-//	              "lo:hi:step" (e.g. 0:100:10) or a comma list (e.g. 25,45,70)
+//	              "lo:hi:step" (e.g. 0:100:10) or a comma list (e.g. 25,45,70),
+//	              at most 256 points
 //	-objective s  guardband objective (default "fmax"): "min-energy" keeps
 //	              the clock at -target and instead bisects the minimum safe
 //	              core rail on the same routed implementation, converting the
@@ -54,6 +55,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -277,41 +279,47 @@ func main() {
 	}
 }
 
+// maxSweepPoints caps a sweep at the per-job ambient limit that
+// jobs.Spec.Validate applies.
+const maxSweepPoints = 256
+
 // parseSweep parses "lo:hi:step" or a comma-separated list of ambients.
+// Range points are lo + i·step, so a step below the float spacing at lo
+// cannot stall the sweep; non-finite values and sweeps of more than
+// maxSweepPoints points are errors.
 func parseSweep(spec string) ([]float64, error) {
-	if strings.Contains(spec, ":") {
-		parts := strings.Split(spec, ":")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("sweep spec %q: want lo:hi:step", spec)
-		}
-		var v [3]float64
-		for i, p := range parts {
-			f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return nil, fmt.Errorf("sweep spec %q: %w", spec, err)
-			}
-			v[i] = f
-		}
-		lo, hi, step := v[0], v[1], v[2]
-		if step <= 0 || hi < lo {
-			return nil, fmt.Errorf("sweep spec %q: need hi >= lo and step > 0", spec)
-		}
-		var out []float64
-		for t := lo; t <= hi+1e-9; t += step {
-			out = append(out, t)
-		}
-		return out, nil
+	isRange := strings.Contains(spec, ":")
+	sep := ","
+	if isRange {
+		sep = ":"
+	}
+	parts := strings.Split(spec, sep)
+	if isRange && len(parts) != 3 {
+		return nil, fmt.Errorf("sweep spec %q: want lo:hi:step", spec)
 	}
 	var out []float64
-	for _, p := range strings.Split(spec, ",") {
+	for _, p := range parts {
 		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return nil, fmt.Errorf("sweep spec %q: %w", spec, err)
 		}
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return nil, fmt.Errorf("sweep spec %q: %q is not finite", spec, p)
+		}
 		out = append(out, f)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("sweep spec %q: empty", spec)
+	if isRange {
+		lo, hi, step := out[0], out[1], out[2]
+		if step <= 0 || hi < lo {
+			return nil, fmt.Errorf("sweep spec %q: need hi >= lo and step > 0", spec)
+		}
+		out = nil
+		for i := 0; lo+float64(i)*step <= hi+1e-9 && len(out) <= maxSweepPoints; i++ {
+			out = append(out, lo+float64(i)*step)
+		}
+	}
+	if len(out) > maxSweepPoints {
+		return nil, fmt.Errorf("sweep spec %q: more than %d points", spec, maxSweepPoints)
 	}
 	return out, nil
 }

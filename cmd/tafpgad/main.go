@@ -32,17 +32,6 @@
 //	               and retry testing (also via TAFPGA_FAULTS)
 //	-faults-seed n deterministic seed for -faults (default 1)
 //
-// Fleet flags:
-//
-//	-replica s     this replica's name in the fleet (default: hostname)
-//	-peers csv     fleet members as "name=url,..." — enables HTTP peer fill
-//	               of the flow cache (a local miss asks the key's HRW owner
-//	               before rebuilding)
-//	-route         run as the cluster router instead of a replica: forward
-//	               POST /v1/jobs to each spec's HRW owner (failing over down
-//	               the ranking), proxy job reads and event streams, fan out
-//	               listings across -peers
-//
 // Submit, watch, and cancel:
 //
 //	curl -s localhost:8080/v1/jobs -d '{"kind":"guardband","benchmark":"sha","ambient_c":25}'
@@ -58,7 +47,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -67,7 +55,6 @@ import (
 	"syscall"
 	"time"
 
-	"tafpga/internal/cluster"
 	"tafpga/internal/faults"
 	"tafpga/internal/jobs"
 	"tafpga/internal/obs"
@@ -94,26 +81,10 @@ func main() {
 	retryMax := flag.Duration("retry-max", 30*time.Second, "retry backoff cap")
 	faultSpec := flag.String("faults", "", `fault-injection spec "point=prob[:limit],..." (testing)`)
 	faultSeed := flag.Int64("faults-seed", 1, "seed for -faults")
-	replica := flag.String("replica", "", "this replica's fleet name (default: hostname)")
-	peersCSV := flag.String("peers", "", `fleet members as "name=url,..." (enables flow-cache peer fill)`)
-	route := flag.Bool("route", false, "run as the cluster router over -peers instead of a replica")
 	flag.Parse()
 
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "tafpgad: "+format+"\n", args...)
-	}
-
-	if *replica == "" {
-		if host, err := os.Hostname(); err == nil && host != "" {
-			*replica = host
-		} else {
-			*replica = "tafpgad"
-		}
-	}
-
-	if *route {
-		runRouter(*addr, *replica, *peersCSV, logf)
-		return
 	}
 
 	// Fault injection: the flag wins over the environment so a test harness
@@ -132,7 +103,7 @@ func main() {
 	reg := obs.NewRegistry()
 	reg.GaugeL("tafpgad_build_info",
 		"Process identity; the value is always 1 — the information rides in the labels.",
-		fmt.Sprintf("replica=%q,addr=%q,role=%q,go=%q", *replica, *addr, "replica", runtime.Version())).Set(1)
+		fmt.Sprintf("addr=%q,go=%q", *addr, runtime.Version())).Set(1)
 
 	cfg := jobs.RunnerConfig{
 		Scale:         *scale,
@@ -148,51 +119,6 @@ func main() {
 		cfg.Benchmarks = strings.Split(*benchCSV, ",")
 	}
 	runner := jobs.NewRunner(cfg)
-
-	// Fleet cache fill: a local flow-cache miss asks the key's HRW owner
-	// (then the rest of the ranking) for its raw gob entry before paying a
-	// rebuild. Corrupt or torn payloads are rejected by the cache layer and
-	// never adopted, so a bad peer cannot poison the local store.
-	if *peersCSV != "" {
-		ring, err := cluster.ParseRing(*peersCSV)
-		if err != nil {
-			logf("bad -peers: %v", err)
-			os.Exit(2)
-		}
-		peerFetch := reg.Counter("tafpgad_cache_peer_fetches_total", "Peer cache-fill HTTP requests issued on local misses.")
-		peerHits := reg.Counter("tafpgad_cache_peer_hits_total", "Local flow-cache misses served by a fleet peer.")
-		peerErrs := reg.Counter("tafpgad_cache_peer_errors_total", "Peer cache-fill requests that failed at transport level.")
-		peerClient := &http.Client{Timeout: 10 * time.Second}
-		self := *replica
-		runner.Cache().SetPeerFill(func(key string) ([]byte, error) {
-			for _, rep := range ring.Rank(key) {
-				if rep.Name == self {
-					continue // the local miss is already established
-				}
-				peerFetch.Inc()
-				resp, err := peerClient.Get(rep.URL + "/v1/cache/" + key)
-				if err != nil {
-					peerErrs.Inc()
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					continue
-				}
-				raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-				resp.Body.Close()
-				if err != nil {
-					peerErrs.Inc()
-					continue
-				}
-				peerHits.Inc()
-				return raw, nil
-			}
-			return nil, fmt.Errorf("no fleet peer holds %s", key)
-		})
-		logf("flow-cache peer fill enabled across %d fleet member(s)", len(ring.Replicas()))
-	}
 
 	// Durable state: with -state-dir, every job transition is journaled and
 	// a restart replays the journal — finished results come back without
@@ -226,7 +152,6 @@ func main() {
 			journal.Path(), restored, requeued)
 	}
 	srv := server.New(mgr, reg)
-	srv.ServeCache(runner.Cache())
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	// Serve immediately; /readyz flips once the device library is warm so
@@ -288,47 +213,5 @@ func main() {
 		logf("shutdown: %v", err)
 	}
 	<-errCh // ListenAndServe has returned http.ErrServerClosed
-	logf("bye")
-}
-
-// runRouter serves the fleet front-end: the same /v1 surface as a replica,
-// forwarded across -peers by rendezvous hashing on job content keys.
-func runRouter(addr, name, peersCSV string, logf func(string, ...any)) {
-	if peersCSV == "" {
-		logf("-route requires -peers")
-		os.Exit(2)
-	}
-	ring, err := cluster.ParseRing(peersCSV)
-	if err != nil {
-		logf("bad -peers: %v", err)
-		os.Exit(2)
-	}
-	reg := obs.NewRegistry()
-	reg.GaugeL("tafpgad_build_info",
-		"Process identity; the value is always 1 — the information rides in the labels.",
-		fmt.Sprintf("replica=%q,addr=%q,role=%q,go=%q", name, addr, "router", runtime.Version())).Set(1)
-	rt := cluster.NewRouter(ring, cluster.RouterOptions{Registry: reg})
-	httpSrv := &http.Server{Addr: addr, Handler: rt.Handler()}
-
-	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	logf("routing on %s across %d replica(s)", addr, len(ring.Replicas()))
-
-	select {
-	case err := <-errCh:
-		logf("serve: %v", err)
-		os.Exit(1)
-	case <-sigCtx.Done():
-	}
-	stop()
-	logf("signal received, shutting down router")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logf("shutdown: %v", err)
-	}
-	<-errCh
 	logf("bye")
 }

@@ -1,18 +1,17 @@
-// Command taload is an open-loop load generator for a tafpgad fleet. It
+// Command taload is an open-loop load generator for a tafpgad daemon. It
 // submits a deterministic mixed stream of job specs at a fixed arrival
 // rate (open loop: arrivals do not wait for completions, so queueing
-// behaviour is measured honestly), waits for the fleet to drain, and
-// reports throughput and latency quantiles computed from the daemons' own
+// behaviour is measured honestly), waits for the daemon to drain, and
+// reports throughput and latency quantiles computed from the daemon's own
 // /metrics histograms — the numbers an operator's Prometheus would show,
 // not a client-side stopwatch.
 //
-//	taload -url http://localhost:8080 -rate 4 -duration 30s \
-//	       -metrics http://localhost:8081/metrics,http://localhost:8082/metrics \
-//	       -out bench.json
+//	taload -url http://localhost:8080 -rate 4 -duration 30s -out bench.json
 //
 // Flags:
 //
-//	-url u       submission endpoint: a router or a single daemon
+//	-url u       daemon endpoint: jobs go to -url/v1/jobs, metrics come
+//	             from -url/metrics
 //	-rate r      arrival rate in jobs/second (default 4)
 //	-duration d  submission window (default 30s)
 //	-seed n      seed of the deterministic spec stream (default 1)
@@ -25,7 +24,6 @@
 //	             grids make most specs unique (cold, CPU-bound jobs — a
 //	             capacity benchmark); small grids repeat specs (dedup- and
 //	             cache-dominated jobs — a serving-overhead benchmark)
-//	-metrics csv /metrics URLs to scrape, one per replica (default -url/metrics)
 //	-wait d      drain budget after the submission window (default 10m)
 //	-out f       write the JSON report here (default stdout)
 package main
@@ -51,7 +49,6 @@ type report struct {
 	RatePerSec float64 `json:"rate_per_sec"`
 	DurationS  float64 `json:"duration_s"`
 	Seed       int64   `json:"seed"`
-	Replicas   int     `json:"replicas"`
 
 	Submitted   int `json:"submitted"`
 	Accepted    int `json:"accepted"`
@@ -71,14 +68,14 @@ type report struct {
 		Mean float64 `json:"mean"`
 	} `json:"latency_s"`
 
-	// Batched-sweep activity, from the fleet's tafpgad_sweep_lanes
-	// histogram (zero when the daemons run with a serial sweep engine).
+	// Batched-sweep activity, from the daemon's tafpgad_sweep_lanes
+	// histogram (zero when it runs with a serial sweep engine).
 	SweepBatches   float64 `json:"sweep_batches"`
 	SweepMeanLanes float64 `json:"sweep_mean_lanes"`
 }
 
 func main() {
-	url := flag.String("url", "http://localhost:8080", "submission endpoint (router or daemon)")
+	url := flag.String("url", "http://localhost:8080", "daemon endpoint")
 	rate := flag.Float64("rate", 4, "arrival rate, jobs/second (open loop)")
 	duration := flag.Duration("duration", 30*time.Second, "submission window")
 	seed := flag.Int64("seed", 1, "spec stream seed")
@@ -86,7 +83,6 @@ func main() {
 	mix := flag.Float64("mix", 0.2, "fraction of sweep specs in the stream")
 	energyMix := flag.Float64("energy-mix", 0.1, "fraction of min-energy specs in the stream")
 	grid := flag.Int("grid", 512, "distinct ambient points per benchmark")
-	metricsCSV := flag.String("metrics", "", "/metrics URLs, one per replica (default: -url/metrics)")
 	wait := flag.Duration("wait", 10*time.Minute, "drain budget after the submission window")
 	out := flag.String("out", "", "report path (empty = stdout)")
 	flag.Parse()
@@ -99,29 +95,26 @@ func main() {
 		os.Exit(1)
 	}
 
-	metricsURLs := []string{strings.TrimSuffix(*url, "/") + "/metrics"}
-	if *metricsCSV != "" {
-		metricsURLs = strings.Split(*metricsCSV, ",")
-	}
+	metricsURL := strings.TrimSuffix(*url, "/") + "/metrics"
 	benches := strings.Split(*benchCSV, ",")
 	client := &http.Client{Timeout: 30 * time.Second}
 
 	// Baseline scrape: counters and histograms are cumulative, so every
 	// number in the report is a delta against this snapshot.
-	base, err := scrapeFleet(client, metricsURLs)
+	base, err := scrape(client, metricsURL)
 	if err != nil {
 		fail("baseline scrape: %v", err)
 	}
 
 	rep := report{
 		Target: *url, RatePerSec: *rate, DurationS: duration.Seconds(),
-		Seed: *seed, Replicas: len(metricsURLs),
+		Seed: *seed,
 	}
 
 	// Open-loop arrivals: a ticker fires at the configured rate regardless
-	// of how the fleet is keeping up. The spec stream is a pure function of
-	// the seed, so two runs against different fleet sizes submit the same
-	// work in the same order.
+	// of how the daemon is keeping up. The spec stream is a pure function of
+	// the seed, so two runs against differently configured daemons submit
+	// the same work in the same order.
 	rng := rand.New(rand.NewSource(*seed))
 	interval := time.Duration(float64(time.Second) / *rate)
 	if interval <= 0 {
@@ -158,12 +151,12 @@ func main() {
 	logf("submitted %d specs in %v (%d accepted, %d deduped, %d errors)",
 		rep.Submitted, time.Since(start).Round(time.Millisecond), rep.Accepted, rep.Deduped, rep.SubmitErrs)
 
-	// Drain: the fleet is idle when every replica's queued, running, and
-	// retry-waiting gauges read zero.
+	// Drain: the daemon is idle when its queued, running, and retry-waiting
+	// gauges read zero.
 	drainStart := time.Now()
 	drainDeadline := drainStart.Add(*wait)
 	for {
-		cur, err := scrapeFleet(client, metricsURLs)
+		cur, err := scrape(client, metricsURL)
 		if err == nil {
 			pending := cur.Sum("tafpgad_jobs_queued") + cur.Sum("tafpgad_jobs_running") + cur.Sum("tafpgad_jobs_retry_waiting")
 			if pending == 0 {
@@ -171,14 +164,14 @@ func main() {
 			}
 		}
 		if time.Now().After(drainDeadline) {
-			fail("fleet did not drain within %v", *wait)
+			fail("daemon did not drain within %v", *wait)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
 	rep.DrainedInMs = int(time.Since(drainStart).Milliseconds())
 	rep.WallS = time.Since(start).Seconds()
 
-	final, err := scrapeFleet(client, metricsURLs)
+	final, err := scrape(client, metricsURL)
 	if err != nil {
 		fail("final scrape: %v", err)
 	}
@@ -188,10 +181,10 @@ func main() {
 		rep.ThroughputPS = rep.JobsCompleted / rep.WallS
 	}
 
-	// Latency quantiles come from the fleet's merged duration histogram,
+	// Latency quantiles come from the daemon's duration histogram,
 	// baseline-subtracted so only this run's jobs count.
-	fh, okF := final.histogram("tafpgad_job_duration_seconds")
-	bh, okB := base.histogram("tafpgad_job_duration_seconds")
+	fh, okF := final.HistogramFrom("tafpgad_job_duration_seconds")
+	bh, okB := base.HistogramFrom("tafpgad_job_duration_seconds")
 	if okF {
 		h := fh
 		if okB {
@@ -210,9 +203,9 @@ func main() {
 	// Batched-sweep lanes: how many lockstep dispatches this run's sweep
 	// jobs issued and how wide they were, baseline-subtracted like the
 	// latency histogram.
-	if lh, ok := final.histogram("tafpgad_sweep_lanes"); ok {
+	if lh, ok := final.HistogramFrom("tafpgad_sweep_lanes"); ok {
 		h := lh
-		if bh, ok := base.histogram("tafpgad_sweep_lanes"); ok {
+		if bh, ok := base.HistogramFrom("tafpgad_sweep_lanes"); ok {
 			if err := subtract(&h, bh); err != nil {
 				fail("sweep-lane baseline subtraction: %v", err)
 			}
@@ -270,50 +263,18 @@ func nextSpec(rng *rand.Rand, benches []string, mix, energyMix float64, grid int
 	}
 }
 
-// fleetScrape is the concatenation of every replica's parsed /metrics.
-type fleetScrape struct {
-	scrapes []*obs.Scrape
-}
-
-func scrapeFleet(client *http.Client, urls []string) (*fleetScrape, error) {
-	out := &fleetScrape{}
-	for _, u := range urls {
-		resp, err := client.Get(strings.TrimSpace(u))
-		if err != nil {
-			return nil, fmt.Errorf("scrape %s: %w", u, err)
-		}
-		sc, err := obs.ParseScrape(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", u, err)
-		}
-		out.scrapes = append(out.scrapes, sc)
+// scrape fetches and parses one /metrics payload.
+func scrape(client *http.Client, url string) (*obs.Scrape, error) {
+	resp, err := client.Get(url)
+	if err != nil {
+		return nil, fmt.Errorf("scrape %s: %w", url, err)
 	}
-	return out, nil
-}
-
-// Sum totals a counter or gauge family across the fleet.
-func (f *fleetScrape) Sum(name string) float64 {
-	var total float64
-	for _, sc := range f.scrapes {
-		total += sc.Sum(name)
+	defer resp.Body.Close()
+	sc, err := obs.ParseScrape(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("parse %s: %w", url, err)
 	}
-	return total
-}
-
-// histogram merges a histogram family across the fleet.
-func (f *fleetScrape) histogram(name string) (obs.HistogramSnapshot, bool) {
-	var merged obs.HistogramSnapshot
-	found := false
-	for _, sc := range f.scrapes {
-		if h, ok := sc.HistogramFrom(name); ok {
-			if err := merged.Merge(h); err != nil {
-				return obs.HistogramSnapshot{}, false
-			}
-			found = true
-		}
-	}
-	return merged, found
+	return sc, nil
 }
 
 // subtract removes a baseline snapshot from h bucket-wise.

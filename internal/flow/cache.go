@@ -10,7 +10,6 @@ package flow
 // flow falls back to a fresh build.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/gob"
 	"fmt"
@@ -32,18 +31,10 @@ import (
 // Cache memoizes placement and routing results by content key. A nil
 // *Cache is valid and disables caching. Safe for concurrent use.
 type Cache struct {
-	mu       sync.Mutex
-	mem      map[string]*cachePayload
-	dir      string
-	peerFill PeerFillFunc
+	mu  sync.Mutex
+	mem map[string]*cachePayload
+	dir string
 }
-
-// PeerFillFunc fetches the raw gob encoding of a cache entry from another
-// replica of the fleet (an HTTP GET of the key owner's /v1/cache/{key} in
-// the daemon). It returns the entry bytes or an error; any error is a
-// miss. The bytes are decode-checked before they touch the local store, so
-// a truncated or corrupt peer payload can never poison it.
-type PeerFillFunc func(key string) ([]byte, error)
 
 // NewCache returns an implementation cache. dir is the optional on-disk
 // spill directory (created on first store); empty keeps the cache
@@ -170,19 +161,23 @@ func snapshot(placed *place.Placement, routed *route.Result) *cachePayload {
 
 // restore rebuilds Placement and route.Result views over the payload for
 // the current netlist/grid/packing. It reports false when the payload does
-// not fit the design (a corrupt or stale entry), in which case the caller
-// rebuilds from scratch. The restored route.Result carries a nil Graph:
-// the downstream models never read it, and skipping RRG construction is a
-// large part of the cache's win.
+// not fit the design (a corrupt or stale entry: an out-of-range block,
+// tile or hop resource kind), in which case the caller rebuilds from
+// scratch. Every block is placed — the packer puts each one in a cluster,
+// a macro site or a pad — so a negative tile is out of range too. The
+// restored route.Result carries a nil Graph: the downstream models never
+// read it, and skipping RRG construction is a large part of the cache's
+// win.
 func (p *cachePayload) restore(nl *netlist.Netlist, grid *arch.Grid, packed *pack.Result) (*place.Placement, *route.Result, bool) {
 	if len(p.TileOf) != len(nl.Blocks) {
 		return nil, nil, false
 	}
 	for _, t := range p.TileOf {
-		if t < -1 || t >= grid.NumTiles() {
+		if t < 0 || t >= grid.NumTiles() {
 			return nil, nil, false
 		}
 	}
+	numKinds := coffe.ResourceKind(len(coffe.Kinds()))
 	placed := &place.Placement{Grid: grid, Packed: packed, TileOf: p.TileOf, Cost: p.Cost}
 	routed := &route.Result{Place: placed, Nets: map[int]*route.NetRoute{}, Iters: p.Iters, MaxOcc: p.MaxOcc}
 	for _, cn := range p.Nets {
@@ -195,7 +190,7 @@ func (p *cachePayload) restore(nl *netlist.Netlist, grid *arch.Grid, packed *pac
 				return nil, nil, false
 			}
 			for _, hop := range cp.Hops {
-				if hop.Tile < 0 || hop.Tile >= grid.NumTiles() {
+				if hop.Tile < 0 || hop.Tile >= grid.NumTiles() || hop.Kind < 0 || hop.Kind >= numKinds {
 					return nil, nil, false
 				}
 			}
@@ -206,98 +201,8 @@ func (p *cachePayload) restore(nl *netlist.Netlist, grid *arch.Grid, packed *pac
 	return placed, routed, true
 }
 
-// SetPeerFill installs the fleet fetch hook consulted on a local miss
-// (memory and disk both empty-handed). Fetched entries that gob-decode are
-// adopted into the local store — one cold build anywhere in the fleet then
-// serves every replica — while undecodable payloads are rejected without
-// being written locally.
-func (c *Cache) SetPeerFill(fn PeerFillFunc) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.peerFill = fn
-	c.mu.Unlock()
-}
-
-// ValidKey reports whether key has the shape every cache key has: 64
-// lowercase hex digits (a sha256). The HTTP cache endpoint checks it
-// before touching the filesystem, so a request path can never escape the
-// cache directory or probe arbitrary files.
-func ValidKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// ReadRaw returns the raw gob encoding of a cached entry, for serving to
-// peers over HTTP. Disk is preferred (the bytes are exactly what store
-// wrote, read under the shared advisory lock so an in-flight writer cannot
-// interleave); a memory-only cache encodes the payload on the fly. Invalid
-// keys and absent entries report false.
-func (c *Cache) ReadRaw(key string) ([]byte, bool) {
-	if c == nil || !ValidKey(key) {
-		return nil, false
-	}
-	if c.dir != "" {
-		release, locked := acquireFileLock(c.dir, false)
-		b, err := os.ReadFile(filepath.Join(c.dir, key+".gob"))
-		if locked {
-			release()
-		}
-		if err == nil {
-			return b, true
-		}
-	}
-	c.mu.Lock()
-	p, ok := c.mem[key]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
-// fillFromPeer runs the peer hook for a key and adopts a decodable answer:
-// the decoded payload goes to memory and — through store's temp-file +
-// rename under the exclusive flock, the same protocol every local writer
-// follows — to disk, so a peer fill racing a local store of the same key
-// serializes instead of corrupting the slot. A payload that fails to
-// decode is dropped on the floor: nothing is written, the local store
-// cannot be poisoned by a bad peer.
-func (c *Cache) fillFromPeer(key string) (*cachePayload, bool) {
-	c.mu.Lock()
-	fn := c.peerFill
-	c.mu.Unlock()
-	if fn == nil {
-		return nil, false
-	}
-	raw, err := fn(key)
-	if err != nil {
-		return nil, false
-	}
-	p := &cachePayload{}
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(p); err != nil {
-		return nil, false
-	}
-	c.store(key, p)
-	return p, true
-}
-
 // lookup returns the cached payload for a key, consulting memory first,
-// then the spill directory, then — when a peer-fill hook is installed —
-// the fleet. Disk entries that fail to decode are a miss.
+// then the spill directory. Disk entries that fail to decode are a miss.
 func (c *Cache) lookup(key string) (*cachePayload, bool) {
 	if c == nil {
 		return nil, false
@@ -309,7 +214,7 @@ func (c *Cache) lookup(key string) (*cachePayload, bool) {
 		return p, true
 	}
 	if c.dir == "" {
-		return c.fillFromPeer(key)
+		return nil, false
 	}
 	// Shared advisory lock: a concurrent process's store (temp + rename
 	// under the exclusive lock) cannot interleave with this read, so the
@@ -322,7 +227,7 @@ func (c *Cache) lookup(key string) (*cachePayload, bool) {
 		if locked {
 			release()
 		}
-		return c.fillFromPeer(key)
+		return nil, false
 	}
 	p = &cachePayload{}
 	decodeErr := gob.NewDecoder(f).Decode(p)
@@ -342,7 +247,7 @@ func (c *Cache) lookup(key string) (*cachePayload, bool) {
 		} else {
 			os.Remove(path)
 		}
-		return c.fillFromPeer(key)
+		return nil, false
 	}
 	c.mu.Lock()
 	c.mem[key] = p

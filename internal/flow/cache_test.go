@@ -1,7 +1,9 @@
 package flow
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,10 +12,11 @@ import (
 
 	"tafpga/internal/bench"
 	"tafpga/internal/guardband"
+	"tafpga/internal/route"
 )
 
 // implementCached runs Implement with a cache attached.
-func implementCached(t *testing.T, name string, scale float64, c *Cache) *Implementation {
+func implementCached(t testing.TB, name string, scale float64, c *Cache) *Implementation {
 	t.Helper()
 	d, _ := devices(t)
 	prof, err := bench.ByName(name)
@@ -36,7 +39,7 @@ func implementCached(t *testing.T, name string, scale float64, c *Cache) *Implem
 // requireSameGuardband runs Algorithm 1 on both implementations and demands
 // identical results — the cache must be invisible to every downstream
 // number.
-func requireSameGuardband(t *testing.T, a, b *Implementation) {
+func requireSameGuardband(t testing.TB, a, b *Implementation) {
 	t.Helper()
 	ra, err := a.Guardband(guardband.DefaultOptions(25))
 	if err != nil {
@@ -153,6 +156,98 @@ func TestFlowCacheCorruptEntryFallsBack(t *testing.T) {
 	}
 	again := implementCached(t, "sha", 1.0/64, NewCache(dir))
 	requireSameGuardband(t, fresh, again)
+}
+
+// TestFlowCacheOutOfRangeEntryFallsBack: an entry that decodes cleanly
+// but names a hop resource kind the device does not characterize, or
+// leaves a block unplaced, must be a miss — not a panic in the power
+// model's per-kind or per-tile tables.
+func TestFlowCacheOutOfRangeEntryFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	fresh := implementCached(t, "sha", 1.0/64, NewCache(dir))
+
+	files, err := filepath.Glob(filepath.Join(dir, "*.gob"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("expected exactly one cache file, got %v (%v)", files, err)
+	}
+	good, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstHop := func(p *cachePayload) *route.Hop {
+		for _, n := range p.Nets {
+			for _, cp := range n.Paths {
+				if len(cp.Hops) > 0 {
+					return &cp.Hops[0]
+				}
+			}
+		}
+		t.Fatal("no routed hop to corrupt")
+		return nil
+	}
+	for name, corrupt := range map[string]func(*cachePayload){
+		"hop kind 99":    func(p *cachePayload) { firstHop(p).Kind = 99 },
+		"hop kind -1":    func(p *cachePayload) { firstHop(p).Kind = -1 },
+		"unplaced block": func(p *cachePayload) { p.TileOf[p.Nets[0].Driver] = -1 },
+	} {
+		p := &cachePayload{}
+		if err := gob.NewDecoder(bytes.NewReader(good)).Decode(p); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(p)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(files[0], buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rebuilt := implementCached(t, "sha", 1.0/64, NewCache(dir))
+		if rebuilt.Routed.Graph == nil {
+			t.Fatalf("entry with %s must fall back to a fresh build", name)
+		}
+		requireSameGuardband(t, fresh, rebuilt)
+	}
+}
+
+// FuzzCacheEntry feeds arbitrary bytes to Implement as the on-disk entry
+// for sha's key. Implement must never panic: an entry that does not decode
+// or does not fit the design is a miss and rebuilds. Any build — rebuilt,
+// or a hit serving the fresh build's own payload — must guardband the same
+// as the fresh build; a hit on some other decodable payload must still
+// guardband without panicking. Plain go test runs only the seeds.
+func FuzzCacheEntry(f *testing.F) {
+	dir := f.TempDir()
+	fresh := implementCached(f, "sha", 1.0/64, NewCache(dir))
+	files, err := filepath.Glob(filepath.Join(dir, "*.gob"))
+	if err != nil || len(files) != 1 {
+		f.Fatalf("expected exactly one cache file, got %v (%v)", files, err)
+	}
+	name := filepath.Base(files[0])
+	valid, err := os.ReadFile(files[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte("not a gob payload"))
+
+	f.Fuzz(func(t *testing.T, entry []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		im := implementCached(t, "sha", 1.0/64, NewCache(dir))
+		var served bytes.Buffer
+		if err := gob.NewEncoder(&served).Encode(snapshot(im.Placed, im.Routed)); err != nil {
+			t.Fatal(err)
+		}
+		if im.Routed.Graph != nil || bytes.Equal(served.Bytes(), valid) {
+			requireSameGuardband(t, fresh, im)
+			return
+		}
+		im.Guardband(guardband.DefaultOptions(25))
+	})
 }
 
 // TestFlowCacheCorruptEntrySelfHeals: a gob decode failure must not just

@@ -17,7 +17,7 @@ var (
 	dev70   *coffe.Device
 )
 
-func devices(t *testing.T) (*coffe.Device, *coffe.Device) {
+func devices(t testing.TB) (*coffe.Device, *coffe.Device) {
 	t.Helper()
 	devOnce.Do(func() {
 		kit := techmodel.Default22nm()

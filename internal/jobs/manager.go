@@ -367,8 +367,8 @@ func (m *Manager) List() []View { return m.ListState("") }
 
 // ListState returns the stored jobs in one lifecycle state (all states
 // when s is empty), oldest first, without results. Operators and load
-// generators polling a fleet use it to ask each replica only for, say,
-// its running jobs instead of paging full stores.
+// generators use it to ask only for, say, the running jobs instead of
+// paging the full store.
 func (m *Manager) ListState(s State) []View {
 	m.mu.Lock()
 	defer m.mu.Unlock()

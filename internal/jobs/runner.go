@@ -80,10 +80,6 @@ func NewRunner(cfg RunnerConfig) *Runner {
 	return r
 }
 
-// Cache exposes the shared implementation cache so the daemon can serve
-// it to fleet peers (GET /v1/cache/{key}) and install a peer-fill hook.
-func (r *Runner) Cache() *flow.Cache { return r.cache }
-
 // Warm sizes the default device ahead of traffic so the first job does not
 // pay the sizing latency (the daemon calls it before flipping /readyz).
 func (r *Runner) Warm() error {

@@ -2,10 +2,9 @@ package obs
 
 // promparse.go is the scrape side of the registry: a parser for the
 // Prometheus text exposition format WritePrometheus emits, plus histogram
-// aggregation and quantile estimation. The load generator (cmd/taload) and
-// the serving benchmark drain /metrics from every replica of a fleet,
-// merge the per-replica latency histograms, and report p50/p95/p99 without
-// any external tooling.
+// reassembly and quantile estimation. The load generator (cmd/taload) and
+// the serving benchmark scrape a daemon's /metrics and report p50/p95/p99
+// without any external tooling.
 
 import (
 	"bufio"
@@ -112,8 +111,7 @@ func parseLabels(in string, dst map[string]string) error {
 	return nil
 }
 
-// Sum adds up every sample of a family across label sets — the natural
-// way to aggregate a counter over a fleet of scrapes.
+// Sum adds up every sample of a family across label sets.
 func (s *Scrape) Sum(name string) float64 {
 	var total float64
 	for _, smp := range s.Samples {
@@ -135,8 +133,8 @@ func (s *Scrape) Value(name string) (float64, bool) {
 }
 
 // HistogramFrom reassembles a family's histogram from its _bucket, _sum,
-// and _count samples, summing across label sets (every replica's series
-// merges into one fleet histogram). The returned snapshot has the same
+// and _count samples, summing across label sets (labelled series merge
+// into one histogram). The returned snapshot has the same
 // shape Histogram.Snapshot produces: ascending finite bounds with
 // non-cumulative per-bucket counts, +Inf implicit in the final slot.
 func (s *Scrape) HistogramFrom(name string) (HistogramSnapshot, bool) {
@@ -192,34 +190,6 @@ func (s *Scrape) HistogramFrom(name string) (HistogramSnapshot, bool) {
 		snap.Count = uint64(total)
 	}
 	return snap, true
-}
-
-// Merge adds another snapshot into h (bucket-wise). The bounds must match;
-// merging histograms from differently-configured registries is a caller
-// bug worth surfacing.
-func (h *HistogramSnapshot) Merge(o HistogramSnapshot) error {
-	if len(h.Bounds) == 0 && len(h.Counts) == 0 {
-		*h = HistogramSnapshot{
-			Bounds: append([]float64(nil), o.Bounds...),
-			Counts: append([]uint64(nil), o.Counts...),
-			Sum:    o.Sum, Count: o.Count,
-		}
-		return nil
-	}
-	if len(h.Bounds) != len(o.Bounds) {
-		return fmt.Errorf("obs: merging histograms with %d vs %d bounds", len(h.Bounds), len(o.Bounds))
-	}
-	for i := range h.Bounds {
-		if h.Bounds[i] != o.Bounds[i] {
-			return fmt.Errorf("obs: merging histograms with different bounds at %d: %g vs %g", i, h.Bounds[i], o.Bounds[i])
-		}
-	}
-	for i := range h.Counts {
-		h.Counts[i] += o.Counts[i]
-	}
-	h.Sum += o.Sum
-	h.Count += o.Count
-	return nil
 }
 
 // Quantile estimates the q-quantile (0 < q < 1) the way Prometheus's

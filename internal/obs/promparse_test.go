@@ -2,7 +2,7 @@ package obs
 
 // promparse_test.go round-trips the registry through its own text
 // exposition: whatever WritePrometheus emits, ParseScrape must reassemble
-// losslessly — including labeled histograms merged across replicas.
+// losslessly — including labeled histograms merged across label sets.
 
 import (
 	"bytes"
@@ -83,38 +83,6 @@ func TestParseScrapeMalformed(t *testing.T) {
 	sc, err := ParseScrape(strings.NewReader("# HELP x y\n\n# TYPE x counter\nx 1\n"))
 	if err != nil || len(sc.Samples) != 1 {
 		t.Fatalf("comment handling: %v, %v", sc, err)
-	}
-}
-
-func TestHistogramMergeAcrossReplicas(t *testing.T) {
-	bounds := []float64{0.1, 1, 10}
-	mk := func(vals ...float64) HistogramSnapshot {
-		reg := NewRegistry()
-		h := reg.Histogram("m", "m", bounds)
-		for _, v := range vals {
-			h.Observe(v)
-		}
-		return h.Snapshot()
-	}
-	var fleet HistogramSnapshot
-	if err := fleet.Merge(mk(0.05, 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fleet.Merge(mk(5, 5, 50)); err != nil {
-		t.Fatal(err)
-	}
-	if fleet.Count != 5 {
-		t.Fatalf("merged count %d, want 5", fleet.Count)
-	}
-	wantCounts := []uint64{1, 1, 2, 1}
-	for i, c := range wantCounts {
-		if fleet.Counts[i] != c {
-			t.Fatalf("merged bucket %d = %d, want %d", i, fleet.Counts[i], c)
-		}
-	}
-	bad := HistogramSnapshot{Bounds: []float64{1, 2}, Counts: []uint64{0, 0, 0}}
-	if err := fleet.Merge(bad); err == nil {
-		t.Fatal("Merge accepted mismatched bounds")
 	}
 }
 

@@ -7,7 +7,6 @@
 //	GET    /v1/jobs/{id}        fetch one job, result included when done
 //	GET    /v1/jobs/{id}/events NDJSON stream: history, then live events
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
-//	GET    /v1/cache/{key}      raw flow-cache entry for fleet peer fill
 //	GET    /metrics             Prometheus text exposition
 //	GET    /healthz             process liveness (always 200)
 //	GET    /readyz              503 until warm, and again while draining
@@ -20,22 +19,18 @@ import (
 	"net/http"
 	"sync/atomic"
 
-	"tafpga/internal/flow"
 	"tafpga/internal/jobs"
 	"tafpga/internal/obs"
 )
 
 // Server wires a jobs.Manager and an obs.Registry to HTTP routes.
 type Server struct {
-	mgr       *jobs.Manager
-	reg       *obs.Registry
-	cache     *flow.Cache
-	ready     atomic.Bool
-	draining  atomic.Bool
-	requests  *obs.Counter
-	errs      *obs.Counter
-	cacheHits *obs.Counter
-	cacheMiss *obs.Counter
+	mgr      *jobs.Manager
+	reg      *obs.Registry
+	ready    atomic.Bool
+	draining atomic.Bool
+	requests *obs.Counter
+	errs     *obs.Counter
 }
 
 // New builds a Server over mgr, registering its own HTTP metrics on reg.
@@ -48,15 +43,6 @@ func New(mgr *jobs.Manager, reg *obs.Registry) *Server {
 		requests: reg.Counter("tafpgad_http_requests_total", "API requests served, any route or status."),
 		errs:     reg.Counter("tafpgad_http_errors_total", "API requests answered with a 4xx or 5xx status."),
 	}
-}
-
-// ServeCache exposes the flow cache at GET /v1/cache/{key} so fleet peers
-// can fill local misses from this replica instead of rebuilding. Entries
-// are served as their raw gob bytes, read under the cache's shared flock.
-func (s *Server) ServeCache(c *flow.Cache) {
-	s.cache = c
-	s.cacheHits = s.reg.Counter("tafpgad_cache_serves_total", "Flow-cache entries served to fleet peers.")
-	s.cacheMiss = s.reg.Counter("tafpgad_cache_serve_misses_total", "Peer cache requests answered 404 (no such entry).")
 }
 
 // SetReady flips the /readyz signal (true once the device library is warm).
@@ -74,7 +60,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.get)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.events)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.cancel)
-	mux.HandleFunc("GET /v1/cache/{key}", s.cacheEntry)
 	mux.HandleFunc("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Inc()
@@ -153,7 +138,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 }
 
 // list answers GET /v1/jobs, optionally filtered to one lifecycle state by
-// ?state= (queued, running, done, failed, cancelled) — the cheap fleet
+// ?state= (queued, running, done, failed, cancelled) — the cheap
 // polling path for load generators and operators.
 func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
@@ -163,32 +148,6 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, s.mgr.ListState(state))
-}
-
-// cacheEntry answers GET /v1/cache/{key} with the raw gob bytes of a flow
-// cache entry, or 404. The key is shape-validated (64 hex digits) before
-// any filesystem access, and reads take the cache's shared flock, so a
-// concurrently storing writer can never be observed mid-rename.
-func (s *Server) cacheEntry(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
-	key := r.PathValue("key")
-	if s.cache == nil {
-		s.failJSON(w, http.StatusNotFound, errors.New("server: cache endpoint disabled"))
-		return
-	}
-	if !flow.ValidKey(key) {
-		s.failJSON(w, http.StatusBadRequest, fmt.Errorf("server: malformed cache key %q", key))
-		return
-	}
-	raw, ok := s.cache.ReadRaw(key)
-	if !ok {
-		s.cacheMiss.Inc()
-		s.failJSON(w, http.StatusNotFound, fmt.Errorf("server: no cache entry %s", key))
-		return
-	}
-	s.cacheHits.Inc()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(raw)
 }
 
 func (s *Server) get(w http.ResponseWriter, r *http.Request) {

@@ -397,3 +397,53 @@ func TestServerResultMatchesDirectRun(t *testing.T) {
 		t.Fatalf("served result differs from direct run:\nserved: %s\ndirect: %s", gotJSON, wantJSON)
 	}
 }
+
+func listJobs(t *testing.T, ts *httptest.Server, query string) (int, []jobs.View) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs" + query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, nil
+	}
+	var views []jobs.View
+	if err := json.NewDecoder(resp.Body).Decode(&views); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, views
+}
+
+func TestListStateFilter(t *testing.T) {
+	release := make(chan struct{})
+	var runs atomic.Int64
+	_, _, ts := testServer(t, stubRun(&runs, release), jobs.Options{Workers: 1})
+
+	_, running := postJob(t, ts, `{"kind":"guardband","benchmark":"sha","ambient_c":25}`)
+	waitHTTPState(t, ts, running.ID, jobs.StateRunning)
+	_, queued := postJob(t, ts, `{"kind":"guardband","benchmark":"sha","ambient_c":30}`)
+
+	if code, views := listJobs(t, ts, "?state=running"); code != 200 || len(views) != 1 || views[0].ID != running.ID {
+		t.Fatalf("state=running → %d, %+v", code, views)
+	}
+	if code, views := listJobs(t, ts, "?state=queued"); code != 200 || len(views) != 1 || views[0].ID != queued.ID {
+		t.Fatalf("state=queued → %d, %+v", code, views)
+	}
+	if code, views := listJobs(t, ts, "?state=done"); code != 200 || len(views) != 0 {
+		t.Fatalf("state=done before completion → %d, %+v", code, views)
+	}
+	if code, views := listJobs(t, ts, ""); code != 200 || len(views) != 2 {
+		t.Fatalf("unfiltered list → %d, %+v", code, views)
+	}
+	if code, _ := listJobs(t, ts, "?state=bogus"); code != http.StatusBadRequest {
+		t.Fatalf("state=bogus → %d, want 400", code)
+	}
+
+	close(release)
+	waitHTTPState(t, ts, running.ID, jobs.StateDone)
+	waitHTTPState(t, ts, queued.ID, jobs.StateDone)
+	if code, views := listJobs(t, ts, "?state=done"); code != 200 || len(views) != 2 {
+		t.Fatalf("state=done after completion → %d, %+v", code, views)
+	}
+}

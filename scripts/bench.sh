@@ -9,8 +9,9 @@
 #                              → BENCH_inner_loop.json
 #           "flow":            the implementation front-end (place, route,
 #                              full build, cached build) → BENCH_flow.json
-#           "serving":         1-replica vs 3-replica fleet throughput and
-#                              latency via scripts/bench_serving.sh
+#           "serving":         one daemon's open-loop throughput and
+#                              latency at -workers $(nproc) via
+#                              scripts/bench_serving.sh
 #                              → BENCH_serving.json (count is ignored)
 #           "all":             every suite in sequence, each to its default
 #                              output file (OUT is ignored)

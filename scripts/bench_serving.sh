@@ -1,25 +1,20 @@
 #!/bin/sh
 # bench_serving.sh — serving-layer throughput/latency benchmark: one
-# replica versus a three-replica fleet behind the cluster router, driven by
-# the same deterministic open-loop workload (cmd/taload), measured from the
-# daemons' own /metrics histograms.
+# tafpgad daemon running -workers $(nproc) concurrent jobs, driven by a
+# deterministic open-loop workload (cmd/taload) and measured from the
+# daemon's own /metrics histograms.
 #
 # Writes BENCH_serving.json:
-#   cores               the harness core count — multi-replica speedup on
-#                       CPU-bound jobs is bounded by it, so a wall-clock
-#                       comparison is never read across machine shapes
-#                       unknowingly
-#   single_replica      taload's full report against one daemon
-#   three_replicas      taload's report against router + 3 replicas
-#   speedup_throughput  three-replica / single-replica jobs-per-second
-#   byte_identical      both deployments answered a probe spec with
-#                       byte-identical guardband physics
+#   cores    the harness core count (nproc), also the daemon's -workers — a
+#            wall-clock number is never read across machine shapes
+#            unknowingly
+#   daemon   taload's full report against the daemon
 #
 # Environment:
-#   PORT_BASE=n   first port of the block (default 18100)
-#   SCALE=f       benchmark scale (default 1/64)
-#   RATE=r        arrival rate, jobs/s (default 4)
-#   DURATION=d    submission window (default 20s)
+#   PORT_BASE=n   daemon port (default 18100)
+#   SCALE=f       benchmark scale (default 1/4)
+#   RATE=r        arrival rate, jobs/s (default 60)
+#   DURATION=d    submission window (default 15s)
 #   SEED=n        workload seed (default 7)
 #   OUT=path      output JSON (default BENCH_serving.json)
 set -eu
@@ -29,28 +24,21 @@ cd "$(dirname "$0")/.."
 PORT_BASE="${PORT_BASE:-18100}"
 # At scale 1/4 a cache-hot guardband job (implementation served from the
 # flow cache, thermal iteration recomputed) averages ~20ms of CPU across
-# the benchmark mix, so the default arrival rate exceeds a single
-# replica's steady-state capacity and the open-loop run measures
-# throughput at saturation (completed/wall during submit+drain), not the
-# arrival rate echoed back. The ~3s cold build per benchmark is paid
-# once per cache — in the fleet run only the owning replica builds, the
-# others peer-fill.
+# the benchmark mix, so the default arrival rate exceeds the daemon's
+# steady-state capacity and the open-loop run measures throughput at
+# saturation (completed/wall during submit+drain), not the arrival rate
+# echoed back. The ~3s cold build per benchmark is paid once per cache.
 SCALE="${SCALE:-0.25}"
 RATE="${RATE:-60}"
 DURATION="${DURATION:-15s}"
 SEED="${SEED:-7}"
 OUT="${OUT:-BENCH_serving.json}"
-HOST="127.0.0.1"
-ROUTER="http://$HOST:$PORT_BASE"
-SOLO="http://$HOST:$((PORT_BASE + 4))"
-R0="http://$HOST:$((PORT_BASE + 1))"
-R1="http://$HOST:$((PORT_BASE + 2))"
-R2="http://$HOST:$((PORT_BASE + 3))"
-RING="r0=$R0,r1=$R1,r2=$R2"
+CORES="$(nproc 2>/dev/null || echo 1)"
+URL="http://127.0.0.1:$PORT_BASE"
 WORK="$(mktemp -d)"
 BIN="$WORK/tafpgad"
 LOADBIN="$WORK/taload"
-PIDS=""
+PID=""
 
 fail() {
 	echo "bench_serving: FAIL: $*" >&2
@@ -62,109 +50,42 @@ fail() {
 }
 
 cleanup() {
-	for p in $PIDS; do kill "$p" 2>/dev/null || true; done
+	[ -z "$PID" ] || kill "$PID" 2>/dev/null || true
 	rm -rf "$WORK"
 }
 trap cleanup EXIT
-
-wait_ready() {
-	i=0
-	until curl -fsS "$1/readyz" >/dev/null 2>&1; do
-		i=$((i + 1))
-		[ "$i" -le 300 ] || fail "$2 not ready"
-		sleep 1
-	done
-}
-
-stop_all() {
-	for p in $PIDS; do
-		kill -TERM "$p" 2>/dev/null || true
-	done
-	for p in $PIDS; do
-		wait "$p" 2>/dev/null || true
-	done
-	PIDS=""
-}
-
-# physics of a probe spec: the deterministic guardband result minus the
-# wall-clock Stats block.
-probe_physics() {
-	RESP="$(curl -fsS "$1/v1/jobs" -d '{"kind":"guardband","benchmark":"sha","ambient_c":40}')"
-	ID="$(echo "$RESP" | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4)"
-	i=0
-	while :; do
-		VIEW="$(curl -fsS "$1/v1/jobs/$ID")"
-		case "$VIEW" in
-		*'"state":"done"'*) break ;;
-		*'"state":"failed"'* | *'"state":"cancelled"'*) fail "probe job died: $VIEW" ;;
-		esac
-		i=$((i + 1))
-		[ "$i" -le 300 ] || fail "probe job never finished"
-		sleep 1
-	done
-	echo "$VIEW" | sed 's/.*"result"://' | sed 's/,"Stats":.*//'
-}
 
 echo "building tafpgad and taload..." >&2
 go build -o "$BIN" ./cmd/tafpgad
 go build -o "$LOADBIN" ./cmd/taload
 
-# --- Run 1: single replica -------------------------------------------------
-echo "run 1: single replica at $SOLO..." >&2
-"$BIN" -addr "$HOST:${SOLO##*:}" -scale "$SCALE" \
-	-replica solo -flowcache "$WORK/cache-solo" -drain 60s -queue 8192 \
-	>"$WORK/solo.log" 2>&1 &
-PIDS="$!"
-wait_ready "$SOLO" "solo daemon"
-"$LOADBIN" -url "$SOLO" -rate "$RATE" -duration "$DURATION" -seed "$SEED" \
-	-out "$WORK/single.json" 2>>"$WORK/taload.log" || fail "taload (single) failed"
-PHYS_SOLO="$(probe_physics "$SOLO")"
-stop_all
-
-# --- Run 2: three replicas behind the router -------------------------------
-echo "run 2: three replicas behind $ROUTER..." >&2
-for i in 1 2 3; do
-	name="r$((i - 1))"
-	"$BIN" -addr "$HOST:$((PORT_BASE + i))" -scale "$SCALE" \
-		-replica "$name" -peers "$RING" -flowcache "$WORK/cache-$name" \
-		-drain 60s -queue 8192 >"$WORK/$name.log" 2>&1 &
-	PIDS="$PIDS $!"
+echo "one daemon at $URL, $CORES worker(s)..." >&2
+"$BIN" -addr "127.0.0.1:$PORT_BASE" -scale "$SCALE" -workers "$CORES" \
+	-flowcache "$WORK/cache" -drain 60s -queue 8192 \
+	>"$WORK/daemon.log" 2>&1 &
+PID="$!"
+i=0
+until curl -fsS "$URL/readyz" >/dev/null 2>&1; do
+	i=$((i + 1))
+	[ "$i" -le 300 ] || fail "daemon not ready"
+	sleep 1
 done
-"$BIN" -addr "$HOST:$PORT_BASE" -route -replica router -peers "$RING" \
-	>"$WORK/router.log" 2>&1 &
-PIDS="$PIDS $!"
-for u in "$R0" "$R1" "$R2" "$ROUTER"; do wait_ready "$u" "$u"; done
-
-"$LOADBIN" -url "$ROUTER" -rate "$RATE" -duration "$DURATION" -seed "$SEED" \
-	-metrics "$R0/metrics,$R1/metrics,$R2/metrics" \
-	-out "$WORK/three.json" 2>>"$WORK/taload.log" || fail "taload (fleet) failed"
-PHYS_FLEET="$(probe_physics "$ROUTER")"
-stop_all
-
-# --- Merge -----------------------------------------------------------------
-BYTE_IDENTICAL=false
-[ "$PHYS_SOLO" = "$PHYS_FLEET" ] && BYTE_IDENTICAL=true
-[ "$BYTE_IDENTICAL" = true ] || echo "WARNING: probe physics differ between deployments" >&2
+"$LOADBIN" -url "$URL" -rate "$RATE" -duration "$DURATION" -seed "$SEED" \
+	-out "$WORK/daemon.json" 2>>"$WORK/taload.log" || fail "taload failed"
+kill -TERM "$PID"
+wait "$PID" 2>/dev/null || true
+PID=""
 
 jq -n \
-	--slurpfile single "$WORK/single.json" \
-	--slurpfile three "$WORK/three.json" \
-	--argjson cores "$(nproc 2>/dev/null || echo 1)" \
-	--argjson byteid "$BYTE_IDENTICAL" \
+	--slurpfile daemon "$WORK/daemon.json" \
+	--argjson cores "$CORES" \
 	--arg scale "$SCALE" \
 	'{
 	  suite: "serving",
 	  subject: "open-loop mixed guardband/sweep stream, benchmark scale \($scale)",
 	  cores: $cores,
-	  byte_identical: $byteid,
-	  single_replica: $single[0],
-	  three_replicas: $three[0],
-	  speedup_throughput: (if $single[0].throughput_jobs_per_s > 0
-	    then ($three[0].throughput_jobs_per_s / $single[0].throughput_jobs_per_s * 1000 | round / 1000)
-	    else null end)
+	  daemon: $daemon[0]
 	}' >"$OUT"
 
 echo "wrote $OUT" >&2
-jq '{cores, byte_identical, speedup_throughput,
-     single: .single_replica.throughput_jobs_per_s,
-     three: .three_replicas.throughput_jobs_per_s}' "$OUT" >&2
+jq '{cores, throughput: .daemon.throughput_jobs_per_s, latency_s: .daemon.latency_s}' "$OUT" >&2
