@@ -68,7 +68,6 @@ func main() {
 	benchCSV := flag.String("bench", "", "comma-separated benchmark subset")
 	csvDir := flag.String("csv", "", "also write machine-readable CSVs into this directory")
 	parallel := flag.Int("parallel", 0, "benchmark fan-out workers (0 = GOMAXPROCS, 1 = serial)")
-	routeWorkers := flag.Int("route-workers", 0, "PathFinder search workers per flow build; byte-identical results (0 = GOMAXPROCS, 1 = serial)")
 	sweepBatch := flag.Int("sweep-batch", 0, "lockstep lanes per batched guardband dispatch in sweep experiments; bit-identical per lane (0/1 = serial)")
 	flowcache := flag.String("flowcache", "", "directory for the on-disk place-and-route cache (reused across runs)")
 	thermalWeight := flag.Float64("thermal-weight", 0.25, "thermal objective weight for the thermalcompare experiment")
@@ -131,7 +130,6 @@ func main() {
 	ctx.ChannelTracks = *width
 	ctx.PlaceEffort = *effort
 	ctx.Workers = *parallel
-	ctx.RouteWorkers = *routeWorkers
 	ctx.SweepBatch = *sweepBatch
 	if *flowcache != "" {
 		ctx.FlowCache = flow.NewCache(*flowcache)

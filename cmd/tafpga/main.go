@@ -16,8 +16,7 @@
 //	-corner f     device sizing corner in °C (default 25)
 //	-ambient f    ambient temperature for guardbanding (default 25)
 //	-w n          router channel-width override (0 = Table I's 320)
-//	-route-workers n  PathFinder search workers (0 = GOMAXPROCS, 1 = serial);
-//	              the routed result is byte-identical for every value
+//	-route-workers n  deprecated: ignored, routing is serial
 //	-effort f     placement effort (default 1.0)
 //	-seed n       random seed override (default: derived from the name)
 //	-blif path    write the generated netlist as BLIF to path
@@ -81,7 +80,7 @@ func main() {
 	corner := flag.Float64("corner", 25, "device sizing corner °C")
 	ambient := flag.Float64("ambient", 25, "ambient temperature °C")
 	width := flag.Int("w", 0, "router channel-width override")
-	routeWorkers := flag.Int("route-workers", 0, "PathFinder search workers; byte-identical results (0 = GOMAXPROCS, 1 = serial)")
+	flag.Int("route-workers", 0, "deprecated: ignored, routing is serial")
 	effort := flag.Float64("effort", 1.0, "placement effort")
 	seed := flag.Int64("seed", 0, "seed override")
 	blifOut := flag.String("blif", "", "write generated netlist as BLIF")
@@ -198,7 +197,6 @@ func main() {
 
 	opts := flow.DefaultOptions()
 	opts.ChannelTracks = *width
-	opts.Router.Workers = *routeWorkers
 	opts.PlaceEffort = *effort
 	opts.ThermalPlace = flow.ThermalPlace{Weight: *thermalWeight, KernelRadius: *thermalRadius}
 	if *seed != 0 {

@@ -13,6 +13,7 @@
 //	-effort f      placement effort (default 1.0)
 //	-bench csv     restrict figure jobs to a comma-separated benchmark list
 //	-parallel n    per-job benchmark fan-out workers (0 = GOMAXPROCS)
+//	-route-workers n  deprecated: ignored, routing is serial
 //	-sweep-batch n lockstep lanes per batched guardband dispatch in sweep
 //	               jobs; per-lane results bit-identical (0/1 = serial)
 //	-workers n     concurrent jobs (default 1)
@@ -24,13 +25,7 @@
 //	-state-dir d   durable job state: jobs are journaled to d/journal.ndjson
 //	               and recovered after a crash or restart (default: none,
 //	               jobs are in-memory only)
-//	-retries n     attempts per job for transient failures (default 3;
-//	               1 disables retry)
-//	-retry-base d  base retry backoff, doubled per attempt (default 500ms)
-//	-retry-max d   retry backoff cap (default 30s)
-//	-faults s      fault-injection spec "point=prob[:limit],..." for crash
-//	               and retry testing (also via TAFPGA_FAULTS)
-//	-faults-seed n deterministic seed for -faults (default 1)
+//	-retries n     deprecated: ignored, jobs are never retried
 //
 // Submit, watch, and cancel:
 //
@@ -55,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"tafpga/internal/faults"
 	"tafpga/internal/jobs"
 	"tafpga/internal/obs"
 	"tafpga/internal/server"
@@ -68,7 +62,7 @@ func main() {
 	effort := flag.Float64("effort", 1.0, "placement effort")
 	benchCSV := flag.String("bench", "", "comma-separated benchmark subset for figure jobs")
 	parallel := flag.Int("parallel", 0, "per-job benchmark fan-out workers (0 = GOMAXPROCS)")
-	routeWorkers := flag.Int("route-workers", 0, "PathFinder search workers per flow build; byte-identical results (0 = GOMAXPROCS, 1 = serial)")
+	flag.Int("route-workers", 0, "deprecated: ignored, routing is serial")
 	sweepBatch := flag.Int("sweep-batch", 0, "lockstep lanes per batched guardband dispatch in sweep jobs; bit-identical per lane (0/1 = serial)")
 	workers := flag.Int("workers", 1, "concurrent jobs")
 	queue := flag.Int("queue", 64, "queued-job bound")
@@ -76,28 +70,11 @@ func main() {
 	flowcache := flag.String("flowcache", "", "directory for the on-disk place-and-route cache")
 	drain := flag.Duration("drain", 10*time.Minute, "graceful-shutdown budget for running jobs")
 	stateDir := flag.String("state-dir", "", "directory for the durable job journal (empty = in-memory only)")
-	retries := flag.Int("retries", 3, "attempts per job for transient failures (1 = no retry)")
-	retryBase := flag.Duration("retry-base", 500*time.Millisecond, "base retry backoff (doubled per attempt)")
-	retryMax := flag.Duration("retry-max", 30*time.Second, "retry backoff cap")
-	faultSpec := flag.String("faults", "", `fault-injection spec "point=prob[:limit],..." (testing)`)
-	faultSeed := flag.Int64("faults-seed", 1, "seed for -faults")
+	flag.Int("retries", 1, "deprecated: ignored, jobs are never retried")
 	flag.Parse()
 
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "tafpgad: "+format+"\n", args...)
-	}
-
-	// Fault injection: the flag wins over the environment so a test harness
-	// can override a stale TAFPGA_FAULTS.
-	if *faultSpec != "" {
-		if err := faults.Enable(*faultSpec, *faultSeed); err != nil {
-			logf("bad -faults: %v", err)
-			os.Exit(2)
-		}
-		logf("fault injection enabled: %s (seed %d)", *faultSpec, *faultSeed)
-	} else if err := faults.EnableFromEnv(); err != nil {
-		logf("bad TAFPGA_FAULTS: %v", err)
-		os.Exit(2)
 	}
 
 	reg := obs.NewRegistry()
@@ -110,7 +87,6 @@ func main() {
 		ChannelTracks: *width,
 		PlaceEffort:   *effort,
 		BenchWorkers:  *parallel,
-		RouteWorkers:  *routeWorkers,
 		SweepBatch:    *sweepBatch,
 		FlowCacheDir:  *flowcache,
 		Obs:           reg,
@@ -140,11 +116,6 @@ func main() {
 		TTL:      *ttl,
 		Registry: reg,
 		Journal:  journal,
-		Retry: jobs.RetryPolicy{
-			MaxAttempts: *retries,
-			BaseBackoff: *retryBase,
-			MaxBackoff:  *retryMax,
-		},
 	})
 	if journal != nil {
 		restored, requeued := mgr.RecoveryStats()

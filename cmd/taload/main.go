@@ -151,14 +151,14 @@ func main() {
 	logf("submitted %d specs in %v (%d accepted, %d deduped, %d errors)",
 		rep.Submitted, time.Since(start).Round(time.Millisecond), rep.Accepted, rep.Deduped, rep.SubmitErrs)
 
-	// Drain: the daemon is idle when its queued, running, and retry-waiting
-	// gauges read zero.
+	// Drain: the daemon is idle when its queued and running gauges read
+	// zero.
 	drainStart := time.Now()
 	drainDeadline := drainStart.Add(*wait)
 	for {
 		cur, err := scrape(client, metricsURL)
 		if err == nil {
-			pending := cur.Sum("tafpgad_jobs_queued") + cur.Sum("tafpgad_jobs_running") + cur.Sum("tafpgad_jobs_retry_waiting")
+			pending := cur.Sum("tafpgad_jobs_queued") + cur.Sum("tafpgad_jobs_running")
 			if pending == 0 {
 				break
 			}

@@ -12,8 +12,6 @@
 package tafpga_test
 
 import (
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -88,7 +86,6 @@ func frontendSetup(b *testing.B) frontendFixture {
 			opts.PlaceEffort = 0.5
 			opts.ChannelTracks = benchWidth
 			opts.PIDensity = prof.PIDensity
-			opts.Router.Workers = benchRouteWorkers()
 			front = frontendFixture{
 				nl: nl, dev: dev, packed: packed, grid: grid,
 				graph: route.BuildGraph(grid), placed: placed, opts: opts,
@@ -100,19 +97,6 @@ func frontendSetup(b *testing.B) frontendFixture {
 		b.Fatal(frontErr)
 	}
 	return front
-}
-
-// benchRouteWorkers resolves the router worker count for the front-end
-// benchmarks from TAFPGA_ROUTE_WORKERS, so bench.sh can record which count
-// produced BENCH_flow.json. Unset or 0 lets the router pick GOMAXPROCS; the
-// routed result is byte-identical for every value, only wall clock moves.
-func benchRouteWorkers() int {
-	if s := os.Getenv("TAFPGA_ROUTE_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 0 {
-			return n
-		}
-	}
-	return 0
 }
 
 // BenchmarkPlace measures the incremental-cost annealer.

@@ -141,7 +141,6 @@ func (c *Context) AblationPlacement(ambientC float64) ([]AblationRow, error) {
 			opts.PlaceEffort = effort
 			opts.ChannelTracks = c.ChannelTracks
 			opts.Router = route.DefaultOptions()
-			opts.Router.Workers = c.RouteWorkers
 			opts.Ctx = c.Ctx
 			im, err := flow.Implement(nl, dev, opts)
 			if err != nil {

@@ -38,11 +38,6 @@ type Context struct {
 	Scale float64
 	// ChannelTracks overrides the router's channel width (0 = Table I).
 	ChannelTracks int
-	// RouteWorkers sets the PathFinder's per-net search parallelism
-	// (route.Options.Workers): 0 picks GOMAXPROCS, 1 routes serially. The
-	// routed result is byte-identical for every value, so this is purely a
-	// wall-clock knob and never enters any cache key.
-	RouteWorkers int
 	// PlaceEffort scales the annealing budget.
 	PlaceEffort float64
 	// Benchmarks restricts the suite (nil = all 19).
@@ -51,9 +46,8 @@ type Context struct {
 	// SweepBatch sets how many ambient lanes GuardbandSweep (and the
 	// sweeping figure drivers) run in lockstep through guardband.RunBatch:
 	// <= 1 keeps the serial per-ambient engine. Every lane of a batch is
-	// bit-identical to the serial run at that ambient, so — like
-	// RouteWorkers — this is purely a wall-clock knob and never enters any
-	// cache key.
+	// bit-identical to the serial run at that ambient, so this is
+	// purely a wall-clock knob and never enters any cache key.
 	SweepBatch int
 
 	// OnBatch, when set, receives the lane count of every batched
@@ -265,7 +259,6 @@ func (c *Context) implement(name string, tp flow.ThermalPlace) (*flow.Implementa
 	opts.ChannelTracks = c.ChannelTracks
 	opts.PIDensity = p.PIDensity
 	opts.Router = route.DefaultOptions()
-	opts.Router.Workers = c.RouteWorkers
 	opts.Cache = c.FlowCache
 	opts.Ctx = c.Ctx
 	opts.ThermalPlace = tp

@@ -8,10 +8,10 @@ import (
 	"tafpga/internal/coffe"
 )
 
-// TestCacheKeyIgnoresRouteWorkers: the worker count selects how the
-// byte-identical routed result is computed, not what it is, so two options
-// differing only in Router.Workers must share one cache entry (a per-machine
-// worker default must not split the cache or orphan old disk entries).
+// TestCacheKeyIgnoresRouteWorkers: Router.Workers is a deprecated, ignored
+// field, so two options differing only in it must share one cache entry
+// (callers that still set it must not split the cache or orphan old disk
+// entries).
 func TestCacheKeyIgnoresRouteWorkers(t *testing.T) {
 	prof, err := bench.ByName("sha")
 	if err != nil {

@@ -22,9 +22,9 @@ func flowFingerprint(t *testing.T, im *Implementation) []byte {
 	return buf.Bytes()
 }
 
-// buildWithWorkers runs the full flow front-end at the given router worker
-// count, cacheless (each call really packs, places, and routes).
-func buildWithWorkers(t *testing.T, name string, scale float64, workers int) []byte {
+// buildOnce runs the full flow front-end cacheless (each call really
+// packs, places, and routes).
+func buildOnce(t *testing.T, name string, scale float64) []byte {
 	t.Helper()
 	d, _ := devices(t)
 	prof, err := bench.ByName(name)
@@ -35,9 +35,7 @@ func buildWithWorkers(t *testing.T, name string, scale float64, workers int) []b
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := testOptions(name)
-	opts.Router.Workers = workers
-	im, err := Implement(nl, d, opts)
+	im, err := Implement(nl, d, testOptions(name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,18 +43,13 @@ func buildWithWorkers(t *testing.T, name string, scale float64, workers int) []b
 }
 
 // TestFlowBuildDeterminism: the whole implementation front-end must be a
-// pure function of its inputs — byte-identical across repeated runs and
-// across every router worker count. Run under -race in CI so the parallel
-// router's speculation is exercised with full instrumentation.
+// pure function of its inputs — byte-identical across repeated runs.
 func TestFlowBuildDeterminism(t *testing.T) {
-	base := buildWithWorkers(t, "sha", 1.0/64, 1)
-	for _, w := range []int{1, 2, 8} {
-		for rep := 0; rep < 2; rep++ {
-			got := buildWithWorkers(t, "sha", 1.0/64, w)
-			if !bytes.Equal(got, base) {
-				t.Fatalf("flow build diverges at workers=%d rep=%d (%d vs %d bytes)",
-					w, rep, len(got), len(base))
-			}
+	base := buildOnce(t, "sha", 1.0/64)
+	for rep := 0; rep < 2; rep++ {
+		got := buildOnce(t, "sha", 1.0/64)
+		if !bytes.Equal(got, base) {
+			t.Fatalf("flow build diverges at rep=%d (%d vs %d bytes)", rep, len(got), len(base))
 		}
 	}
 }

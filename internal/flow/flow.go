@@ -12,7 +12,6 @@ import (
 	"tafpga/internal/activity"
 	"tafpga/internal/arch"
 	"tafpga/internal/coffe"
-	"tafpga/internal/faults"
 	"tafpga/internal/guardband"
 	"tafpga/internal/hotspot"
 	"tafpga/internal/netlist"
@@ -161,12 +160,6 @@ func Implement(nl *netlist.Netlist, dev *coffe.Device, opts Options) (*Implement
 	if err := opts.checkCtx("place"); err != nil {
 		return nil, err
 	}
-	// Fault-injection points sit on the same stage boundaries as the
-	// cancellation checks: an injected failure aborts the stage cleanly and
-	// surfaces as a transient error, never as a corrupted implementation.
-	if err := faults.Check("flow.place"); err != nil {
-		return nil, fmt.Errorf("flow: place: %w", err)
-	}
 	placed, err := placeFn(packed, grid, opts.Seed, opts.PlaceEffort)
 	if err != nil {
 		return nil, fmt.Errorf("flow: place: %w", err)
@@ -174,9 +167,6 @@ func Implement(nl *netlist.Netlist, dev *coffe.Device, opts Options) (*Implement
 
 	if err := opts.checkCtx("route"); err != nil {
 		return nil, err
-	}
-	if err := faults.Check("flow.route"); err != nil {
-		return nil, fmt.Errorf("flow: route: %w", err)
 	}
 	graph := BuildGraph(grid)
 	routed, err := route.Route(placed, graph, opts.Router)

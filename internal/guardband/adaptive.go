@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"tafpga/internal/faults"
 	"tafpga/internal/hotspot"
 	"tafpga/internal/power"
 	"tafpga/internal/sta"
@@ -98,9 +97,7 @@ func RunAdaptive(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, profile [
 	n := an.PL.Grid.NumTiles()
 	idle := pm.Vector(0, sta.UniformTemps(n, profile[0].AmbientC))
 	start := sta.UniformTemps(n, profile[0].AmbientC)
-	if err := faults.Check("guardband.settle"); err != nil {
-		res.SettleErr = err.Error()
-	} else if ts, err := th.SettleTime(start, idle, profile[0].AmbientC); err != nil {
+	if ts, err := th.SettleTime(start, idle, profile[0].AmbientC); err != nil {
 		res.SettleErr = err.Error()
 	} else {
 		res.SettleS = ts

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"tafpga/internal/faults"
 	"tafpga/internal/hotspot"
 	"tafpga/internal/power"
 	"tafpga/internal/sta"
@@ -63,9 +62,9 @@ func baseline(an *sta.Analyzer, opts Options, st *Stats) sta.Report {
 
 // converge runs Algorithm 1 over lanes that share one implementation's
 // models until every lane has retired. opts must already be normalized;
-// its AmbientC is ignored (each lane carries its own). Cancellation and
-// fault injection are checked on the round boundary, so an aborted run
-// stops between coherent iterates. Shared kernel wall time is split evenly
+// its AmbientC is ignored (each lane carries its own). Cancellation is
+// checked on the round boundary, so an aborted run stops between coherent
+// iterates. Shared kernel wall time is split evenly
 // across the lanes that shared it.
 func converge(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, lanes []*lane, opts Options) error {
 	nTiles := an.PL.Grid.NumTiles()
@@ -90,9 +89,6 @@ func converge(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, lanes []*lan
 			if err := opts.Ctx.Err(); err != nil {
 				return fmt.Errorf("guardband: cancelled after %d iterations: %w", round-1, err)
 			}
-		}
-		if err := faults.Check("guardband.iter"); err != nil {
-			return fmt.Errorf("guardband: iteration %d: %w", round, err)
 		}
 
 		// Line 4: full-netlist timing at each lane's current map, one

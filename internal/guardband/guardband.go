@@ -112,7 +112,7 @@ type Result struct {
 	SeedTemps []float64
 }
 
-// normalize fills unset options with the paper's defaults.
+// normalize fills unset options with the paper's default values.
 func (o *Options) normalize() {
 	if o.MaxIters <= 0 {
 		o.MaxIters = 20

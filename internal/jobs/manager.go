@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,8 +15,8 @@ import (
 )
 
 // State is a job's lifecycle position: queued → running → done | failed |
-// cancelled. A transiently failed job cycles back to queued (with a retry
-// event) until its attempt budget runs out.
+// cancelled. A job interrupted by a daemon crash returns to queued on
+// journal replay.
 type State string
 
 const (
@@ -48,26 +47,21 @@ func ParseState(s string) (State, error) {
 const (
 	EventState    = "state"
 	EventProgress = "progress"
-	// EventRetry marks a transient failure about to be retried after a
-	// backoff; Attempt is the attempt that failed, BackoffMs the wait.
-	EventRetry = "retry"
 	// EventRecovered marks a job re-enqueued by journal replay after a
 	// daemon restart.
 	EventRecovered = "recovered"
 )
 
 // Event is one line of a job's NDJSON progress stream: a state transition,
-// a retry/recovery marker, or one Algorithm-1 iteration of one benchmark
-// run.
+// a recovery marker, or one Algorithm-1 iteration of one benchmark run.
 type Event struct {
 	Seq  int    `json:"seq"`
 	Type string `json:"type"`
 	// State transition fields.
 	State State  `json:"state,omitempty"`
 	Error string `json:"error,omitempty"`
-	// Retry/recovery fields.
-	Attempt   int   `json:"attempt,omitempty"`
-	BackoffMs int64 `json:"backoff_ms,omitempty"`
+	// Attempt numbers the run a state or recovery event belongs to.
+	Attempt int `json:"attempt,omitempty"`
 	// Progress fields (one Algorithm-1 iteration).
 	Benchmark string `json:"benchmark,omitempty"`
 	// Phase attributes the iteration to a sub-run of the benchmark — a
@@ -115,8 +109,13 @@ type Options struct {
 	// are re-enqueued. The caller keeps ownership and closes it after
 	// Close/Drain.
 	Journal *Journal
-	// Retry bounds transient-failure retry (zero value: no retry).
+	// Deprecated: ignored; jobs are never retried (the flow is deterministic).
 	Retry RetryPolicy
+}
+
+// Deprecated: ignored; jobs are never retried (the flow is deterministic).
+type RetryPolicy struct {
+	MaxAttempts int
 }
 
 // Sentinel errors, mapped to HTTP statuses by the server.
@@ -141,10 +140,7 @@ type job struct {
 	// attempt counts run attempts started (1 on the first run).
 	attempt int
 	// recovered marks a job re-enqueued by journal replay.
-	recovered bool
-	// retryTimer is non-nil while the job waits out a retry backoff; the
-	// job is in state queued but not yet on the queue.
-	retryTimer                 *time.Timer
+	recovered                  bool
 	created, started, finished time.Time
 	result                     any
 	errMsg                     string
@@ -172,12 +168,11 @@ type View struct {
 type metrics struct {
 	submitted, deduped           *obs.Counter
 	completed, failed, cancelled *obs.Counter
-	retried, recovered, restored *obs.Counter
+	recovered, restored          *obs.Counter
 	journalRecords               *obs.Counter
 	journalErrors                *obs.Counter
 	journalCompactions           *obs.Counter
 	queuedGauge, runningGauge    *obs.Gauge
-	retryWaitGauge               *obs.Gauge
 	duration                     *obs.Histogram
 	// registry backs the per-kind submission counter (byKind); labelled
 	// series are created lazily per observed kind.
@@ -208,7 +203,6 @@ func newMetrics(r *obs.Registry) *metrics {
 		completed:          r.Counter("tafpgad_jobs_completed_total", "Jobs that finished successfully."),
 		failed:             r.Counter("tafpgad_jobs_failed_total", "Jobs that finished with an error."),
 		cancelled:          r.Counter("tafpgad_jobs_cancelled_total", "Jobs cancelled before completion."),
-		retried:            r.Counter("tafpgad_jobs_retried_total", "Transient job failures re-enqueued with backoff."),
 		recovered:          r.Counter("tafpgad_jobs_recovered_total", "Interrupted jobs re-enqueued by journal replay at startup."),
 		restored:           r.Counter("tafpgad_jobs_restored_total", "Finished jobs restored (with results) by journal replay at startup."),
 		journalRecords:     r.Counter("tafpgad_journal_records_total", "Records appended to the write-ahead journal."),
@@ -216,7 +210,6 @@ func newMetrics(r *obs.Registry) *metrics {
 		journalCompactions: r.Counter("tafpgad_journal_compactions_total", "Journal compactions (TTL eviction and startup cleanup)."),
 		queuedGauge:        r.Gauge("tafpgad_jobs_queued", "Jobs waiting in the FIFO queue."),
 		runningGauge:       r.Gauge("tafpgad_jobs_running", "Jobs currently executing."),
-		retryWaitGauge:     r.Gauge("tafpgad_jobs_retry_waiting", "Jobs waiting out a retry backoff."),
 		duration:           r.Histogram("tafpgad_job_duration_seconds", "Wall time of finished jobs, start to finish.", nil),
 	}
 }
@@ -231,25 +224,22 @@ type Manager struct {
 	now      func() time.Time
 	m        *metrics
 	journal  *Journal
-	retry    RetryPolicy
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	rng       *rand.Rand
-	queue     []*job
-	jobs      map[string]*job
-	byKey     map[string]*job // queued or running jobs, by canonical spec key
-	nextID    int
-	running   int
-	retryWait int
-	restored  int
-	requeued  int
-	draining  bool
-	closed    bool
-	wg        sync.WaitGroup
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []*job
+	jobs     map[string]*job
+	byKey    map[string]*job // queued or running jobs, by canonical spec key
+	nextID   int
+	running  int
+	restored int
+	requeued int
+	draining bool
+	closed   bool
+	wg       sync.WaitGroup
 }
 
 // New starts a manager with its worker pool. When Options.Journal is set,
@@ -277,10 +267,8 @@ func New(run RunFunc, o Options) *Manager {
 		now:        o.Now,
 		m:          newMetrics(o.Registry),
 		journal:    o.Journal,
-		retry:      o.Retry.normalized(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		rng:        rand.New(rand.NewSource(o.Now().UnixNano())),
 		jobs:       map[string]*job{},
 		byKey:      map[string]*job{},
 	}
@@ -387,8 +375,8 @@ func (m *Manager) ListState(s State) []View {
 	return out
 }
 
-// Cancel stops a job: a queued job is removed from the queue (or its retry
-// timer is stopped) immediately, a running job has its context cancelled and
+// Cancel stops a job: a queued job is removed from the queue immediately, a
+// running job has its context cancelled and
 // transitions when the runner observes it (between Algorithm-1 iterations).
 // Cancelling a finished job returns ErrFinished.
 func (m *Manager) Cancel(id string) (View, error) {
@@ -405,12 +393,6 @@ func (m *Manager) Cancel(id string) (View, error) {
 				m.queue = append(m.queue[:i], m.queue[i+1:]...)
 				break
 			}
-		}
-		if j.retryTimer != nil && j.retryTimer.Stop() {
-			// Waiting out a backoff: the timer will never fire now.
-			j.retryTimer = nil
-			m.retryWait--
-			m.m.retryWaitGauge.Set(float64(m.retryWait))
 		}
 		m.m.queuedGauge.Set(float64(len(m.queue)))
 		j.cancelRequested = true
@@ -454,8 +436,8 @@ func (m *Manager) Subscribe(id string) ([]Event, <-chan Event, func(), error) {
 	return history, ch, cancel, nil
 }
 
-// Drain stops intake and waits for the queue, all running jobs, and all
-// retry backoffs to finish. If ctx expires first, in-flight jobs are
+// Drain stops intake and waits for the queue and all running jobs to
+// finish. If ctx expires first, in-flight jobs are
 // hard-cancelled (their contexts fire, Algorithm 1 stops at the next
 // iteration boundary) and Drain waits for the workers to observe it.
 func (m *Manager) Drain(ctx context.Context) error {
@@ -468,7 +450,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 		defer close(done)
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		for len(m.queue) > 0 || m.running > 0 || m.retryWait > 0 {
+		for len(m.queue) > 0 || m.running > 0 {
 			m.cond.Wait()
 		}
 	}()
@@ -486,10 +468,8 @@ func (m *Manager) Drain(ctx context.Context) error {
 
 // Close terminates the worker pool without waiting for queued work: running
 // jobs are hard-cancelled and finish as cancelled at their next context
-// check, and jobs waiting out a retry backoff are finished as cancelled on
-// the spot — their subscriber channels close, so no NDJSON stream outlives
-// the manager (Drain calls Close only after everything finishes, so a
-// graceful stop cancels nothing). Idempotent.
+// check (Drain calls Close only after everything finishes, so a graceful
+// stop cancels nothing). Idempotent.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -498,16 +478,6 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
-	for _, j := range m.jobs {
-		if j.retryTimer != nil && j.retryTimer.Stop() {
-			j.retryTimer = nil
-			m.retryWait--
-			m.m.retryWaitGauge.Set(float64(m.retryWait))
-			m.finishLocked(j, StateCancelled, nil, "manager closed during retry backoff")
-		}
-		// A timer whose Stop lost the race is already firing: its callback
-		// observes closed under the lock and finishes the job itself.
-	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	m.baseCancel()
@@ -557,8 +527,6 @@ func (m *Manager) worker() {
 			m.finishLocked(j, StateDone, result, "")
 		case j.cancelRequested || errors.Is(err, context.Canceled):
 			m.finishLocked(j, StateCancelled, nil, err.Error())
-		case Classify(err) == ClassTransient && j.attempt < m.retry.MaxAttempts && !m.closed:
-			m.retryLocked(j, err)
 		default:
 			m.finishLocked(j, StateFailed, nil, err.Error())
 		}
@@ -566,48 +534,6 @@ func (m *Manager) worker() {
 		m.cond.Broadcast()
 		m.mu.Unlock()
 	}
-}
-
-// retryLocked re-queues a transiently failed job after a backoff: the job
-// returns to queued, a retry event carries the cause and the wait, and a
-// timer puts it back on the queue. Caller holds m.mu.
-func (m *Manager) retryLocked(j *job, cause error) {
-	j.state = StateQueued
-	delay := m.retry.backoff(j.attempt, m.rng)
-	m.m.retried.Inc()
-	m.emitLocked(j, Event{
-		Type: EventRetry, Error: cause.Error(),
-		Attempt: j.attempt, BackoffMs: delay.Milliseconds(),
-	})
-	m.journalStateLocked(j, cause.Error(), nil, true)
-	m.retryWait++
-	m.m.retryWaitGauge.Set(float64(m.retryWait))
-	j.retryTimer = time.AfterFunc(delay, func() { m.requeueAfterBackoff(j) })
-}
-
-// requeueAfterBackoff is the retry timer's callback: it puts the job back on
-// the queue, or finishes it as cancelled when the manager closed while the
-// backoff ran.
-func (m *Manager) requeueAfterBackoff(j *job) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if j.retryTimer == nil {
-		return // Cancel or Close already settled this job
-	}
-	j.retryTimer = nil
-	m.retryWait--
-	m.m.retryWaitGauge.Set(float64(m.retryWait))
-	if m.closed {
-		m.finishLocked(j, StateCancelled, nil, "manager closed during retry backoff")
-		m.cond.Broadcast()
-		return
-	}
-	if j.state != StateQueued {
-		return // settled concurrently
-	}
-	m.queue = append(m.queue, j)
-	m.m.queuedGauge.Set(float64(len(m.queue)))
-	m.cond.Broadcast()
 }
 
 // finishLocked moves a job to a terminal state: records the outcome, drops

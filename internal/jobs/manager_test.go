@@ -358,3 +358,58 @@ func TestKeyCanonicalization(t *testing.T) {
 		t.Fatal("sweep order is semantic (result order), keys must differ")
 	}
 }
+
+// TestPermanentFailureFailsFast: an erroring run reaches failed once, with
+// no second attempt, and its error is kept on the view.
+func TestPermanentFailureFailsFast(t *testing.T) {
+	var runs atomic.Int64
+	run := func(ctx context.Context, spec Spec, emit func(Event)) (any, error) {
+		runs.Add(1)
+		return nil, errors.New("jobs: unrunnable spec")
+	}
+	m := New(run, Options{})
+	defer m.Close()
+	v, _, _ := m.Submit(validSpec(1))
+	got := waitState(t, m, v.ID, StateFailed)
+	if runs.Load() != 1 || got.Attempts != 1 {
+		t.Fatalf("failed job ran %d times (attempts %d), want 1", runs.Load(), got.Attempts)
+	}
+	if got.Error != "jobs: unrunnable spec" {
+		t.Fatalf("error = %q", got.Error)
+	}
+}
+
+// TestEvictionClosesSubscriberChannels is the regression for the TTL leak:
+// eviction must close any subscriber channel still attached to the job, or
+// the NDJSON stream behind it hangs forever instead of terminating.
+func TestEvictionClosesSubscriberChannels(t *testing.T) {
+	clock := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
+	now := func() time.Time { return clock }
+	m := New(stubRun(&atomic.Int64{}, nil), Options{TTL: time.Minute, Now: now})
+	defer m.Close()
+	v, _, _ := m.Submit(validSpec(1))
+	waitState(t, m, v.ID, StateDone)
+
+	// Wedge a live subscriber onto the finished job — the shape left behind
+	// when a stream attaches as the job finishes and the terminal close is
+	// missed. Eviction must sweep it, not strand it.
+	ch := make(chan Event, 1)
+	m.mu.Lock()
+	j := m.jobs[v.ID]
+	j.subs[ch] = struct{}{}
+	m.mu.Unlock()
+
+	clock = clock.Add(2 * time.Minute)
+	m.EvictExpired()
+	if _, ok := m.Get(v.ID); ok {
+		t.Fatal("job not evicted")
+	}
+	select {
+	case _, ok := <-ch:
+		if ok {
+			t.Fatal("expected closed channel, got event")
+		}
+	default:
+		t.Fatal("subscriber channel left open by eviction")
+	}
+}

@@ -216,34 +216,17 @@ func TestRecoveryTornTailCompacted(t *testing.T) {
 	}
 }
 
-// TestJournalPersistsAttemptCounts: a job killed between retries resumes
-// with its attempt budget, not a fresh one.
+// TestJournalPersistsAttemptCounts: a job killed mid-run resumes with its
+// attempt count, so recovery re-runs are counted, not reset.
 func TestJournalPersistsAttemptCounts(t *testing.T) {
 	dir := t.TempDir()
-	fail := func(ctx context.Context, spec Spec, emit func(Event)) (any, error) {
-		return nil, Transient(fmt.Errorf("flaky backend"))
-	}
-	m1 := New(fail, Options{
-		Journal: newJournal(t, dir),
-		Retry:   RetryPolicy{MaxAttempts: 10, BaseBackoff: time.Hour, MaxBackoff: time.Hour},
-	})
-	v, _, _ := m1.Submit(validSpec(1))
-	// Wait until the first attempt failed into backoff.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got, _ := m1.Get(v.ID)
-		if got.Attempts == 1 && got.State == StateQueued {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never entered backoff: %+v", got)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	m1.journal.Sync() // crash here: attempt 1 journaled
-
 	block := make(chan struct{})
 	defer close(block)
+	m1 := New(stubRun(&atomic.Int64{}, block), Options{Journal: newJournal(t, dir)})
+	v, _, _ := m1.Submit(validSpec(1))
+	waitState(t, m1, v.ID, StateRunning)
+	m1.journal.Sync() // crash here: attempt 1 journaled, m1 abandoned
+
 	m2 := New(stubRun(&atomic.Int64{}, block), Options{Journal: newJournal(t, dir)})
 	defer m2.Close()
 	// The requeued job starts its next attempt as number 2: the journaled

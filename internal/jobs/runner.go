@@ -27,14 +27,12 @@ type RunnerConfig struct {
 	// BenchWorkers bounds the per-job benchmark fan-out of figure suites
 	// (0 = GOMAXPROCS).
 	BenchWorkers int
-	// RouteWorkers sets the PathFinder's per-net search parallelism within
-	// each flow build (0 = GOMAXPROCS, 1 = serial). Byte-identical results
-	// for every value — a wall-clock knob only, excluded from cache keys.
+	// Deprecated: ignored; routing is serial (parallel speculation lost to one worker).
 	RouteWorkers int
 	// SweepBatch sets how many ambient lanes sweep jobs run in lockstep
 	// through the batched guardband engine (<= 1 = serial). Per-lane
-	// results are bit-identical to the serial engine, so like RouteWorkers
-	// this is a wall-clock knob only, excluded from Spec and the dedup key.
+	// results are bit-identical to the serial engine, so this is a
+	// wall-clock knob only, excluded from Spec and the dedup key.
 	SweepBatch int
 	// Benchmarks restricts the suite used by figure jobs (nil = the full
 	// Table II suite).
@@ -99,7 +97,6 @@ func (r *Runner) context(ctx context.Context, emit func(Event)) *experiments.Con
 		c.PlaceEffort = r.cfg.PlaceEffort
 	}
 	c.Workers = r.cfg.BenchWorkers
-	c.RouteWorkers = r.cfg.RouteWorkers
 	c.SweepBatch = r.cfg.SweepBatch
 	c.Benchmarks = r.cfg.Benchmarks
 	c.Ctx = ctx

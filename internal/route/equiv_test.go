@@ -128,50 +128,26 @@ func TestRouteMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRouteWorkersMatchReference pins the parallel router's core invariant:
-// the routed result must not depend on the worker count. Every speculative
-// configuration is held to the same byte-identical standard against the
-// seed reference as the serial router.
+// TestRouteWorkersMatchReference: Options.Workers is deprecated and
+// ignored, so setting it must not change a single routed byte.
 func TestRouteWorkersMatchReference(t *testing.T) {
 	for _, tc := range equivCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			pl, g := routeSetup(t, tc.bench, tc.scale, tc.seed, tc.tracks)
-			ref, refErr := RouteReference(pl, g, DefaultOptions())
-			for _, workers := range []int{1, 2, 8} {
-				opts := DefaultOptions()
-				opts.Workers = workers
-				got, gotErr := Route(pl, g, opts)
-				if (gotErr == nil) != (refErr == nil) {
-					t.Fatalf("workers=%d error behavior diverged: opt=%v ref=%v", workers, gotErr, refErr)
-				}
-				if gotErr != nil {
-					if gotErr.Error() != refErr.Error() {
-						t.Fatalf("workers=%d error text diverged: opt=%q ref=%q", workers, gotErr, refErr)
-					}
-					continue
-				}
-				requireSameResult(t, got, ref)
-			}
+			opts := DefaultOptions()
+			opts.Workers = 8
+			got, ref := routeBoth(t, tc.bench, tc.scale, tc.seed, tc.tracks, opts)
+			requireSameResult(t, got, ref)
 		})
 	}
 }
 
 // TestRouteMatchesReferenceWideMargin exercises the widen-and-retry path by
-// shrinking the initial search window to nothing, serially and under
-// speculation.
+// shrinking the initial search window to nothing.
 func TestRouteMatchesReferenceWideMargin(t *testing.T) {
 	opts := DefaultOptions()
 	opts.BBoxMargin = 0
 	got, ref := routeBoth(t, "sha", 1.0/64, 11, 104, opts)
 	requireSameResult(t, got, ref)
-
-	pl, g := routeSetup(t, "sha", 1.0/64, 11, 104)
-	opts.Workers = 4
-	par, err := Route(pl, g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, par, ref)
 }

@@ -2,7 +2,6 @@ package route
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 
@@ -49,11 +48,7 @@ type Options struct {
 	// BBoxMargin expands each net's search window beyond its terminal
 	// bounding box, in tiles.
 	BBoxMargin int
-	// Workers is the number of concurrent speculative net searchers per
-	// negotiation round: 0 picks runtime.GOMAXPROCS(0), 1 routes serially.
-	// The routed result is byte-identical for every value — speculative
-	// routes are only committed after their cost evidence is revalidated
-	// against the live negotiation state, in net order (see parallel.go).
+	// Deprecated: ignored; routing is serial (parallel speculation lost to one worker).
 	Workers int
 }
 
@@ -239,12 +234,8 @@ type searchState struct {
 	seq    uint32
 }
 
-// netSearcher is the pooled search state of one routing worker: the
-// epoch-stamped wavefront arrays, the concrete binary heap, and — for
-// speculative workers only — the cost-read recorder whose evidence lets
-// the serial pass validate a speculative route against the live
-// negotiation state (see parallel.go). The serial router's searcher has
-// readMark nil and records nothing.
+// netSearcher is the pooled search state of the router: the epoch-stamped
+// wavefront arrays, the concrete binary heap, and the live cost vector.
 type netSearcher struct {
 	g        *Graph
 	ss       []searchState
@@ -257,56 +248,22 @@ type netSearcher struct {
 	treeList []int32
 	seeds    []int32
 
-	// Cost source: the live cost vector, or a frozen snapshot plus a
-	// per-net rip-up overlay when speculating.
-	cost    []float64
-	ovStamp []int32
-	ovVal   []float64
-	ovEpoch int32
-
-	// Read evidence of the current net's searches, recorded only when
-	// readMark is non-nil: readVals[i] is the cost the search saw at
-	// readNodes[i], each node recorded once per net.
-	readMark  []int32
-	readEpoch int32
-	readNodes []int32
-	readVals  []float64
+	// cost is the live per-node cost vector maintained by Route.
+	cost []float64
 }
 
-func newNetSearcher(g *Graph, speculative bool) *netSearcher {
+func newNetSearcher(g *Graph, cost []float64) *netSearcher {
 	st := &netSearcher{
 		g:       g,
 		ss:      make([]searchState, g.numNodes),
 		inTree:  make([]int32, g.numNodes),
 		treePar: make([]int32, g.numNodes),
+		cost:    cost,
 	}
 	for i := range st.inTree {
 		st.inTree[i] = -1
 	}
-	if speculative {
-		st.ovStamp = make([]int32, g.numNodes)
-		st.ovVal = make([]float64, g.numNodes)
-		st.readMark = make([]int32, g.numNodes)
-	}
 	return st
-}
-
-// read prices node n through the searcher's cost source, recording the
-// (node, value) pair as replay evidence when speculating.
-func (st *netSearcher) read(n int32) float64 {
-	if st.readMark == nil {
-		return st.cost[n]
-	}
-	v := st.cost[n]
-	if st.ovStamp[n] == st.ovEpoch {
-		v = st.ovVal[n]
-	}
-	if st.readMark[n] != st.readEpoch {
-		st.readMark[n] = st.readEpoch
-		st.readNodes = append(st.readNodes, n)
-		st.readVals = append(st.readVals, v)
-	}
-	return v
 }
 
 // routeNet grows one net's route tree target by target at negotiation
@@ -328,11 +285,6 @@ func (st *netSearcher) routeNet(t *netTask, iter int, opts *Options) error {
 	// Route tree grows sink by sink; tree nodes re-seed at cost 0.
 	st.netEpoch++
 	st.treeList = st.treeList[:0]
-	if st.readMark != nil {
-		st.readEpoch++
-		st.readNodes = st.readNodes[:0]
-		st.readVals = st.readVals[:0]
-	}
 
 	// Targets ascend, exactly the seed's smallest-remaining order.
 	for tgt := 0; tgt < len(t.sinkTiles); {
@@ -370,7 +322,7 @@ func (st *netSearcher) routeNet(t *netTask, iter int, opts *Options) error {
 
 		if len(st.treeList) == 0 {
 			for _, wseed := range g.opinList[g.opinStart[t.srcTile]:g.opinStart[t.srcTile+1]] {
-				push(wseed, st.read(wseed), -1)
+				push(wseed, st.cost[wseed], -1)
 			}
 		} else {
 			// Re-seed the existing tree's wires in ascending order,
@@ -423,7 +375,7 @@ func (st *netSearcher) routeNet(t *netTask, iter int, opts *Options) error {
 					if sb.stamp == st.epoch && sb.dist <= d+1 {
 						continue
 					}
-					nd := d + st.read(nb)
+					nd := d + st.cost[nb]
 					if sb.stamp == st.epoch && sb.dist <= nd {
 						continue
 					}
@@ -450,7 +402,7 @@ func (st *netSearcher) routeNet(t *netTask, iter int, opts *Options) error {
 				if sb := &st.ss[nb]; sb.stamp == st.epoch && sb.dist <= d+1 {
 					continue
 				}
-				push(nb, d+st.read(nb), n)
+				push(nb, d+st.cost[nb], n)
 			}
 		}
 		if found < 0 {
@@ -488,16 +440,12 @@ func (st *netSearcher) routeNet(t *netTask, iter int, opts *Options) error {
 
 // Route routes every multi-terminal net of the placed design.
 //
-// This is the optimized, optionally parallel PathFinder. Each negotiation
-// round rips up and re-routes every net in driver order over pooled
-// epoch-stamped search state, exactly like the seed; when opts.Workers > 1
-// the searches are additionally speculated concurrently against a frozen
-// cost snapshot and revalidated in order before committing (parallel.go).
-// Neither the pooling nor the speculation changes a single heap comparison
-// of the searches whose results are committed, so the chosen routes —
-// Paths, WireLenTiles, Iters, MaxOcc — are byte-identical to
-// RouteReference for every worker count (see reference.go and the
-// equivalence tests).
+// This is the optimized serial PathFinder. Each negotiation round rips up
+// and re-routes every net in driver order over pooled epoch-stamped search
+// state, exactly like the seed. The pooling changes no heap comparison, so
+// the chosen routes — Paths, WireLenTiles, Iters, MaxOcc — are
+// byte-identical to RouteReference (see reference.go and the equivalence
+// tests).
 func Route(pl *place.Placement, g *Graph, opts Options) (*Result, error) {
 	tasks := buildNetTasks(pl)
 
@@ -537,28 +485,11 @@ func Route(pl *place.Placement, g *Graph, opts Options) (*Result, error) {
 		recost(n)
 	}
 
-	live := newNetSearcher(g, false)
-	live.cost = cost
-
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var par *parRouter
-	if workers > 1 {
-		par = newParRouter(g, workers, len(tasks))
-	}
+	live := newNetSearcher(g, cost)
 
 	for iter := 1; iter <= opts.MaxIters; iter++ {
 		res.Iters = iter
 		congested := false
-
-		if par != nil {
-			par.speculate(tasks, prevUse, ng, cost, presFac, iter, &opts)
-		}
 
 		for ti := range tasks {
 			t := &tasks[ti]
@@ -570,32 +501,12 @@ func Route(pl *place.Placement, g *Graph, opts Options) (*Result, error) {
 			prevUse[ti] = prevUse[ti][:0]
 			finalPars[ti] = finalPars[ti][:0]
 
-			// Commit a validated speculative route, else search live. A
-			// speculative run whose every recorded cost read still matches
-			// the live state would replay move for move, so its outcome —
-			// including the unroutable case — is the live outcome.
-			committed := false
-			if par != nil {
-				sp := &par.spec[ti]
-				if valsMatch(cost, sp.readNodes, sp.readVals) {
-					if sp.err != nil {
-						return nil, sp.err
-					}
-					for i, n := range sp.tree {
-						prevUse[ti] = append(prevUse[ti], n)
-						finalPars[ti] = append(finalPars[ti], sp.pars[i])
-					}
-					committed = true
-				}
+			if err := live.routeNet(t, iter, &opts); err != nil {
+				return nil, err
 			}
-			if !committed {
-				if err := live.routeNet(t, iter, &opts); err != nil {
-					return nil, err
-				}
-				for _, n := range live.treeList {
-					prevUse[ti] = append(prevUse[ti], n)
-					finalPars[ti] = append(finalPars[ti], live.treePar[n])
-				}
+			for _, n := range live.treeList {
+				prevUse[ti] = append(prevUse[ti], n)
+				finalPars[ti] = append(finalPars[ti], live.treePar[n])
 			}
 
 			// Account occupancy.
@@ -682,15 +593,4 @@ func Route(pl *place.Placement, g *Graph, opts Options) (*Result, error) {
 		res.Nets[t.driver] = nr
 	}
 	return res, nil
-}
-
-// valsMatch reports whether every recorded cost read still matches the
-// live cost vector.
-func valsMatch(cost []float64, nodes []int32, vals []float64) bool {
-	for i, n := range nodes {
-		if cost[n] != vals[i] {
-			return false
-		}
-	}
-	return true
 }

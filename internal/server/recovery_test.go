@@ -1,19 +1,16 @@
 package server
 
-// recovery_test.go covers the serving-layer view of durability: retries
-// surfacing in job views, the NDJSON event stream, and /metrics; and a
-// restarted server serving a journaled result byte-identically.
+// recovery_test.go covers the serving-layer view of durability: bad specs
+// rejected at admission, and a restarted server serving a journaled result
+// byte-identically.
 
 import (
-	"context"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tafpga/internal/jobs"
 	"tafpga/internal/obs"
@@ -34,49 +31,11 @@ func readBody(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-// TestRetryVisibleOverHTTP: a transiently failing job's retries show up in
-// the job view's attempt count, as typed events on the NDJSON stream, and
-// in the /metrics retry counter.
-func TestRetryVisibleOverHTTP(t *testing.T) {
-	var runs atomic.Int64
-	run := func(ctx context.Context, spec jobs.Spec, emit func(jobs.Event)) (any, error) {
-		if runs.Add(1) <= 2 {
-			return nil, jobs.Transient(errors.New("flaky backend"))
-		}
-		return map[string]any{"ok": true}, nil
-	}
-	retry := jobs.RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
-	_, _, ts := testServer(t, run, jobs.Options{Retry: retry})
-
-	_, sr := postJob(t, ts, `{"kind":"guardband","benchmark":"sha","ambient_c":25}`)
-	v := waitHTTPState(t, ts, sr.ID, jobs.StateDone)
-	if v.Attempts != 3 {
-		t.Fatalf("attempts over HTTP = %d, want 3", v.Attempts)
-	}
-
-	// The finished job's stream replays its history, retry events included.
-	code, events := readBody(t, ts.URL+"/v1/jobs/"+sr.ID+"/events")
-	if code != http.StatusOK {
-		t.Fatalf("events status = %d", code)
-	}
-	if got := strings.Count(events, `"type":"retry"`); got != 2 {
-		t.Fatalf("retry events in stream = %d, want 2:\n%s", got, events)
-	}
-
-	code, metrics := readBody(t, ts.URL+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics status = %d", code)
-	}
-	if !strings.Contains(metrics, "tafpgad_jobs_retried_total 2") {
-		t.Fatalf("metrics missing retry count:\n%s", metrics)
-	}
-}
-
 // TestValidationFailsFastOverHTTP: a bad spec is rejected at admission with
-// a 400 — never queued, never retried.
+// a 400 — never queued, never run.
 func TestValidationFailsFastOverHTTP(t *testing.T) {
 	var runs atomic.Int64
-	_, _, ts := testServer(t, stubRun(&runs, nil), jobs.Options{Retry: jobs.RetryPolicy{MaxAttempts: 5}})
+	_, _, ts := testServer(t, stubRun(&runs, nil), jobs.Options{})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"kind":"guardband","benchmark":"no-such-benchmark","ambient_c":25}`))
 	if err != nil {

@@ -21,15 +21,10 @@
 #   OUT=path    output JSON (default per suite, in the repo root)
 #   BENCHTIME=  go test -benchtime value (default 10x for inner, 1x for
 #               flow — a cold mcml build takes tens of seconds)
-#   ROUTE_WORKERS=  router worker count for the flow suite (0/unset =
-#               GOMAXPROCS). The routed result is byte-identical for every
-#               value; the effective count is recorded in the JSON so a
-#               wall-clock number is never compared across machine shapes
-#               unknowingly.
 #   SWEEP_BATCH=  lane width recorded for the inner suite's batched sweep
 #               pair (default 11, the full 0:100:10 ambient axis both sweep
 #               benchmarks traverse). Per-lane results are bit-identical at
-#               every width; like route_workers this is recorded in the JSON
+#               every width; the width is recorded in the JSON
 #               so the speedup is never read without its batch width.
 #
 # The optimized and seed kernels live in the same test binary (Analyze vs
@@ -66,7 +61,6 @@ inner | flow)
 esac
 COUNT="${1:-3}"
 
-ROUTE_WORKERS_JSON=""
 SWEEP_BATCH_JSON=""
 case "$SUITE" in
 inner)
@@ -91,15 +85,6 @@ flow)
 	# "speedup" is < 1 by construction and reads as the thermal term's
 	# whole-flow overhead.
 	PAIRS='Place=PlaceReference,Route=RouteReference,FlowBuild=FlowBuildReference,ThermalPlaceMoveDelta=ThermalPlaceFullSolve,FlowBuildThermal=FlowBuild'
-	# Record the effective router worker count alongside the numbers: the
-	# routed bytes are identical for every value, but the wall clock is not.
-	TAFPGA_ROUTE_WORKERS="${ROUTE_WORKERS:-0}"
-	export TAFPGA_ROUTE_WORKERS
-	if [ "$TAFPGA_ROUTE_WORKERS" -gt 0 ] 2>/dev/null; then
-		ROUTE_WORKERS_JSON="$TAFPGA_ROUTE_WORKERS"
-	else
-		ROUTE_WORKERS_JSON="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
-	fi
 	;;
 esac
 
@@ -111,7 +96,7 @@ go test -run '^$' \
 	-bench "$BENCH" \
 	-benchmem -benchtime="$BENCHTIME" -count="$COUNT" . | tee "$RAW" >&2
 
-awk -v count="$COUNT" -v benchtime="$BENCHTIME" -v suite="$SUITE" -v pairspec="$PAIRS" -v routeworkers="$ROUTE_WORKERS_JSON" -v sweepbatch="$SWEEP_BATCH_JSON" '
+awk -v count="$COUNT" -v benchtime="$BENCHTIME" -v suite="$SUITE" -v pairspec="$PAIRS" -v sweepbatch="$SWEEP_BATCH_JSON" '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)       # strip -GOMAXPROCS suffix
@@ -128,7 +113,6 @@ END {
     printf "  \"goarch\": \"%s\",\n", meta["goarch:"]
     printf "  \"count\": %d,\n", count
     printf "  \"benchtime\": \"%s\",\n", benchtime
-    if (routeworkers != "") printf "  \"route_workers\": %s,\n", routeworkers
     if (sweepbatch != "") printf "  \"sweep_batch\": %s,\n", sweepbatch
     printf "  \"benchmarks\": {\n"
     n = 0

@@ -42,6 +42,11 @@ go build -o "$BIN" ./cmd/tafpgad
 	-sweep-batch 4 -drain 60s >"$LOG" 2>&1 &
 PID=$!
 trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG"' EXIT
+# dash skips the EXIT trap when a signal kills the shell; exit instead so
+# the daemon is always stopped.
+trap 'exit 130' INT
+trap 'exit 143' TERM
+trap 'exit 129' HUP
 
 echo "waiting for /readyz..." >&2
 i=0

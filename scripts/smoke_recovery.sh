@@ -9,10 +9,7 @@
 #   2. Restart over the same state dir: the finished job must come back
 #      byte-identical without recompute, the interrupted job must requeue,
 #      run, and (the flow being deterministic) produce the expected result.
-#   3. Start a third daemon with injected transient faults: the job must
-#      retry with backoff until the injection budget runs out, succeed with
-#      the reference result, and expose the retry count in /metrics and the
-#      event stream. An invalid spec must still fail fast with a 400.
+#      An invalid spec must still fail fast with a 400.
 #
 # Environment:
 #   ADDR=host:port  listen address (default 127.0.0.1:18081)
@@ -44,6 +41,11 @@ cleanup() {
 	rm -rf "$WORK"
 }
 trap cleanup EXIT
+# dash skips the EXIT trap when a signal kills the shell; exit instead so
+# the daemon is always stopped.
+trap 'exit 130' INT
+trap 'exit 143' TERM
+trap 'exit 129' HUP
 
 # start_daemon [extra flags...] — launches tafpgad and waits for /readyz.
 start_daemon() {
@@ -88,13 +90,6 @@ job_id() {
 # ignoring the run-dependent prefix (timestamps, attempt counts).
 result_of() {
 	echo "$1" | sed 's/.*"result"://'
-}
-
-# physics_of view — the result minus its Stats block: the guardband physics
-# is deterministic across recomputes, but Stats carries wall-clock probe
-# timings that legitimately vary run to run.
-physics_of() {
-	result_of "$1" | sed 's/,"Stats":.*//'
 }
 
 echo "building tafpgad..." >&2
@@ -159,34 +154,12 @@ METRICS="$(curl -fsS "$BASE/metrics")"
 echo "$METRICS" | grep -qF "tafpgad_jobs_restored_total 1" || fail "/metrics missing restored_total 1"
 echo "$METRICS" | grep -qF "tafpgad_jobs_recovered_total 1" || fail "/metrics missing recovered_total 1"
 
-kill -TERM "$PID"
-wait "$PID" || fail "daemon exited non-zero on SIGTERM after recovery"
-PID=""
-
-# --- Phase 3: injected transient faults retry, then succeed ---------------
-echo "phase 3: daemon with injected faults (guardband.iter fails twice)..." >&2
-rm -rf "$STATE"
-start_daemon -state-dir "$STATE" -faults "guardband.iter=1:2" -retries 3 \
-	-retry-base 100ms -retry-max 1s
-
-ID_C="$(job_id "$(curl -fsS "$BASE/v1/jobs" -d "$SPEC_A")")"
-VIEW_C="$(poll_done "$ID_C")"
-echo "$VIEW_C" | grep -q '"attempts":3' || fail "faulted job attempts != 3: $VIEW_C"
-[ "$(physics_of "$VIEW_C")" = "$(physics_of "$VIEW_A_BEFORE")" ] ||
-	fail "result after retries differs from the uninterrupted reference:
-ref:    $(physics_of "$VIEW_A_BEFORE")
-faulty: $(physics_of "$VIEW_C")"
-curl -fsS "$BASE/v1/jobs/$ID_C/events" | grep -q '"type":"retry"' ||
-	fail "faulted job's event stream has no retry events"
-curl -fsS "$BASE/metrics" | grep -qF "tafpgad_jobs_retried_total 2" ||
-	fail "/metrics missing retried_total 2"
-
 echo "checking an invalid spec still fails fast..." >&2
 CODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/jobs" -d '{"kind":"guardband","benchmark":"nope","ambient_c":25}')"
 [ "$CODE" = "400" ] || fail "invalid spec returned $CODE, want 400"
 
 kill -TERM "$PID"
-wait "$PID" || fail "daemon exited non-zero on final SIGTERM"
+wait "$PID" || fail "daemon exited non-zero on SIGTERM after recovery"
 PID=""
 
 echo "smoke_recovery: PASS" >&2
