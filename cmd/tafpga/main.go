@@ -14,7 +14,7 @@
 //	-list         list the available benchmarks and their profiles
 //	-scale f      benchmark scale (default 1/16 of the published size)
 //	-corner f     device sizing corner in °C (default 25)
-//	-ambient f    ambient temperature for guardbanding (default 25)
+//	-ambient f    ambient temperature for guardbanding, in [-55, 150] (default 25)
 //	-w n          router channel-width override (0 = Table I's 320)
 //	-route-workers n  deprecated: ignored, routing is serial
 //	-effort f     placement effort (default 1.0)
@@ -149,13 +149,16 @@ func main() {
 		name = flag.Arg(0)
 	}
 
-	// Validate the sweep spec and objective up front: a typo must not cost a
-	// sizing run.
-	var ambients []float64
+	// Validate the sweep spec, its ambients and the objective up front: a
+	// typo must not cost a sizing run.
+	ambients := []float64{*ambient}
 	if *sweep != "" {
 		var err error
 		ambients, err = parseSweep(*sweep)
 		die(err)
+	}
+	for _, a := range ambients {
+		die(guardband.CheckAmbient(a))
 	}
 	if *objective != "fmax" && *objective != "min-energy" {
 		fmt.Fprintf(os.Stderr, "tafpga: unknown objective %q (want fmax or min-energy)\n", *objective)
@@ -217,9 +220,6 @@ func main() {
 	}
 
 	if *objective == "min-energy" {
-		if *sweep == "" {
-			ambients = []float64{*ambient}
-		}
 		runMinEnergy(runCtx, im, ambients, *target)
 		return
 	}

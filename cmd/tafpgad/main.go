@@ -18,7 +18,8 @@
 //	               jobs; per-lane results bit-identical (0/1 = serial)
 //	-workers n     concurrent jobs (default 1)
 //	-queue n       queued-job bound before 429s (default 64)
-//	-ttl d         how long finished jobs stay retrievable (default 15m)
+//	-ttl d         how long finished jobs stay retrievable (default 15m,
+//	               at least 1s)
 //	-flowcache d   on-disk place-and-route cache shared across jobs and runs
 //	-drain d       graceful-shutdown budget before running jobs are
 //	               hard-cancelled (default 10m)
@@ -72,6 +73,12 @@ func main() {
 	stateDir := flag.String("state-dir", "", "directory for the durable job journal (empty = in-memory only)")
 	flag.Int("retries", 1, "deprecated: ignored, jobs are never retried")
 	flag.Parse()
+	// The TTL janitor ticks at half the TTL, so a TTL under a second would
+	// spin it (and a non-positive one would panic NewTicker).
+	if *ttl < time.Second {
+		fmt.Fprintf(os.Stderr, "tafpgad: -ttl %v: must be at least 1s\n", *ttl)
+		os.Exit(2)
+	}
 
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "tafpgad: "+format+"\n", args...)

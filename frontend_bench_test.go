@@ -1,12 +1,13 @@
-// Front-end perf-regression benchmarks: the implementation pipeline stages
-// the flow-level result cache short-circuits — timing-driven placement,
-// PathFinder routing, and the complete pack→place→route build — each
-// measured in its optimized form and against the retained seed
-// implementation (PlaceReference, RouteReference, Options.Reference) in the
-// same binary, so before/after speedups come from one build:
+// Front-end profiling benchmarks: the implementation pipeline stages the
+// flow-level result cache short-circuits — timing-driven placement,
+// PathFinder routing, and the complete pack→place→route build — each in its
+// optimized form and as the retained seed implementation (PlaceReference,
+// RouteReference, Options.Reference) in the same binary. They are entry
+// points for pprof:
 //
-//	scripts/bench.sh flow    # runs these and emits BENCH_flow.json
+//	go test -run '^$' -bench BenchmarkRoute -benchtime 1x -cpuprofile cpu.out .
 //
+// Performance records come from tabench (implement-cold), not from these.
 // The subject is mcml, the largest bundled benchmark, at the shared harness
 // scale — the same fixture the inner-loop benchmarks use.
 package tafpga_test

@@ -1,12 +1,12 @@
-// Inner-loop perf-regression benchmarks: the three kernels Algorithm 1
-// spends its time in — the full-netlist timing probe, the steady-state
-// thermal solve, and the complete guardbanding run — each measured in its
-// optimized form and against the seed ("Reference") implementation kept in
-// the same test binary (whole runs through internal/oracle), so
-// before/after speedups come from one build:
+// Inner-loop profiling benchmarks: the three kernels Algorithm 1 spends
+// its time in — the full-netlist timing probe, the steady-state thermal
+// solve, and the complete guardbanding run — each in its optimized form and
+// as the seed ("Reference") implementation kept in the same test binary
+// (whole runs through internal/oracle). They are entry points for pprof:
 //
-//	scripts/bench.sh    # runs these and emits BENCH_inner_loop.json
+//	go test -run '^$' -bench BenchmarkGuardbandRun -cpuprofile cpu.out .
 //
+// Performance records come from tabench (guardband-warm), not from these.
 // The subject is mcml, the largest bundled benchmark, at the shared harness
 // scale.
 package tafpga_test

@@ -60,6 +60,11 @@ func RunAdaptive(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, profile [
 	if len(profile) == 0 {
 		return nil, fmt.Errorf("guardband: empty ambient profile")
 	}
+	for _, pt := range profile {
+		if err := CheckAmbient(pt.AmbientC); err != nil {
+			return nil, err
+		}
+	}
 	res := &AdaptiveResult{}
 	o := opts
 	o.normalize()

@@ -21,7 +21,7 @@ import (
 // every physics field (FmaxMHz, BaselineMHz, Converged, GainPct,
 // Iterations, Temps, RiseC, SpreadC, Breakdown, SeedTemps). opts.AmbientC
 // is ignored — the lane's ambient comes from ambients[l]. An empty ambient
-// list returns (nil, nil).
+// list returns (nil, nil); an out-of-range ambient fails the whole batch.
 func RunBatch(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, ambients []float64, opts Options) ([]*Result, error) {
 	opts.normalize()
 	if len(ambients) == 0 {
@@ -29,6 +29,9 @@ func RunBatch(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, ambients []f
 	}
 	lanes := make([]*lane, len(ambients))
 	for l, amb := range ambients {
+		if err := CheckAmbient(amb); err != nil {
+			return nil, err
+		}
 		lanes[l] = &lane{ambientC: amb}
 	}
 	// The conventional worst-case baseline depends only on the

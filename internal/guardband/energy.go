@@ -142,6 +142,9 @@ type EnergyResult struct {
 // only cancellation, solver failures, and non-classified model errors
 // abort the run.
 func RunEnergy(opts EnergyOptions) (*EnergyResult, error) {
+	if err := CheckAmbient(opts.AmbientC); err != nil {
+		return nil, err
+	}
 	opts.normalize()
 	if opts.ModelsAt == nil {
 		return nil, fmt.Errorf("guardband: RunEnergy needs a ModelsAt derivation")

@@ -9,6 +9,7 @@ package guardband
 
 import (
 	"context"
+	"fmt"
 
 	"tafpga/internal/coffe"
 	"tafpga/internal/hotspot"
@@ -74,6 +75,25 @@ type Progress struct {
 	VddV float64
 }
 
+// MinAmbientC and MaxAmbientC bound the ambients Algorithm 1 accepts (the
+// military operating range). The thermal and device models were never
+// calibrated outside it, and a non-finite ambient would index the device
+// tables out of range.
+const (
+	MinAmbientC = -55
+	MaxAmbientC = 150
+)
+
+// CheckAmbient rejects a non-finite ambient or one outside [MinAmbientC,
+// MaxAmbientC]. Every entry point checks its ambients with it, and so does
+// the daemon's admission control.
+func CheckAmbient(c float64) error {
+	if !(c >= MinAmbientC && c <= MaxAmbientC) { // NaN fails both comparisons
+		return fmt.Errorf("guardband: ambient %g°C outside [%d, %d]", c, MinAmbientC, MaxAmbientC)
+	}
+	return nil
+}
+
 // DefaultOptions returns the paper's experimental settings.
 func DefaultOptions(ambientC float64) Options {
 	return Options{AmbientC: ambientC, DeltaTC: 0.5, WorstCaseC: 100, MaxIters: 20}
@@ -124,6 +144,9 @@ func (o *Options) normalize() {
 
 // Run executes Algorithm 1 on one routed implementation.
 func Run(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, opts Options) (*Result, error) {
+	if err := CheckAmbient(opts.AmbientC); err != nil {
+		return nil, err
+	}
 	opts.normalize()
 	ln := &lane{ambientC: opts.AmbientC}
 	worst := baseline(an, opts, &ln.res.Stats)

@@ -1,6 +1,7 @@
 package guardband
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -378,5 +379,33 @@ func TestAdaptiveValidation(t *testing.T) {
 	}
 	if _, err := RunAdaptive(f.an, f.pm, f.th, []ProfilePoint{{Hours: 0, AmbientC: 25}}, DefaultOptions(0)); err == nil {
 		t.Fatal("expected error for a zero-length epoch")
+	}
+}
+
+// TestAmbientBounds: every entry point rejects a non-finite or out-of-range
+// ambient with an error, never a panic, and accepts the bounds themselves.
+func TestAmbientBounds(t *testing.T) {
+	t.Parallel()
+	f := setup(t)
+	ef := energySetup(t)
+	for _, c := range []struct {
+		ambientC float64
+		ok       bool
+	}{
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+		{1e9, false}, {-1e9, false}, {-56, false}, {151, false},
+		{MinAmbientC, true}, {MaxAmbientC, true},
+	} {
+		errs := map[string]error{"CheckAmbient": CheckAmbient(c.ambientC)}
+		_, errs["Run"] = Run(f.an, f.pm, f.th, DefaultOptions(c.ambientC))
+		_, errs["RunBatch"] = RunBatch(f.an, f.pm, f.th, []float64{25, c.ambientC}, DefaultOptions(25))
+		profile := []ProfilePoint{{Hours: 1, AmbientC: 25}, {Hours: 1, AmbientC: c.ambientC}}
+		_, errs["RunAdaptive"] = RunAdaptive(f.an, f.pm, f.th, profile, DefaultOptions(25))
+		_, errs["RunEnergy"] = RunEnergy(energyOptions(ef, c.ambientC))
+		for name, err := range errs {
+			if (err == nil) != c.ok {
+				t.Errorf("%s at %g°C: err = %v, want accepted %v", name, c.ambientC, err, c.ok)
+			}
+		}
 	}
 }

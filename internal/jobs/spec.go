@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"tafpga/internal/bench"
+	"tafpga/internal/guardband"
 )
 
 // Kind selects what a job computes.
@@ -69,21 +70,14 @@ type Spec struct {
 	TargetMHz float64 `json:"target_mhz,omitempty"`
 }
 
-// ambientLo/ambientHi bound accepted ambient temperatures — admission
-// control against nonsense inputs that the thermal model was never
-// calibrated for.
-const (
-	ambientLo = -55
-	ambientHi = 150
-)
-
 // Validate checks the spec and is the service's admission control: unknown
 // kinds, unknown benchmarks or figures, empty or out-of-range ambient axes
-// are all rejected before anything is queued.
+// are all rejected before anything is queued. Ambients are bounded by
+// guardband.CheckAmbient, the same check every guardband entry point runs.
 func (s Spec) Validate() error {
 	checkAmbient := func(a float64) error {
-		if a < ambientLo || a > ambientHi {
-			return fmt.Errorf("jobs: ambient %g°C outside [%g, %g]", a, float64(ambientLo), float64(ambientHi))
+		if err := guardband.CheckAmbient(a); err != nil {
+			return fmt.Errorf("jobs: %w", err)
 		}
 		return nil
 	}
@@ -158,7 +152,7 @@ func (s Spec) Key() string {
 	fmt.Fprintf(&b, "kind:%s", s.Kind)
 	switch s.Kind {
 	case KindGuardband:
-		fmt.Fprintf(&b, "|bench:%s|ambient:%g", s.Benchmark, s.AmbientC)
+		fmt.Fprintf(&b, "|bench:%s|ambient:%g", s.Benchmark, unsigned(s.AmbientC))
 	case KindSweep:
 		fmt.Fprintf(&b, "|bench:%s|ambients:", s.Benchmark)
 		for i, a := range s.Ambients {
@@ -170,9 +164,9 @@ func (s Spec) Key() string {
 	case KindFigure:
 		fmt.Fprintf(&b, "|figure:%s", s.Figure)
 	case KindThermalPlaceCompare:
-		fmt.Fprintf(&b, "|ambient:%g|w:%g|r:%d", s.AmbientC, s.ThermalWeight, s.ThermalRadius)
+		fmt.Fprintf(&b, "|ambient:%g|w:%g|r:%d", unsigned(s.AmbientC), s.ThermalWeight, s.ThermalRadius)
 	case KindMinEnergy:
-		fmt.Fprintf(&b, "|bench:%s|target:%g|ambients:", s.Benchmark, s.TargetMHz)
+		fmt.Fprintf(&b, "|bench:%s|target:%g|ambients:", s.Benchmark, unsigned(s.TargetMHz))
 		for i, a := range s.Ambients {
 			if i > 0 {
 				b.WriteByte(',')
@@ -181,4 +175,14 @@ func (s Spec) Key() string {
 		}
 	}
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
+}
+
+// unsigned drops the sign of a zero in a scalar the key renders: -0
+// computes what 0 does, and JSON omits a zero scalar (omitempty), so a
+// signed zero would change a spec's key across the journal's round trip.
+func unsigned(v float64) float64 {
+	if v == 0 {
+		return 0
+	}
+	return v
 }

@@ -1,17 +1,14 @@
 package obs
 
 // promparse.go is the scrape side of the registry: a parser for the
-// Prometheus text exposition format WritePrometheus emits, plus histogram
-// reassembly and quantile estimation. The load generator (cmd/taload) and
-// the serving benchmark scrape a daemon's /metrics and report p50/p95/p99
-// without any external tooling.
+// Prometheus text exposition format WritePrometheus emits. The benchmark
+// harness (tabench) scrapes a daemon's /metrics with it and reads counter
+// deltas through Scrape.Sum, without any external tooling.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -120,117 +117,4 @@ func (s *Scrape) Sum(name string) float64 {
 		}
 	}
 	return total
-}
-
-// Value returns the single unlabelled sample of a family.
-func (s *Scrape) Value(name string) (float64, bool) {
-	for _, smp := range s.Samples {
-		if smp.Name == name && len(smp.Labels) == 0 {
-			return smp.Value, true
-		}
-	}
-	return 0, false
-}
-
-// HistogramFrom reassembles a family's histogram from its _bucket, _sum,
-// and _count samples, summing across label sets (labelled series merge
-// into one histogram). The returned snapshot has the same
-// shape Histogram.Snapshot produces: ascending finite bounds with
-// non-cumulative per-bucket counts, +Inf implicit in the final slot.
-func (s *Scrape) HistogramFrom(name string) (HistogramSnapshot, bool) {
-	cum := map[float64]float64{} // le bound → cumulative count (summed)
-	var snap HistogramSnapshot
-	found := false
-	for _, smp := range s.Samples {
-		switch smp.Name {
-		case name + "_bucket":
-			le, ok := smp.Labels["le"]
-			if !ok {
-				continue
-			}
-			bound := math.Inf(1)
-			if le != "+Inf" {
-				v, err := strconv.ParseFloat(le, 64)
-				if err != nil {
-					continue
-				}
-				bound = v
-			}
-			cum[bound] += smp.Value
-			found = true
-		case name + "_sum":
-			snap.Sum += smp.Value
-		case name + "_count":
-			snap.Count += uint64(smp.Value)
-		}
-	}
-	if !found {
-		return HistogramSnapshot{}, false
-	}
-	bounds := make([]float64, 0, len(cum))
-	for b := range cum {
-		if !math.IsInf(b, 1) {
-			bounds = append(bounds, b)
-		}
-	}
-	sort.Float64s(bounds)
-	snap.Bounds = bounds
-	snap.Counts = make([]uint64, len(bounds)+1)
-	prev := 0.0
-	for i, b := range bounds {
-		snap.Counts[i] = uint64(cum[b] - prev)
-		prev = cum[b]
-	}
-	total := cum[math.Inf(1)]
-	if total < prev { // tolerate a scrape missing the +Inf line
-		total = prev
-	}
-	snap.Counts[len(bounds)] = uint64(total - prev)
-	if snap.Count == 0 {
-		snap.Count = uint64(total)
-	}
-	return snap, true
-}
-
-// Quantile estimates the q-quantile (0 < q < 1) the way Prometheus's
-// histogram_quantile does: find the bucket holding the target rank and
-// interpolate linearly inside it (the first bucket interpolates from 0).
-// Observations in the +Inf bucket clamp to the highest finite bound. A
-// histogram with no observations returns NaN.
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	total := uint64(0)
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total == 0 || len(h.Bounds) == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, c := range h.Counts {
-		next := cum + float64(c)
-		if rank <= next || i == len(h.Counts)-1 {
-			if i >= len(h.Bounds) {
-				return h.Bounds[len(h.Bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.Bounds[i-1]
-			}
-			hi := h.Bounds[i]
-			if c == 0 {
-				return hi
-			}
-			frac := (rank - cum) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum = next
-	}
-	return h.Bounds[len(h.Bounds)-1]
 }

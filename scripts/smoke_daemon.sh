@@ -25,8 +25,10 @@ ADDR="${ADDR:-127.0.0.1:18080}"
 SCALE="${SCALE:-0.015625}"
 TIMEOUT="${TIMEOUT:-300}"
 BASE="http://$ADDR"
-BIN="$(mktemp -d)/tafpgad"
-LOG="$(mktemp)"
+WORK="$(mktemp -d)"
+BIN="$WORK/tafpgad"
+LOG="$WORK/daemon.log"
+PID=""
 
 fail() {
 	echo "smoke_daemon: FAIL: $*" >&2
@@ -35,18 +37,28 @@ fail() {
 	exit 1
 }
 
+# A failed or interrupted run must not leave a daemon draining for up to
+# -drain behind it: kill it outright and reap it before removing its files.
+cleanup() {
+	if [ -n "$PID" ]; then
+		kill -KILL "$PID" 2>/dev/null || true
+		wait "$PID" 2>/dev/null || true
+	fi
+	rm -rf "$WORK"
+}
+trap cleanup EXIT
+# dash skips the EXIT trap when a signal kills the shell; exit instead so
+# the daemon is always stopped.
+trap 'exit 130' INT
+trap 'exit 143' TERM
+trap 'exit 129' HUP
+
 echo "building tafpgad..." >&2
 go build -o "$BIN" ./cmd/tafpgad
 
 "$BIN" -addr "$ADDR" -scale "$SCALE" -w 104 -effort 0.3 -bench sha \
 	-sweep-batch 4 -drain 60s >"$LOG" 2>&1 &
 PID=$!
-trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG"' EXIT
-# dash skips the EXIT trap when a signal kills the shell; exit instead so
-# the daemon is always stopped.
-trap 'exit 130' INT
-trap 'exit 143' TERM
-trap 'exit 129' HUP
 
 echo "waiting for /readyz..." >&2
 i=0
@@ -214,8 +226,10 @@ done
 echo "SIGTERM, expecting graceful drain..." >&2
 kill -TERM "$PID"
 if ! wait "$PID"; then
+	PID=""
 	fail "daemon exited non-zero on SIGTERM"
 fi
+PID=""
 grep -q "drained cleanly" "$LOG" || fail "daemon did not report a clean drain"
 
 echo "smoke_daemon: PASS" >&2

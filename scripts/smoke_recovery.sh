@@ -36,8 +36,13 @@ fail() {
 	exit 1
 }
 
+# A failed or interrupted run must not leave a daemon draining for up to
+# -drain behind it: kill it outright and reap it before removing its files.
 cleanup() {
-	[ -n "$PID" ] && kill "$PID" 2>/dev/null || true
+	if [ -n "$PID" ]; then
+		kill -KILL "$PID" 2>/dev/null || true
+		wait "$PID" 2>/dev/null || true
+	fi
 	rm -rf "$WORK"
 }
 trap cleanup EXIT
