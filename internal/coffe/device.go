@@ -98,8 +98,9 @@ func Kinds() []ResourceKind {
 }
 
 // tabLoC / tabHiC bound the delay/leakage lookup tables; operating
-// temperatures outside [0,100] °C are clamped in table queries (guardbanding
-// never needs to extrapolate beyond the supported junction range plus δT).
+// temperatures outside [tabLoC, tabHiC] = [−10, 120] °C are clamped in table
+// queries. guardband.CheckAmbient admits ambients in [−55, 150] °C, so the
+// ends of that range get clamped answers (DESIGN §10).
 const (
 	tabLoC   = -10.0
 	tabHiC   = 120.0

@@ -27,10 +27,10 @@ func TestMinEnergySpecValidation(t *testing.T) {
 		t.Fatalf("pinned-target spec rejected: %v", err)
 	}
 	bad := []Spec{
-		{Kind: KindMinEnergy, Benchmark: "nope", Ambients: []float64{25}},             // unknown benchmark
-		{Kind: KindMinEnergy, Benchmark: "sha"},                                       // no ambients
-		{Kind: KindMinEnergy, Benchmark: "sha", Ambients: []float64{400}},             // ambient out of range
-		{Kind: KindMinEnergy, Benchmark: "sha", Ambients: make([]float64, 257)},       // axis too long
+		{Kind: KindMinEnergy, Benchmark: "nope", Ambients: []float64{25}},               // unknown benchmark
+		{Kind: KindMinEnergy, Benchmark: "sha"},                                         // no ambients
+		{Kind: KindMinEnergy, Benchmark: "sha", Ambients: []float64{400}},               // ambient out of range
+		{Kind: KindMinEnergy, Benchmark: "sha", Ambients: make([]float64, 257)},         // axis too long
 		{Kind: KindMinEnergy, Benchmark: "sha", Ambients: []float64{25}, TargetMHz: -1}, // negative target
 	}
 	for _, s := range bad {

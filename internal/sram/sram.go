@@ -90,6 +90,11 @@ type Core struct {
 	// pnSplit is the P:N width split shared by the wordline and output
 	// drivers (see techmodel.Kit.WorstEdgeRon).
 	pnSplit float64
+
+	// weakFactor caches techmodel.WeakestLeakFactor for the current wCell,
+	// kit.SRAM and row count; it is independent of temperature, so every
+	// delay probe reuses it. Refreshed by NewCore, WithKit and SetVars.
+	weakFactor float64
 }
 
 // NewCore returns a BRAM core with default sizes for the given organization.
@@ -97,11 +102,18 @@ func NewCore(name string, kit *techmodel.Kit, cfg Config, sizingTempC float64) *
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Core{
+	c := &Core{
 		name: name, kit: kit, cfg: cfg, SizingTempC: sizingTempC,
 		wCell: 0.45, wWL: 3.0, wDec: 0.8, wSA: 0.8, wOut: 2.0,
 		pnSplit: kit.NominalSplit(),
 	}
+	c.refreshWeakFactor()
+	return c
+}
+
+// refreshWeakFactor recomputes the cached weakest-cell leakage factor.
+func (c *Core) refreshWeakFactor() {
+	c.weakFactor = techmodel.WeakestLeakFactor(&c.kit.SRAM, c.wCell, c.cfg.Rows())
 }
 
 func (c *Core) Name() string   { return c.name }
@@ -115,6 +127,7 @@ func (c *Core) Config() Config { return c.cfg }
 func (c *Core) WithKit(kit *techmodel.Kit) *Core {
 	out := *c
 	out.kit = kit
+	out.refreshWeakFactor()
 	return &out
 }
 func (c *Core) Vars() []float64 {
@@ -125,7 +138,11 @@ func (c *Core) SetVars(v []float64) {
 	if len(v) != 6 {
 		panic(fmt.Sprintf("sram: core expects 6 sizing variables, got %d", len(v)))
 	}
+	wCell := c.wCell
 	c.wCell, c.wWL, c.wDec, c.wSA, c.wOut, c.pnSplit = v[0], v[1], v[2], v[3], v[4], v[5]
+	if c.wCell != wCell {
+		c.refreshWeakFactor()
+	}
 }
 
 func (c *Core) Bounds() (lo, hi []float64) {
@@ -169,9 +186,11 @@ func (c *Core) cellCurrent(tempC float64) float64 {
 
 // weakLeakCurrent returns the statistically weakest cell's leakage in mA at
 // tempC, using the deterministic extreme-value closed form over the cells
-// sharing one bitline.
+// sharing one bitline. It is techmodel.ExpectedWeakestLeak with the
+// temperature-independent factor taken from the cache, so the product is
+// the same to the bit.
 func (c *Core) weakLeakCurrent(tempC float64) float64 {
-	pw := techmodel.ExpectedWeakestLeak(&c.kit.SRAM, c.wCell, tempC, c.cfg.Rows())
+	pw := c.kit.SRAM.Leak(c.wCell, tempC) * c.weakFactor
 	return pw / c.kit.SRAM.Vdd * 1e-3 // µW/V = µA → mA
 }
 

@@ -143,3 +143,53 @@ func TestDecoderScalesWithRows(t *testing.T) {
 		t.Fatal("more rows must be slower (decoder + bitline)")
 	}
 }
+
+// TestWeakLeakCacheMatchesClosedForm pins the cached weakest-cell factor:
+// after every way a core's cell width or kit can change, weakLeakCurrent
+// must equal the uncached closed form to the bit. Kit.AtVdd keeps the SRAM
+// flavor, so a kit with a different SRAM subthreshold slope is what shows a
+// stale factor after WithKit.
+func TestWeakLeakCacheMatchesClosedForm(t *testing.T) {
+	nominal := techmodel.Default22nm()
+	lowVdd, err := nominal.AtVdd(0.72)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed := *nominal
+	skewed.SRAM.SubSlope *= 1.2
+	skewed.SRAM.Name += "-skewed"
+	kits := []*techmodel.Kit{nominal, lowVdd, &skewed}
+	temps := []float64{-10, 25, 70, 120}
+
+	check := func(stage string, c *Core) {
+		t.Helper()
+		rows := c.cfg.Rows()
+		for _, tc := range temps {
+			want := techmodel.ExpectedWeakestLeak(&c.kit.SRAM, c.wCell, tc, rows) / c.kit.SRAM.Vdd * 1e-3
+			if got := c.weakLeakCurrent(tc); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s (kit %s, wCell %g, %g °C): cached %v, closed form %v",
+					stage, c.kit.SRAM.Name, c.wCell, tc, got, want)
+			}
+		}
+	}
+
+	lo, hi := testCore(25).Bounds()
+	const steps = 8
+	for ki, kit := range kits {
+		c := NewCore("bram", kit, DefaultConfig(), 25)
+		check("NewCore", c)
+		for i := 0; i <= steps; i++ {
+			v := c.Vars()
+			v[0] = lo[0] + (hi[0]-lo[0])*float64(i)/steps
+			c.SetVars(v)
+			check("SetVars changing wCell", c)
+			v[1], v[4] = hi[1], lo[4]
+			c.SetVars(v)
+			check("SetVars keeping wCell", c)
+			// Alternate between the two other kits.
+			other := kits[(ki+i%2+1)%len(kits)]
+			check("WithKit", c.WithKit(other))
+			check("WithKit source", c)
+		}
+	}
+}

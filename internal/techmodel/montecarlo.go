@@ -1,9 +1,6 @@
 package techmodel
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // VthSigmaRef is the standard deviation of random threshold-voltage
 // variation for an SRAM device of reference width VthSigmaRefWidth, in
@@ -22,29 +19,12 @@ func VthSigmaFor(width float64) float64 {
 	return VthSigmaRef * math.Sqrt(VthSigmaRefWidth/width)
 }
 
-// WeakestCellLeak runs a Monte-Carlo over per-cell Vth variation and returns
-// the leakage power in µW of the weakest (leakiest) SRAM cell among `cells`
-// samples at temperature tempC, following the methodology the paper cites
-// ([29]: BRAM optimization needs the leakage current of the weakest SRAM
-// cell at the target temperature). width is the cell pull-down width in µm.
-func WeakestCellLeak(f *Flavor, width, tempC float64, cells int, rng *rand.Rand) float64 {
-	if cells <= 0 {
-		return f.Leak(width, tempC)
-	}
-	sigma := VthSigmaFor(width)
-	worst := 0.0
-	for i := 0; i < cells; i++ {
-		dv := rng.NormFloat64() * sigma
-		if l := f.LeakWithDVth(width, tempC, dv); l > worst {
-			worst = l
-		}
-	}
-	return worst
-}
-
-// ExpectedWeakestLeak returns the analytic expectation of the weakest-cell
-// leakage for n cells. Per-cell leakage is lognormal in ΔVth with
-// σ* = σVth/(SubSlope·vT), so
+// ExpectedWeakestLeak returns the analytic expectation of the leakage power
+// in µW of the weakest (leakiest) SRAM cell among n cells at temperature
+// tempC, following the methodology the paper cites ([29]: BRAM optimization
+// needs the leakage current of the weakest SRAM cell at the target
+// temperature). width is the cell pull-down width in µm. Per-cell leakage is
+// lognormal in ΔVth with σ* = σVth/(SubSlope·vT), so
 //
 //	E[max leak] = leak₀ · ∫ e^(σ*·z) · n·φ(z)·Φ(z)^(n−1) dz
 //
@@ -52,16 +32,25 @@ func WeakestCellLeak(f *Flavor, width, tempC float64, cells int, rng *rand.Rand)
 // asymptotics misbehave here: minimum-size SRAM cells have σ* comparable
 // to the extreme-value location, the heavy-tail regime). The sizing engine
 // uses this closed form so sizing stays deterministic; tests cross-check
-// it against the Monte-Carlo WeakestCellLeak.
+// it against a Monte-Carlo over per-cell Vth variation.
 func ExpectedWeakestLeak(f *Flavor, width, tempC float64, cells int) float64 {
+	return f.Leak(width, tempC) * WeakestLeakFactor(f, width, cells)
+}
+
+// WeakestLeakFactor returns E[max leak]/leak₀, the temperature-independent
+// factor by which ExpectedWeakestLeak scales the nominal cell leakage; it is
+// 1 for cells ≤ 1. It depends only on the flavor's subthreshold slope, the
+// cell width and the cell count, so callers that evaluate many temperatures
+// at a fixed width compute it once.
+func WeakestLeakFactor(f *Flavor, width float64, cells int) float64 {
 	if cells <= 1 {
-		return f.Leak(width, tempC)
+		return 1
 	}
 	// The ΔVth→leakage exponent uses the reference thermal voltage, matching
 	// LeakWithDVth: the weak cell is a fixed multiple of the nominal one and
 	// both follow the fitted KLeak over temperature.
 	sigmaStar := VthSigmaFor(width) / (f.SubSlope * thermalVoltage(T0))
-	return f.Leak(width, tempC) * lognormalMaxMean(sigmaStar, cells)
+	return lognormalMaxMean(sigmaStar, cells)
 }
 
 // lognormalMaxMean computes E[e^(σ·max of n standard normals)] by Simpson
@@ -98,15 +87,4 @@ func lognormalMaxMean(sigma float64, n int) float64 {
 		}
 	}
 	return sum * h / 3
-}
-
-// expectedMaxNormal approximates E[max of n standard normals] via the
-// asymptotic expansion of the extreme-value distribution.
-func expectedMaxNormal(n int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	z := math.Sqrt(2 * math.Log(float64(n)))
-	z -= (math.Log(math.Log(float64(n))) + math.Log(4*math.Pi)) / (2 * z)
-	return z
 }
