@@ -2,7 +2,6 @@ package activity
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"tafpga/internal/bench"
@@ -144,55 +143,5 @@ func TestMacroActivityDerived(t *testing.T) {
 	}
 	if act[d].Density <= act[m].Density {
 		t.Fatal("multiplier outputs should be more active than RAM outputs")
-	}
-}
-
-func TestACEFileRoundTrip(t *testing.T) {
-	p, _ := bench.ByName("sha")
-	nl, err := bench.Generate(p.Scaled(1.0/64), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	act := Estimate(nl, 0.2)
-	var buf strings.Builder
-	if err := WriteACE(&buf, nl, act); err != nil {
-		t.Fatal(err)
-	}
-	named, err := ParseACE(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(named) == 0 {
-		t.Fatal("empty ACE file")
-	}
-	applied, missing := ApplyNamed(nl, act, named)
-	if len(missing) != 0 {
-		t.Fatalf("names failed to re-apply: %v", missing)
-	}
-	for i := range act {
-		if nl.Blocks[i].Type == netlist.Output || len(nl.Sinks[i]) == 0 {
-			continue
-		}
-		if diff := applied[i].Density - act[i].Density; diff > 1e-5 || diff < -1e-5 {
-			t.Fatalf("block %d density drifted through the file: %g vs %g", i, applied[i].Density, act[i].Density)
-		}
-	}
-}
-
-func TestParseACERejectsGarbage(t *testing.T) {
-	for _, bad := range []string{"name 2.0 0.1 0.1", "name 0.5 0.1 -1", "name 0.5"} {
-		if _, err := ParseACE(strings.NewReader(bad)); err == nil {
-			t.Fatalf("expected error for %q", bad)
-		}
-	}
-}
-
-func TestApplyNamedReportsMissing(t *testing.T) {
-	p, _ := bench.ByName("sha")
-	nl, _ := bench.Generate(p.Scaled(1.0/64), 3)
-	act := Estimate(nl, 0.2)
-	_, missing := ApplyNamed(nl, act, map[string]Stats{"no_such_net": {P1: 0.5, Density: 0.1}})
-	if len(missing) != 1 || missing[0] != "no_such_net" {
-		t.Fatalf("missing list wrong: %v", missing)
 	}
 }

@@ -121,9 +121,6 @@ func (g *Grid) Sites(c coffe.TileClass) [][2]int {
 	return out
 }
 
-// TilePitchUm returns the physical pitch of one tile in µm.
-func (g *Grid) TilePitchUm() float64 { return g.Params.TilePitchUm }
-
 // String summarizes the floorplan.
 func (g *Grid) String() string {
 	return fmt.Sprintf("%dx%d grid: %d logic, %d bram, %d dsp, %d io tiles",

@@ -129,7 +129,7 @@ func TestStringAndPitch(t *testing.T) {
 	if g.String() == "" {
 		t.Fatal("empty description")
 	}
-	if g.TilePitchUm() != coffe.DefaultParams().TilePitchUm {
+	if g.Params.TilePitchUm != coffe.DefaultParams().TilePitchUm {
 		t.Fatal("pitch must come from the architecture parameters")
 	}
 }

@@ -2,8 +2,6 @@ package circuits
 
 import (
 	"math"
-	"strconv"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -207,41 +205,5 @@ func TestCircuitProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEmitSPICE(t *testing.T) {
-	var buf strings.Builder
-	m := newSB(testKit())
-	if err := m.EmitSPICE(&buf, 25); err != nil {
-		t.Fatal(err)
-	}
-	deck := buf.String()
-	for _, want := range []string{".subckt sb", ".ends sb", "nmos_pass", ".temp", "Rw", "Cw"} {
-		if !strings.Contains(deck, want) {
-			t.Errorf("mux SPICE deck missing %q", want)
-		}
-	}
-	// All 12 inputs must appear as pins.
-	for i := 0; i < 12; i++ {
-		if !strings.Contains(deck, "in"+strconv.Itoa(i)) {
-			t.Errorf("missing pin in%d", i)
-		}
-	}
-
-	buf.Reset()
-	l := newLUT(testKit())
-	if err := l.EmitSPICE(&buf, 70); err != nil {
-		t.Fatal(err)
-	}
-	deck = buf.String()
-	if !strings.Contains(deck, "temp_c=70.0") {
-		t.Error("LUT deck missing temperature parameter")
-	}
-	// One on-path pass transistor per LUT level.
-	for i := 0; i < 6; i++ {
-		if !strings.Contains(deck, "MT"+strconv.Itoa(i)+" ") {
-			t.Errorf("missing tree level %d", i)
-		}
 	}
 }

@@ -14,21 +14,20 @@ import (
 // Params are the architectural parameters that shape the sized circuits —
 // the paper's Table I.
 type Params struct {
-	K                 int // LUT inputs
-	N                 int // BLEs per cluster
-	ChannelTracks     int // routing tracks per channel (W)
-	SegmentLength     int // logic blocks spanned per wire segment (L)
-	SBMuxSize         int // switch-block mux fan-in
-	CBMuxSize         int // connection-block mux fan-in
-	LocalMuxSize      int // cluster-local crossbar mux fan-in
-	FeedbackMuxSize   int // BLE feedback mux fan-in
-	OutputMuxSize     int // BLE output mux fan-in
-	ClusterInputs     int // cluster global inputs
-	Vdd, VddLow       float64
-	BRAM              sram.Config
-	DSPWidth          int // hard multiplier operand width
-	TilePitchUm       float64
-	MonteCarloSamples int // SRAM weakest-cell Monte-Carlo population per bitline (informational; sizing uses the closed form)
+	K               int // LUT inputs
+	N               int // BLEs per cluster
+	ChannelTracks   int // routing tracks per channel (W)
+	SegmentLength   int // logic blocks spanned per wire segment (L)
+	SBMuxSize       int // switch-block mux fan-in
+	CBMuxSize       int // connection-block mux fan-in
+	LocalMuxSize    int // cluster-local crossbar mux fan-in
+	FeedbackMuxSize int // BLE feedback mux fan-in
+	OutputMuxSize   int // BLE output mux fan-in
+	ClusterInputs   int // cluster global inputs
+	Vdd, VddLow     float64
+	BRAM            sram.Config
+	DSPWidth        int // hard multiplier operand width
+	TilePitchUm     float64
 }
 
 // DefaultParams returns Table I of the paper.
@@ -41,7 +40,7 @@ func DefaultParams() Params {
 		BRAM: sram.DefaultConfig(), DSPWidth: 27,
 		// Tile pitch includes the logic cluster (~1196 µm² → 34.6 µm) plus
 		// the 320-track routing channels on two sides.
-		TilePitchUm: 55, MonteCarloSamples: 5000,
+		TilePitchUm: 55,
 	}
 }
 

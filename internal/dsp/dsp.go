@@ -263,9 +263,6 @@ type Block struct {
 	PNSkew float64
 }
 
-// NewBlock builds the default 27×27 multiply-accumulate block.
-func NewBlock(kit *techmodel.Kit) *Block { return NewBlockWidth(kit, 27) }
-
 // NewBlockWidth builds an n×n block; smaller widths are useful in tests.
 func NewBlockWidth(kit *techmodel.Kit, n int) *Block {
 	return &Block{
@@ -273,9 +270,6 @@ func NewBlockWidth(kit *techmodel.Kit, n int) *Block {
 		DriveScale: 1.0, PNSkew: stdcell.NominalSkew(kit),
 	}
 }
-
-// Netlist exposes the combinational core for inspection and tests.
-func (b *Block) Netlist() *Netlist { return b.nl }
 
 // WithKit returns a copy of the block evaluated against a different process
 // kit, preserving the synthesized drive scale and P:N skew. The gate-level

@@ -58,9 +58,6 @@ func NewVddLab(im *Implementation) *VddLab {
 	return &VddLab{base: im, byVdd: map[float64]*Implementation{}}
 }
 
-// Base returns the implementation the lab derives from.
-func (l *VddLab) Base() *Implementation { return l.base }
-
 // NominalVdd returns the rail the base implementation was characterized at.
 func (l *VddLab) NominalVdd() float64 { return l.base.Device.Kit.Buf.Vdd }
 
@@ -113,10 +110,4 @@ func (l *VddLab) MinEnergy(opts guardband.EnergyOptions) (*guardband.EnergyResul
 		return guardband.EnergyModels{Timing: v.Timing, Power: v.Power, Thermal: v.Thermal}, nil
 	}
 	return guardband.RunEnergy(opts)
-}
-
-// MinEnergy is the one-shot form for callers without a sweep to share
-// derivations across (the tafpga CLI's single-ambient run).
-func (im *Implementation) MinEnergy(opts guardband.EnergyOptions) (*guardband.EnergyResult, error) {
-	return NewVddLab(im).MinEnergy(opts)
 }

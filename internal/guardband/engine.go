@@ -2,14 +2,14 @@ package guardband
 
 // engine.go is the one implementation of Algorithm 1's convergence loop.
 // Every entry point drives it: Run at one lane, RunBatch at one lane per
-// ambient, RunAdaptive at one lane per epoch, and RunEnergy at one pinned
-// lane per voltage probe. Each round issues one batched STA traversal for
-// the lanes whose clock follows timing, one power evaluation per lane, and
-// one multi-RHS thermal solve; a lane whose map meets δT (or runs out of
-// iterations) retires that round with its margined final probe while the
-// others keep iterating. The batched kernels preserve each lane's serial
-// floating-point order and take the serial path at one lane, so a lane's
-// physics never depends on how many lanes share its rounds.
+// ambient, and RunEnergy at one pinned lane per voltage probe. Each round
+// issues one batched STA traversal for the lanes whose clock follows
+// timing, one power evaluation per lane, and one multi-RHS thermal solve; a
+// lane whose map meets δT (or runs out of iterations) retires that round
+// with its margined final probe while the others keep iterating. The
+// batched kernels preserve each lane's serial floating-point order and take
+// the serial path at one lane, so a lane's physics never depends on how
+// many lanes share its rounds.
 
 import (
 	"fmt"

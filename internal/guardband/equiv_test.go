@@ -34,17 +34,3 @@ func TestRunStatsAccounting(t *testing.T) {
 		t.Fatalf("stats rendering %q, want %q and no solver-path breakdown", s, want)
 	}
 }
-
-// TestAdaptiveStatsAggregate: RunAdaptive must roll up per-epoch stats.
-func TestAdaptiveStatsAggregate(t *testing.T) {
-	t.Parallel()
-	f := setup(t)
-	profile := []ProfilePoint{{Hours: 8, AmbientC: 20}, {Hours: 16, AmbientC: 45}}
-	res, err := RunAdaptive(f.an, f.pm, f.th, profile, DefaultOptions(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.ThermalSolves == 0 || res.Stats.STAProbes <= len(profile) {
-		t.Fatalf("adaptive stats look unaggregated: %+v", res.Stats)
-	}
-}

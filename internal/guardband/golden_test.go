@@ -1,7 +1,7 @@
 package guardband_test
 
 // golden_test.go pins the physics of every Algorithm-1 entry point — Run,
-// RunBatch, RunAdaptive, RunEnergy and the experiments sweep over them — to
+// RunBatch, RunEnergy and the experiments sweep over them — to
 // an NDJSON file in testdata. Wall-clock fields are left out; every physics
 // field and every work count is kept, so any refactor of the convergence
 // loop must reproduce the recorded bytes exactly.
@@ -84,14 +84,6 @@ type goldenBatch struct {
 	Progress []guardband.Progress
 }
 
-type goldenAdaptive struct {
-	Epochs                               []guardband.Epoch
-	BaselineMHz, TimeAvgFmaxMHz, AvgGain float64
-	SettleS                              float64
-	SettleErr                            string
-	Counts                               goldenCounts
-}
-
 // goldenEnergyResult is guardband.EnergyResult without its Stats.
 type goldenEnergyResult struct {
 	AmbientC, TargetMHz, BaselineMHz    float64
@@ -127,12 +119,11 @@ type goldenSweep struct {
 }
 
 type goldenDesign struct {
-	Name     string
-	Runs     []goldenRun
-	Batches  []goldenBatch
-	Adaptive goldenAdaptive
-	Energy   []goldenEnergy
-	Sweeps   []goldenSweep
+	Name    string
+	Runs    []goldenRun
+	Batches []goldenBatch
+	Energy  []goldenEnergy
+	Sweeps  []goldenSweep
 }
 
 // sweepAxis is the 0:100:10 ambient axis of the batched sweeps.
@@ -214,18 +205,6 @@ func recordDesign(t *testing.T, c *experiments.Context, name string) goldenDesig
 			gb.Results = append(gb.Results, resultOf(r))
 		}
 		d.Batches = append(d.Batches, gb)
-	}
-
-	ar, err := guardband.RunAdaptive(im.Timing, im.Power, im.Thermal,
-		[]guardband.ProfilePoint{{Hours: 8, AmbientC: 25}, {Hours: 16, AmbientC: 45}},
-		guardband.DefaultOptions(0))
-	if err != nil {
-		t.Fatalf("%s RunAdaptive: %v", name, err)
-	}
-	d.Adaptive = goldenAdaptive{
-		Epochs: ar.Epochs, BaselineMHz: ar.BaselineMHz, TimeAvgFmaxMHz: ar.TimeAvgFmaxMHz,
-		AvgGain: ar.AvgGainPct, SettleS: ar.SettleS, SettleErr: ar.SettleErr,
-		Counts: countsOf(ar.Stats),
 	}
 
 	lab := flow.NewVddLab(im)
@@ -311,7 +290,6 @@ func TestGoldenPhysics(t *testing.T) {
 		for _, b := range d.Batches {
 			add(name, "RunBatch", b)
 		}
-		add(name, "RunAdaptive", d.Adaptive)
 		for _, e := range d.Energy {
 			add(name, "RunEnergy", e)
 		}

@@ -238,34 +238,6 @@ func TestConvergedFlag(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBaselineEpochIndependent: the worst-case baseline STA depends
-// only on the implementation, so neither the number of epochs nor their
-// ambients may change it — and it must equal the baseline Run reports.
-func TestAdaptiveBaselineEpochIndependent(t *testing.T) {
-	t.Parallel()
-	f := setup(t)
-	one, err := RunAdaptive(f.an, f.pm, f.th, []ProfilePoint{{Hours: 1, AmbientC: 25}}, DefaultOptions(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	three, err := RunAdaptive(f.an, f.pm, f.th, []ProfilePoint{
-		{Hours: 8, AmbientC: 25}, {Hours: 10, AmbientC: 45}, {Hours: 6, AmbientC: 70},
-	}, DefaultOptions(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.BaselineMHz != three.BaselineMHz {
-		t.Fatalf("baseline depends on epoch count: %g vs %g", one.BaselineMHz, three.BaselineMHz)
-	}
-	direct, err := Run(f.an, f.pm, f.th, DefaultOptions(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.BaselineMHz != one.BaselineMHz {
-		t.Fatalf("adaptive baseline %g diverged from Run's %g", one.BaselineMHz, direct.BaselineMHz)
-	}
-}
-
 // TestThermalSeedInvariance: the deprecated ThermalSeed is ignored — seeding
 // a run with another ambient's converged map must not change a single
 // reported number.
@@ -306,79 +278,11 @@ func TestThermalSeedInvariance(t *testing.T) {
 	}
 }
 
-// TestAdaptiveEpochsMatchIndependentRuns: every RunAdaptive epoch must be
-// bit-identical to a standalone Run at the same ambient.
-func TestAdaptiveEpochsMatchIndependentRuns(t *testing.T) {
-	t.Parallel()
-	f := setup(t)
-	profile := []ProfilePoint{
-		{Hours: 8, AmbientC: 25}, {Hours: 10, AmbientC: 45}, {Hours: 6, AmbientC: 70},
-	}
-	res, err := RunAdaptive(f.an, f.pm, f.th, profile, DefaultOptions(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pt := range profile {
-		solo, err := Run(f.an, f.pm, f.th, DefaultOptions(pt.AmbientC))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := res.Epochs[i]
-		if e.FmaxMHz != solo.FmaxMHz || e.RiseC != solo.RiseC {
-			t.Fatalf("epoch at %g°C diverged from standalone run: %g/%g vs %g/%g",
-				pt.AmbientC, e.FmaxMHz, e.RiseC, solo.FmaxMHz, solo.RiseC)
-		}
-	}
-}
-
 func TestDefaultOptionValues(t *testing.T) {
 	t.Parallel()
 	o := DefaultOptions(40)
 	if o.AmbientC != 40 || o.WorstCaseC != 100 || o.DeltaTC != 0.5 {
 		t.Fatalf("defaults drifted: %+v", o)
-	}
-}
-
-func TestAdaptiveProfile(t *testing.T) {
-	t.Parallel()
-	f := setup(t)
-	profile := []ProfilePoint{
-		{Hours: 8, AmbientC: 25},  // night
-		{Hours: 10, AmbientC: 45}, // day
-		{Hours: 6, AmbientC: 70},  // peak load
-	}
-	res, err := RunAdaptive(f.an, f.pm, f.th, profile, DefaultOptions(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Epochs) != 3 {
-		t.Fatalf("expected 3 epochs, got %d", len(res.Epochs))
-	}
-	// Hotter epochs must clock lower.
-	if !(res.Epochs[0].FmaxMHz > res.Epochs[1].FmaxMHz && res.Epochs[1].FmaxMHz > res.Epochs[2].FmaxMHz) {
-		t.Fatalf("adaptive clocks not ordered by ambient: %+v", res.Epochs)
-	}
-	// Every epoch beats the worst-case baseline, so the average must too.
-	if res.AvgGainPct <= 0 {
-		t.Fatalf("time-averaged gain %.1f%% must be positive", res.AvgGainPct)
-	}
-	// The duration-weighted mean must lie between the extremes.
-	if res.TimeAvgFmaxMHz < res.Epochs[2].FmaxMHz || res.TimeAvgFmaxMHz > res.Epochs[0].FmaxMHz {
-		t.Fatal("time average outside the epoch range")
-	}
-	if res.String() == "" {
-		t.Fatal("formatting broken")
-	}
-}
-
-func TestAdaptiveValidation(t *testing.T) {
-	t.Parallel()
-	f := setup(t)
-	if _, err := RunAdaptive(f.an, f.pm, f.th, nil, DefaultOptions(0)); err == nil {
-		t.Fatal("expected error for an empty profile")
-	}
-	if _, err := RunAdaptive(f.an, f.pm, f.th, []ProfilePoint{{Hours: 0, AmbientC: 25}}, DefaultOptions(0)); err == nil {
-		t.Fatal("expected error for a zero-length epoch")
 	}
 }
 
@@ -399,8 +303,6 @@ func TestAmbientBounds(t *testing.T) {
 		errs := map[string]error{"CheckAmbient": CheckAmbient(c.ambientC)}
 		_, errs["Run"] = Run(f.an, f.pm, f.th, DefaultOptions(c.ambientC))
 		_, errs["RunBatch"] = RunBatch(f.an, f.pm, f.th, []float64{25, c.ambientC}, DefaultOptions(25))
-		profile := []ProfilePoint{{Hours: 1, AmbientC: 25}, {Hours: 1, AmbientC: c.ambientC}}
-		_, errs["RunAdaptive"] = RunAdaptive(f.an, f.pm, f.th, profile, DefaultOptions(25))
 		_, errs["RunEnergy"] = RunEnergy(energyOptions(ef, c.ambientC))
 		for name, err := range errs {
 			if (err == nil) != c.ok {

@@ -28,8 +28,8 @@ type Stats struct {
 	RetiredEarly  int
 }
 
-// Add accumulates another run's stats (used by RunAdaptive and the
-// experiment suites to aggregate across epochs and benchmarks).
+// Add accumulates another run's stats (used by the experiment suites to
+// aggregate across benchmarks).
 func (s *Stats) Add(o Stats) {
 	s.STAProbes += o.STAProbes
 	s.ThermalSolves += o.ThermalSolves

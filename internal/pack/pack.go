@@ -209,35 +209,3 @@ func Pack(nl *netlist.Netlist, n, maxInputs int) (*Result, error) {
 	}
 	return res, nil
 }
-
-// Stats summarizes packing quality.
-type Stats struct {
-	Clusters   int
-	AvgFill    float64
-	AvgInputs  float64
-	MaxInputs  int
-	SingleBLEs int
-}
-
-// Stats computes packing statistics for reporting and tests.
-func (r *Result) Stats(n int) Stats {
-	var s Stats
-	s.Clusters = len(r.Clusters)
-	if s.Clusters == 0 {
-		return s
-	}
-	fill, ins := 0, 0
-	for _, c := range r.Clusters {
-		fill += len(c.BLEs)
-		ins += len(c.ExtInputs)
-		if len(c.ExtInputs) > s.MaxInputs {
-			s.MaxInputs = len(c.ExtInputs)
-		}
-		if len(c.BLEs) == 1 {
-			s.SingleBLEs++
-		}
-	}
-	s.AvgFill = float64(fill) / float64(s.Clusters) / float64(n)
-	s.AvgInputs = float64(ins) / float64(s.Clusters)
-	return s
-}

@@ -129,12 +129,15 @@ func TestPackQualityReasonable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Stats(10)
-	if s.AvgFill < 0.5 {
-		t.Fatalf("clusters badly underfilled: avg fill %.2f", s.AvgFill)
+	bles := 0
+	for _, c := range res.Clusters {
+		bles += len(c.BLEs)
+		if len(c.ExtInputs) > 40 {
+			t.Fatalf("input bound violated: %d", len(c.ExtInputs))
+		}
 	}
-	if s.MaxInputs > 40 {
-		t.Fatalf("input bound violated: %d", s.MaxInputs)
+	if fill := float64(bles) / float64(len(res.Clusters)) / 10; fill < 0.5 {
+		t.Fatalf("clusters badly underfilled: avg fill %.2f", fill)
 	}
 }
 

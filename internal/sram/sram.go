@@ -116,8 +116,7 @@ func (c *Core) refreshWeakFactor() {
 	c.weakFactor = techmodel.WeakestLeakFactor(&c.kit.SRAM, c.wCell, c.cfg.Rows())
 }
 
-func (c *Core) Name() string   { return c.name }
-func (c *Core) Config() Config { return c.cfg }
+func (c *Core) Name() string { return c.name }
 
 // WithKit returns a copy of the core evaluated against a different process
 // kit — typically one derived at another core-logic supply. The sized widths

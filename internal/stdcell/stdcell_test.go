@@ -1,7 +1,6 @@
 package stdcell
 
 import (
-	"strings"
 	"testing"
 
 	"tafpga/internal/techmodel"
@@ -130,35 +129,5 @@ func TestKitAccessor(t *testing.T) {
 	kit := techmodel.Default22nm()
 	if Characterize(kit, 25).Kit() != kit {
 		t.Fatal("library must expose its kit")
-	}
-}
-
-func TestWriteLiberty(t *testing.T) {
-	lib := Characterize(techmodel.Default22nm(), 85)
-	var buf strings.Builder
-	if err := lib.WriteLiberty(&buf, "tafpga_85c"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"library (tafpga_85c)", "nom_temperature : 85.0", "cell (INV)",
-		"cell (FA)", "cell (DFF)", "intrinsic_rise", "setup_rising",
-		"clocked_on", "rise_resistance",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("liberty missing %q", want)
-		}
-	}
-	// Braces must balance.
-	if strings.Count(out, "{") != strings.Count(out, "}") {
-		t.Fatal("unbalanced liberty braces")
-	}
-	// A hotter library must carry larger intrinsic delays.
-	var cold strings.Builder
-	if err := Characterize(techmodel.Default22nm(), 0).WriteLiberty(&cold, "tafpga_0c"); err != nil {
-		t.Fatal(err)
-	}
-	if cold.String() == out {
-		t.Fatal("temperature must change the liberty content")
 	}
 }

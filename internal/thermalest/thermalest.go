@@ -257,11 +257,6 @@ func (e *Estimate) PeakRise() float64 {
 	return hi
 }
 
-// TilePowerUW returns a copy of the current per-tile power vector.
-func (e *Estimate) TilePowerUW() []float64 {
-	return append([]float64(nil), e.powerUW...)
-}
-
 // Recompute rebuilds the rise field and objective exactly from the tile
 // powers (deterministic order: tiles ascending, box rows ascending) and
 // returns the largest absolute per-tile drift it corrected — the
