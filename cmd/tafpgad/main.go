@@ -23,9 +23,10 @@
 //	-flowcache d   on-disk place-and-route cache shared across jobs and runs
 //	-drain d       graceful-shutdown budget before running jobs are
 //	               hard-cancelled (default 10m)
-//	-state-dir d   durable job state: jobs are journaled to d/journal.ndjson
-//	               and recovered after a crash or restart (default: none,
-//	               jobs are in-memory only)
+//	-state-dir d   durable job state: job specs and finished views are kept
+//	               in d and restored after a crash or restart (default:
+//	               none, jobs are in-memory only); a d holding an older
+//	               daemon's journal.ndjson is refused
 //	-retries n     deprecated: ignored, jobs are never retried
 //
 // Submit, watch, and cancel:
@@ -70,7 +71,7 @@ func main() {
 	ttl := flag.Duration("ttl", 15*time.Minute, "finished-job retention")
 	flowcache := flag.String("flowcache", "", "directory for the on-disk place-and-route cache")
 	drain := flag.Duration("drain", 10*time.Minute, "graceful-shutdown budget for running jobs")
-	stateDir := flag.String("state-dir", "", "directory for the durable job journal (empty = in-memory only)")
+	stateDir := flag.String("state-dir", "", "directory for durable job state files (empty = in-memory only)")
 	flag.Int("retries", 1, "deprecated: ignored, jobs are never retried")
 	flag.Parse()
 	// The TTL janitor ticks at half the TTL, so a TTL under a second would
@@ -103,9 +104,9 @@ func main() {
 	}
 	runner := jobs.NewRunner(cfg)
 
-	// Durable state: with -state-dir, every job transition is journaled and
-	// a restart replays the journal — finished results come back without
-	// recompute, interrupted jobs re-enter the queue.
+	// Durable state: with -state-dir, a restart restores every job —
+	// finished results come back without recompute, interrupted jobs
+	// re-enter the queue.
 	var journal *jobs.Journal
 	if *stateDir != "" {
 		var err error
@@ -114,7 +115,6 @@ func main() {
 			logf("state dir: %v", err)
 			os.Exit(1)
 		}
-		defer journal.Close()
 	}
 
 	mgr := jobs.New(runner.Run, jobs.Options{
@@ -126,8 +126,8 @@ func main() {
 	})
 	if journal != nil {
 		restored, requeued := mgr.RecoveryStats()
-		logf("journal %s: %d finished job(s) restored, %d interrupted job(s) requeued",
-			journal.Path(), restored, requeued)
+		logf("state dir %s: %d finished job(s) restored, %d interrupted job(s) requeued",
+			*stateDir, restored, requeued)
 	}
 	srv := server.New(mgr, reg)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}

@@ -1,297 +1,181 @@
 package jobs
 
-// journal.go is the durability layer: an append-only NDJSON write-ahead log
-// of everything the Manager would need to rebuild its store after a crash.
-// Three record kinds flow through it — "spec" (a job was accepted), "state"
-// (a lifecycle transition, carrying timestamps, the attempt count, and the
-// marshaled result on completion), and "event" (one line of the job's
-// progress stream). State transitions are fsync'd before the manager
-// proceeds, so an acknowledged transition survives a power cut; progress
-// events are buffered and ride along with the next transition's sync (losing
-// a few trailing progress lines in a crash is harmless — they are
-// reconstructed by the re-run).
-//
-// The reader is deliberately tolerant: a torn final line (the write that was
-// in flight when the process died) ends replay quietly, and records of an
-// unknown kind are skipped so an old daemon can replay a newer journal.
-// Compaction filters the journal down to the records of still-live jobs,
-// preserving each surviving line byte-for-byte, and replaces the file
-// atomically (temp + fsync + rename).
+// journal.go is the durability layer: a state directory holding at most two
+// files per job. DIR/<id>.spec.json records that the job was admitted;
+// DIR/<id>.done.json records that it finished, with its result as the exact
+// bytes it was served with and its event history. Each file is written to a
+// temp file, fsync'd, renamed into place and made durable by an fsync of
+// DIR, so it is whole or absent. Files are named by job ID, not by the
+// spec's key: finished jobs do not dedup, so one key can name several jobs.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
+	"strconv"
+	"strings"
 	"time"
 )
 
-// Journal record kinds.
+// Suffixes of the two per-job state files.
 const (
-	recordSpec  = "spec"
-	recordState = "state"
-	recordEvent = "event"
+	specSuffix = ".spec.json"
+	doneSuffix = ".done.json"
 )
 
-// Record is one journal line. Kind selects which field groups are
-// meaningful; unknown kinds are preserved by compaction and skipped by
-// replay.
-type Record struct {
-	Kind string `json:"kind"`
-	ID   string `json:"id"`
-
-	// spec records.
-	Spec    *Spec     `json:"spec,omitempty"`
-	Key     string    `json:"key,omitempty"`
-	Created time.Time `json:"created,omitempty"`
-
-	// state records.
-	State   State           `json:"state,omitempty"`
-	At      time.Time       `json:"at,omitempty"`
-	Attempt int             `json:"attempt,omitempty"`
-	Error   string          `json:"error,omitempty"`
-	Result  json.RawMessage `json:"result,omitempty"`
-
-	// event records.
-	Event *Event `json:"event,omitempty"`
+// specRecord is the content of DIR/<id>.spec.json.
+type specRecord struct {
+	ID      string    `json:"id"`
+	Spec    Spec      `json:"spec"`
+	Created time.Time `json:"created"`
 }
 
-// Journal is the append handle over one journal file. Safe for concurrent
-// use; the Manager serializes its own appends under its mutex anyway.
+// doneRecord is the content of DIR/<id>.done.json: the part of a finished
+// job's view that its spec file does not hold, plus its event history.
+type doneRecord struct {
+	ID        string          `json:"id"`
+	State     State           `json:"state"`
+	Started   time.Time       `json:"started"`
+	Finished  time.Time       `json:"finished"`
+	Recovered bool            `json:"recovered,omitempty"`
+	Error     string          `json:"error,omitempty"`
+	Result    json.RawMessage `json:"result,omitempty"`
+	Events    []Event         `json:"events"`
+}
+
+// Journal is a job state directory. It holds no open file between writes.
 type Journal struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	w    *bufio.Writer
+	dir string
 }
 
-// journalName is the journal's filename inside a state directory.
-const journalName = "journal.ndjson"
-
-// JournalPath returns the journal file path for a state directory.
-func JournalPath(stateDir string) string {
-	return filepath.Join(stateDir, journalName)
-}
-
-// OpenJournal creates the state directory if needed and opens its journal
-// for appending.
+// OpenJournal creates the state directory if needed. A directory that still
+// holds the write-ahead log of an older daemon, journal.ndjson, is an error:
+// that format is not read, and starting without its jobs would drop them.
 func OpenJournal(stateDir string) (*Journal, error) {
 	if err := os.MkdirAll(stateDir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobs: state dir: %w", err)
 	}
-	path := JournalPath(stateDir)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: open journal: %w", err)
+	old := filepath.Join(stateDir, "journal.ndjson")
+	if _, err := os.Stat(old); err == nil {
+		return nil, fmt.Errorf("jobs: %s is a journal in a format no longer read; move it out of the state dir", old)
 	}
-	return &Journal{path: path, f: f, w: bufio.NewWriter(f)}, nil
+	return &Journal{dir: stateDir}, nil
 }
 
-// Append writes one record. When sync is set the record — and everything
-// buffered before it — is flushed and fsync'd before Append returns: the
-// write-ahead guarantee for state transitions.
-func (j *Journal) Append(rec Record, sync bool) error {
-	if j == nil {
-		return nil
-	}
-	line, err := json.Marshal(rec)
+// Close releases nothing: every write opens and closes its own files.
+func (j *Journal) Close() error { return nil }
+
+// write stores v as DIR/name: temp file, fsync, rename, fsync of DIR. The
+// file is durable when write returns.
+func (j *Journal) write(name string, v any) error {
+	b, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("jobs: journal marshal: %w", err)
+		return fmt.Errorf("jobs: marshal %s: %w", name, err)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("jobs: journal closed")
+	f, err := os.CreateTemp(j.dir, name+".tmp*")
+	if err != nil {
+		return fmt.Errorf("jobs: write %s: %w", name, err)
 	}
-	j.w.Write(line)
-	if err := j.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("jobs: journal append: %w", err)
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
 	}
-	if sync {
-		if err := j.w.Flush(); err != nil {
-			return fmt.Errorf("jobs: journal flush: %w", err)
-		}
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("jobs: journal fsync: %w", err)
-		}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), filepath.Join(j.dir, name))
+	}
+	if err == nil {
+		err = syncDir(j.dir)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("jobs: write %s: %w", name, err)
 	}
 	return nil
 }
 
-// Sync flushes buffered records to stable storage (one fsync covering every
-// append since the last).
-func (j *Journal) Sync() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("jobs: journal closed")
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("jobs: journal flush: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("jobs: journal fsync: %w", err)
-	}
-	return nil
-}
-
-// Close flushes and closes the journal file.
-func (j *Journal) Close() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	flushErr := j.w.Flush()
-	syncErr := j.f.Sync()
-	closeErr := j.f.Close()
-	j.f, j.w = nil, nil
-	for _, err := range []error{flushErr, syncErr, closeErr} {
-		if err != nil {
-			return fmt.Errorf("jobs: journal close: %w", err)
-		}
-	}
-	return nil
-}
-
-// maxRecordBytes bounds one journal line; figure-suite results are tens of
-// kilobytes, so 16 MiB leaves three orders of magnitude of headroom.
-const maxRecordBytes = 16 << 20
-
-// ReadJournal parses a journal file into records. A missing file is an
-// empty journal. Records of unknown kind are skipped (forward
-// compatibility); a line that fails to parse — the torn tail of a crashed
-// write — ends replay at that point and is reported via damaged so the
-// caller can schedule a compaction to drop it.
-func ReadJournal(path string) (recs []Record, damaged bool, err error) {
-	f, err := os.Open(path)
+// syncDir makes the renames into dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("jobs: read journal: %w", err)
+		return err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64<<10), maxRecordBytes)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
+	defer d.Close()
+	return d.Sync()
+}
+
+// remove deletes a finished job's files, spec first: a crash between the
+// two deletions leaves an orphan finish file, which load removes, never a
+// spec file that would requeue an expired job. DIR is not fsync'd; a
+// deletion lost in a crash is redone by the next restart's TTL check.
+func (j *Journal) remove(id string) error {
+	if err := os.Remove(filepath.Join(j.dir, id+specSuffix)); err != nil {
+		return err
+	}
+	return os.Remove(filepath.Join(j.dir, id+doneSuffix))
+}
+
+// load lists DIR once and returns the jobs it describes in ID order:
+// finished ones with their stored views and histories, unfinished ones in
+// no state yet. maxID is the highest job number that names a spec file, bad
+// ones included, so a new job never takes the name of a file still there.
+// load removes temp files left by an interrupted write and finish files
+// whose spec file is gone (an eviction cut short). A state file that fails
+// to parse, names another job, or holds an invalid spec or a non-terminal
+// state is skipped and counted in bad; a job whose finish file is bad loads
+// as unfinished, and a directory that cannot be listed counts as one bad
+// file. Files of any other name are left alone.
+func (j *Journal) load() (jobs []*job, maxID, bad int) {
+	entries, err := os.ReadDir(j.dir)
+	if err != nil {
+		return nil, 0, 1
+	}
+	present := map[string]bool{}
+	for _, e := range entries {
+		present[e.Name()] = true
+	}
+	// ReadDir sorts by name, and job IDs are zero-padded: ID order.
+	for _, e := range entries {
+		id, isSpec := strings.CutSuffix(e.Name(), specSuffix)
+		if !isSpec {
+			id, isDone := strings.CutSuffix(e.Name(), doneSuffix)
+			if strings.Contains(e.Name(), ".tmp") || isDone && !present[id+specSuffix] {
+				os.Remove(filepath.Join(j.dir, e.Name()))
+			}
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return recs, true, nil
+		n, err := strconv.Atoi(strings.TrimPrefix(id, "j-"))
+		if err == nil {
+			maxID = max(maxID, n)
 		}
-		switch rec.Kind {
-		case recordSpec, recordState, recordEvent:
-			recs = append(recs, rec)
+		var sr specRecord
+		if err != nil || !readJSON(filepath.Join(j.dir, e.Name()), &sr) || sr.ID != id || sr.Spec.Validate() != nil {
+			bad++
+			continue
+		}
+		jb := &job{id: id, spec: sr.Spec, key: sr.Spec.Key(), created: sr.Created, subs: map[chan Event]struct{}{}}
+		var d doneRecord
+		switch {
+		case !present[id+doneSuffix]:
+		case readJSON(filepath.Join(j.dir, id+doneSuffix), &d) && d.ID == id && d.State.Terminal():
+			jb.state, jb.started, jb.finished = d.State, d.Started, d.Finished
+			jb.recovered, jb.errMsg, jb.events = d.Recovered, d.Error, d.Events
+			if d.Result != nil {
+				jb.result = d.Result
+			}
 		default:
-			// Newer daemons may journal kinds this one does not know;
-			// ignore them rather than refusing to start.
+			bad++
 		}
+		jobs = append(jobs, jb)
 	}
-	if sc.Err() != nil {
-		// An overlong or unterminated tail: same treatment as a torn line.
-		return recs, true, nil
-	}
-	return recs, damaged, nil
+	return jobs, maxID, bad
 }
 
-// CompactKeep rewrites the journal keeping only the lines whose record ID is
-// in keep, byte-for-byte. Unparseable lines (including a torn tail) are
-// dropped. The rewrite is atomic: temp file, fsync, rename, then the append
-// handle is reopened on the new file.
-func (j *Journal) CompactKeep(keep map[string]bool) error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("jobs: journal closed")
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("jobs: compact flush: %w", err)
-	}
-
-	src, err := os.Open(j.path)
-	if err != nil {
-		return fmt.Errorf("jobs: compact read: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), journalName+".tmp*")
-	if err != nil {
-		src.Close()
-		return fmt.Errorf("jobs: compact temp: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 64<<10), maxRecordBytes)
-	var scanErr error
-	for sc.Scan() {
-		line := sc.Bytes()
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) == 0 {
-			continue
-		}
-		var probe struct {
-			ID string `json:"id"`
-		}
-		if json.Unmarshal(trimmed, &probe) != nil || !keep[probe.ID] {
-			continue
-		}
-		w.Write(line)
-		if err := w.WriteByte('\n'); err != nil {
-			scanErr = err
-			break
-		}
-	}
-	src.Close()
-	if scanErr == nil {
-		scanErr = sc.Err()
-	}
-	if scanErr == nil {
-		scanErr = w.Flush()
-	}
-	if scanErr == nil {
-		scanErr = tmp.Sync()
-	}
-	if err := tmp.Close(); scanErr == nil {
-		scanErr = err
-	}
-	if scanErr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: compact write: %w", scanErr)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: compact rename: %w", err)
-	}
-
-	// Swap the append handle onto the compacted file.
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobs: compact reopen: %w", err)
-	}
-	j.f.Close()
-	j.f = f
-	j.w = bufio.NewWriter(f)
-	return nil
-}
-
-// Path returns the journal's file path (tests and logs).
-func (j *Journal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.path
+// readJSON decodes the file at path into v, reporting success.
+func readJSON(path string, v any) bool {
+	b, err := os.ReadFile(path)
+	return err == nil && json.Unmarshal(b, v) == nil
 }

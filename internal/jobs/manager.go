@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -15,8 +13,8 @@ import (
 )
 
 // State is a job's lifecycle position: queued → running → done | failed |
-// cancelled. A job interrupted by a daemon crash returns to queued on
-// journal replay.
+// cancelled. A job interrupted by a daemon crash returns to queued when the
+// next daemon restores its state directory.
 type State string
 
 const (
@@ -47,7 +45,7 @@ func ParseState(s string) (State, error) {
 const (
 	EventState    = "state"
 	EventProgress = "progress"
-	// EventRecovered marks a job re-enqueued by journal replay after a
+	// EventRecovered marks a job re-enqueued from its spec file after a
 	// daemon restart.
 	EventRecovered = "recovered"
 )
@@ -60,8 +58,6 @@ type Event struct {
 	// State transition fields.
 	State State  `json:"state,omitempty"`
 	Error string `json:"error,omitempty"`
-	// Attempt numbers the run a state or recovery event belongs to.
-	Attempt int `json:"attempt,omitempty"`
 	// Progress fields (one Algorithm-1 iteration).
 	Benchmark string `json:"benchmark,omitempty"`
 	// Phase attributes the iteration to a sub-run of the benchmark — a
@@ -102,12 +98,12 @@ type Options struct {
 	Now func() time.Time
 	// Registry, when set, receives the manager's metrics.
 	Registry *obs.Registry
-	// Journal, when non-nil, makes the manager durable: accepted specs,
-	// state transitions, and events are written ahead (transitions fsync'd)
-	// and replayed on the next New over the same journal — finished jobs
-	// come back with their results byte-identical, queued and running jobs
-	// are re-enqueued. The caller keeps ownership and closes it after
-	// Close/Drain.
+	// Journal, when non-nil, makes the manager durable: each admitted job's
+	// spec and each finished job's view and history are written to the
+	// state directory before they are acknowledged, and the next New over
+	// the same directory restores them — finished jobs come back with their
+	// results byte-identical, unfinished jobs are re-enqueued. The caller
+	// keeps ownership and closes it after Close/Drain.
 	Journal *Journal
 	// Deprecated: ignored; jobs are never retried (the flow is deterministic).
 	Retry RetryPolicy
@@ -137,9 +133,7 @@ type job struct {
 	// cancelRequested distinguishes a user cancellation from a failure
 	// that happens to wrap context.Canceled.
 	cancelRequested bool
-	// attempt counts run attempts started (1 on the first run).
-	attempt int
-	// recovered marks a job re-enqueued by journal replay.
+	// recovered marks a job re-enqueued from its spec file at restart.
 	recovered                  bool
 	created, started, finished time.Time
 	result                     any
@@ -156,9 +150,7 @@ type View struct {
 	Created  time.Time  `json:"created"`
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
-	// Attempts counts run attempts started so far (absent before the first).
-	Attempts int `json:"attempts,omitempty"`
-	// Recovered marks a job that survived a daemon restart via the journal.
+	// Recovered marks a job that was re-enqueued after a daemon restart.
 	Recovered bool   `json:"recovered,omitempty"`
 	Result    any    `json:"result,omitempty"`
 	Error     string `json:"error,omitempty"`
@@ -171,7 +163,6 @@ type metrics struct {
 	recovered, restored          *obs.Counter
 	journalRecords               *obs.Counter
 	journalErrors                *obs.Counter
-	journalCompactions           *obs.Counter
 	queuedGauge, runningGauge    *obs.Gauge
 	duration                     *obs.Histogram
 	// registry backs the per-kind submission counter (byKind); labelled
@@ -196,21 +187,20 @@ func newMetrics(r *obs.Registry) *metrics {
 		r = obs.NewRegistry() // throwaway: instruments still work, nothing scrapes them
 	}
 	return &metrics{
-		registry:           r,
-		byKind:             map[Kind]*obs.Counter{},
-		submitted:          r.Counter("tafpgad_jobs_submitted_total", "Jobs accepted by POST /v1/jobs (deduped submissions included)."),
-		deduped:            r.Counter("tafpgad_jobs_deduped_total", "Submissions coalesced onto an already queued or running identical job."),
-		completed:          r.Counter("tafpgad_jobs_completed_total", "Jobs that finished successfully."),
-		failed:             r.Counter("tafpgad_jobs_failed_total", "Jobs that finished with an error."),
-		cancelled:          r.Counter("tafpgad_jobs_cancelled_total", "Jobs cancelled before completion."),
-		recovered:          r.Counter("tafpgad_jobs_recovered_total", "Interrupted jobs re-enqueued by journal replay at startup."),
-		restored:           r.Counter("tafpgad_jobs_restored_total", "Finished jobs restored (with results) by journal replay at startup."),
-		journalRecords:     r.Counter("tafpgad_journal_records_total", "Records appended to the write-ahead journal."),
-		journalErrors:      r.Counter("tafpgad_journal_errors_total", "Journal appends or compactions that failed (durability degraded)."),
-		journalCompactions: r.Counter("tafpgad_journal_compactions_total", "Journal compactions (TTL eviction and startup cleanup)."),
-		queuedGauge:        r.Gauge("tafpgad_jobs_queued", "Jobs waiting in the FIFO queue."),
-		runningGauge:       r.Gauge("tafpgad_jobs_running", "Jobs currently executing."),
-		duration:           r.Histogram("tafpgad_job_duration_seconds", "Wall time of finished jobs, start to finish.", nil),
+		registry:       r,
+		byKind:         map[Kind]*obs.Counter{},
+		submitted:      r.Counter("tafpgad_jobs_submitted_total", "Jobs accepted by POST /v1/jobs (deduped submissions included)."),
+		deduped:        r.Counter("tafpgad_jobs_deduped_total", "Submissions coalesced onto an already queued or running identical job."),
+		completed:      r.Counter("tafpgad_jobs_completed_total", "Jobs that finished successfully."),
+		failed:         r.Counter("tafpgad_jobs_failed_total", "Jobs that finished with an error."),
+		cancelled:      r.Counter("tafpgad_jobs_cancelled_total", "Jobs cancelled before completion."),
+		recovered:      r.Counter("tafpgad_jobs_recovered_total", "Unfinished jobs re-enqueued from the state dir at startup."),
+		restored:       r.Counter("tafpgad_jobs_restored_total", "Finished jobs restored (with results) from the state dir at startup."),
+		journalRecords: r.Counter("tafpgad_journal_records_total", "Job state files written to the state dir."),
+		journalErrors:  r.Counter("tafpgad_journal_errors_total", "State-dir writes, deletions or listings that failed and state files that did not parse (durability degraded)."),
+		queuedGauge:    r.Gauge("tafpgad_jobs_queued", "Jobs waiting in the FIFO queue."),
+		runningGauge:   r.Gauge("tafpgad_jobs_running", "Jobs currently executing."),
+		duration:       r.Histogram("tafpgad_job_duration_seconds", "Wall time of finished jobs, start to finish.", nil),
 	}
 }
 
@@ -243,8 +233,8 @@ type Manager struct {
 }
 
 // New starts a manager with its worker pool. When Options.Journal is set,
-// the journal is replayed first: finished jobs are restored with their
-// results, interrupted jobs are re-enqueued ahead of new traffic.
+// its state directory is restored first: finished jobs come back with their
+// results, unfinished jobs are re-enqueued ahead of new traffic.
 func New(run RunFunc, o Options) *Manager {
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -274,7 +264,7 @@ func New(run RunFunc, o Options) *Manager {
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if m.journal != nil {
-		m.replayJournal()
+		m.restore()
 	}
 	m.wg.Add(o.Workers)
 	for i := 0; i < o.Workers; i++ {
@@ -283,8 +273,8 @@ func New(run RunFunc, o Options) *Manager {
 	return m
 }
 
-// RecoveryStats reports what journal replay rebuilt: finished jobs restored
-// with results, and interrupted jobs re-enqueued.
+// RecoveryStats reports what the restore at New rebuilt: finished jobs
+// restored with results, and unfinished jobs re-enqueued.
 func (m *Manager) RecoveryStats() (restored, requeued int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -331,9 +321,8 @@ func (m *Manager) Submit(spec Spec) (View, bool, error) {
 	m.m.submitted.Inc()
 	m.m.submittedKind(spec.Kind)
 	m.m.queuedGauge.Set(float64(len(m.queue)))
-	m.journalAppend(Record{Kind: recordSpec, ID: j.id, Spec: &spec, Key: key, Created: j.created}, false)
+	m.persist(j.id+specSuffix, specRecord{ID: j.id, Spec: spec, Created: j.created})
 	m.emitLocked(j, Event{Type: EventState, State: StateQueued})
-	m.journalStateLocked(j, "", nil, true)
 	m.cond.Signal()
 	return m.viewLocked(j), false, nil
 }
@@ -348,10 +337,6 @@ func (m *Manager) Get(id string) (View, bool) {
 	}
 	return m.viewLocked(j), true
 }
-
-// List returns every stored job (running, queued, and unevicted finished),
-// oldest first, without results.
-func (m *Manager) List() []View { return m.ListState("") }
 
 // ListState returns the stored jobs in one lifecycle state (all states
 // when s is empty), oldest first, without results. Operators and load
@@ -502,12 +487,10 @@ func (m *Manager) worker() {
 		jctx, cancel := context.WithCancel(m.baseCtx)
 		j.cancel = cancel
 		j.state = StateRunning
-		j.attempt++
 		j.started = m.now()
 		m.running++
 		m.m.runningGauge.Set(float64(m.running))
-		m.emitLocked(j, Event{Type: EventState, State: StateRunning, Attempt: j.attempt})
-		m.journalStateLocked(j, "", nil, true)
+		m.emitLocked(j, Event{Type: EventState, State: StateRunning})
 		m.mu.Unlock()
 
 		emit := func(e Event) {
@@ -537,8 +520,8 @@ func (m *Manager) worker() {
 }
 
 // finishLocked moves a job to a terminal state: records the outcome, drops
-// the dedup slot, updates metrics, emits the final event, journals the
-// transition (with the marshaled result, so replay serves it byte-identical
+// the dedup slot, updates metrics, emits the final event, writes the finish
+// file (with the marshaled result, so a restart serves it byte-identical
 // without recompute), and closes every subscriber. Caller holds m.mu.
 func (m *Manager) finishLocked(j *job, s State, result any, errMsg string) {
 	j.state = s
@@ -561,30 +544,30 @@ func (m *Manager) finishLocked(j *job, s State, result any, errMsg string) {
 	}
 	m.m.duration.Observe(j.finished.Sub(j.started).Seconds())
 	m.emitLocked(j, Event{Type: EventState, State: s, Error: errMsg})
-	var raw json.RawMessage
-	if result != nil {
-		if b, err := json.Marshal(result); err == nil {
-			raw = b
+	if m.journal != nil {
+		rec := doneRecord{
+			ID: j.id, State: s, Started: j.started, Finished: j.finished,
+			Recovered: j.recovered, Error: errMsg, Events: j.events,
 		}
+		if result != nil {
+			// A result that does not marshal is stored as none.
+			rec.Result, _ = json.Marshal(result)
+		}
+		m.persist(j.id+doneSuffix, rec)
 	}
-	m.journalStateLocked(j, errMsg, raw, true)
 	for ch := range j.subs {
 		close(ch)
 		delete(j.subs, ch)
 	}
 }
 
-// emitLocked appends an event to the job's history, journals it, and fans
-// it out to subscribers. A subscriber that cannot keep up (full channel)
-// loses the event from its stream but never blocks the worker; the history
-// keeps everything. Caller holds m.mu.
+// emitLocked appends an event to the job's history and fans it out to
+// subscribers. A subscriber that cannot keep up (full channel) loses the
+// event from its stream but never blocks the worker; the history keeps
+// everything. Caller holds m.mu.
 func (m *Manager) emitLocked(j *job, e Event) {
 	e.Seq = len(j.events) + 1
 	j.events = append(j.events, e)
-	if m.journal != nil {
-		ev := e
-		m.journalAppend(Record{Kind: recordEvent, ID: j.id, Event: &ev}, false)
-	}
 	for ch := range j.subs {
 		select {
 		case ch <- e:
@@ -593,48 +576,26 @@ func (m *Manager) emitLocked(j *job, e Event) {
 	}
 }
 
-// journalAppend writes one record, counting failures instead of surfacing
-// them: the journal is the durability layer, not the serving path, and a
+// persist writes one state file, counting failures instead of surfacing
+// them: the state dir is the durability layer, not the serving path, and a
 // full disk must degrade recovery, not take the API down.
-func (m *Manager) journalAppend(rec Record, sync bool) {
+func (m *Manager) persist(name string, v any) {
 	if m.journal == nil {
 		return
 	}
-	if err := m.journal.Append(rec, sync); err != nil {
+	if err := m.journal.write(name, v); err != nil {
 		m.m.journalErrors.Inc()
 		return
 	}
 	m.m.journalRecords.Inc()
 }
 
-// journalStateLocked appends (and fsyncs, when sync) the job's current
-// state as a transition record. Caller holds m.mu.
-func (m *Manager) journalStateLocked(j *job, errMsg string, result json.RawMessage, sync bool) {
-	if m.journal == nil {
-		return
-	}
-	rec := Record{
-		Kind: recordState, ID: j.id, State: j.state,
-		Attempt: j.attempt, Error: errMsg, Result: result,
-	}
-	switch {
-	case j.state.Terminal():
-		rec.At = j.finished
-	case j.state == StateRunning:
-		rec.At = j.started
-	default:
-		rec.At = m.now()
-	}
-	m.journalAppend(rec, sync)
-}
-
 // evictExpiredLocked drops finished jobs older than the TTL, closing any
 // subscriber channel still attached so no NDJSON stream hangs on an evicted
-// job, and compacts the journal when anything was dropped. Caller holds
-// m.mu.
-func (m *Manager) evictExpiredLocked() {
+// job, and deletes their state files. It returns how many it dropped.
+// Caller holds m.mu.
+func (m *Manager) evictExpiredLocked() (evicted int) {
 	cutoff := m.now().Add(-m.ttl)
-	evicted := 0
 	for id, j := range m.jobs {
 		if j.state.Terminal() && j.finished.Before(cutoff) {
 			for ch := range j.subs {
@@ -643,28 +604,12 @@ func (m *Manager) evictExpiredLocked() {
 			}
 			delete(m.jobs, id)
 			evicted++
+			if m.journal != nil && m.journal.remove(id) != nil {
+				m.m.journalErrors.Inc()
+			}
 		}
 	}
-	if evicted > 0 {
-		m.compactJournalLocked()
-	}
-}
-
-// compactJournalLocked rewrites the journal down to the records of jobs
-// still in the store. Caller holds m.mu.
-func (m *Manager) compactJournalLocked() {
-	if m.journal == nil {
-		return
-	}
-	keep := make(map[string]bool, len(m.jobs))
-	for id := range m.jobs {
-		keep[id] = true
-	}
-	if err := m.journal.CompactKeep(keep); err != nil {
-		m.m.journalErrors.Inc()
-		return
-	}
-	m.m.journalCompactions.Inc()
+	return evicted
 }
 
 // EvictExpired runs a TTL sweep immediately (the server's janitor; Submit
@@ -675,109 +620,38 @@ func (m *Manager) EvictExpired() {
 	m.evictExpiredLocked()
 }
 
-// replayJournal rebuilds the store from the write-ahead journal: terminal
-// jobs come back with their marshaled results (served without recompute),
-// queued and running jobs are re-enqueued — a job killed mid-run restarts
-// from its journaled spec, and the content-keyed flow cache makes the re-run
-// cheap. Runs before the workers start, so no locking is needed.
-func (m *Manager) replayJournal() {
-	recs, damaged, err := ReadJournal(m.journal.Path())
-	if err != nil {
-		m.m.journalErrors.Inc()
-		return
-	}
-	for _, rec := range recs {
-		switch rec.Kind {
-		case recordSpec:
-			if rec.Spec == nil || rec.ID == "" {
-				continue
-			}
-			if _, ok := m.jobs[rec.ID]; ok {
-				continue
-			}
-			m.jobs[rec.ID] = &job{
-				id: rec.ID, spec: *rec.Spec, key: rec.Spec.Key(),
-				state: StateQueued, created: rec.Created,
-				subs: map[chan Event]struct{}{},
-			}
-			if n, err := strconv.Atoi(strings.TrimPrefix(rec.ID, "j-")); err == nil && n > m.nextID {
-				m.nextID = n
-			}
-		case recordState:
-			j, ok := m.jobs[rec.ID]
-			if !ok {
-				continue
-			}
-			j.state = rec.State
-			if rec.Attempt > 0 {
-				j.attempt = rec.Attempt
-			}
-			switch {
-			case rec.State == StateRunning:
-				j.started = rec.At
-			case rec.State.Terminal():
-				j.finished = rec.At
-				j.errMsg = rec.Error
-				if rec.Result != nil {
-					j.result = rec.Result
-				}
-			}
-		case recordEvent:
-			if j, ok := m.jobs[rec.ID]; ok && rec.Event != nil {
-				j.events = append(j.events, *rec.Event)
-			}
-		}
-	}
-
-	// TTL-expired terminal jobs are not worth restoring.
-	cutoff := m.now().Add(-m.ttl)
-	evicted := 0
-	for id, j := range m.jobs {
-		if j.state.Terminal() && j.finished.Before(cutoff) {
-			delete(m.jobs, id)
-			evicted++
-		}
-	}
-
-	// Re-enqueue interrupted jobs in creation order.
-	var pending []*job
-	for _, j := range m.jobs {
+// restore rebuilds the store from the state directory: finished jobs come
+// back with their views and histories (results as the bytes they were
+// served with), TTL-expired ones are deleted, and unfinished jobs re-enter
+// the queue in ID order — the content-keyed flow cache makes the re-run
+// cheap. Runs before the workers start.
+func (m *Manager) restore() {
+	loaded, maxID, bad := m.journal.load()
+	m.m.journalErrors.Add(float64(bad))
+	m.nextID = maxID
+	for _, j := range loaded {
+		m.jobs[j.id] = j
 		if j.state.Terminal() {
 			m.restored++
 			continue
 		}
-		pending = append(pending, j)
-	}
-	sort.Slice(pending, func(a, b int) bool { return pending[a].id < pending[b].id })
-	m.m.restored.Add(float64(m.restored))
-
-	// Drop the torn tail and evicted jobs before appending recovery records.
-	if damaged || evicted > 0 {
-		m.compactJournalLocked()
-	}
-	for _, j := range pending {
 		j.recovered = true
-		j.state = StateQueued
-		if _, ok := m.byKey[j.key]; ok {
-			// Two interrupted jobs with one key cannot both run (the dedup
+		if _, dup := m.byKey[j.key]; dup {
+			// Two unfinished jobs with one key cannot both run (the dedup
 			// invariant); keep the older, fail the newer.
 			m.finishLocked(j, StateFailed, nil, "duplicate of a recovered job")
 			continue
 		}
+		j.state = StateQueued
 		m.byKey[j.key] = j
 		m.queue = append(m.queue, j)
 		m.requeued++
-		m.m.recovered.Inc()
-		m.emitLocked(j, Event{Type: EventRecovered, Attempt: j.attempt})
 		m.emitLocked(j, Event{Type: EventState, State: StateQueued})
-		m.journalStateLocked(j, "", nil, false)
+		m.emitLocked(j, Event{Type: EventRecovered})
 	}
-	if len(pending) > 0 {
-		// One fsync covers every recovery record appended above.
-		if err := m.journal.Sync(); err != nil {
-			m.m.journalErrors.Inc()
-		}
-	}
+	m.restored -= m.evictExpiredLocked()
+	m.m.restored.Add(float64(m.restored))
+	m.m.recovered.Add(float64(m.requeued))
 	m.m.queuedGauge.Set(float64(len(m.queue)))
 }
 
@@ -785,8 +659,7 @@ func (m *Manager) replayJournal() {
 func (m *Manager) viewLocked(j *job) View {
 	v := View{
 		ID: j.id, Spec: j.spec, State: j.state, Created: j.created,
-		Attempts: j.attempt, Recovered: j.recovered,
-		Result: j.result, Error: j.errMsg,
+		Recovered: j.recovered, Result: j.result, Error: j.errMsg,
 	}
 	if !j.started.IsZero() {
 		t := j.started

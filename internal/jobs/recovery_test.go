@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,10 +112,10 @@ func TestRecoveryRequeuesInterruptedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash: no Drain, no graceful finish — the journal is all
-	// that survives. (Close would journal cancellations; a SIGKILL does
-	// not, so bypass it and just abandon the manager's goroutines.)
-	m1.journal.Sync()
+	// Simulate the crash: no Drain, no graceful finish — the spec files are
+	// all that survives. (Close would write cancelled finish files; a
+	// SIGKILL does not, so bypass it and just abandon the manager's
+	// goroutines.)
 
 	m2 := New(func(ctx context.Context, spec Spec, emit func(Event)) (any, error) {
 		runs.Add(1)
@@ -133,8 +135,10 @@ func TestRecoveryRequeuesInterruptedJobs(t *testing.T) {
 			t.Fatalf("job %s result = %v", id, v.Result)
 		}
 	}
-	// Unblock the abandoned first manager so its goroutines exit.
+	// Unblock the abandoned first manager and wait for its goroutines, so
+	// its late finish files land before the state dir is removed.
 	close(block)
+	m1.Close()
 
 	// The recovered jobs' histories carry the recovery marker.
 	history, _, cancel, err := m2.Subscribe(vRun.ID)
@@ -154,7 +158,8 @@ func TestRecoveryRequeuesInterruptedJobs(t *testing.T) {
 }
 
 // TestRecoveryEvictsExpiredAndCompacts: terminal jobs past the TTL at
-// restart are not restored, and the journal compacts down to nothing.
+// restart are not restored, both of their state files are deleted, and new
+// IDs continue past theirs.
 func TestRecoveryEvictsExpiredAndCompacts(t *testing.T) {
 	dir := t.TempDir()
 	clock := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
@@ -166,9 +171,12 @@ func TestRecoveryEvictsExpiredAndCompacts(t *testing.T) {
 	waitState(t, m1, v1.ID, StateDone)
 	waitState(t, m1, v2.ID, StateDone)
 	m1.Close()
+	if names := dirNames(t, dir); len(names) != 4 {
+		t.Fatalf("before restart the state dir holds %v, want two spec and two finish files", names)
+	}
 
 	// Restart two hours later: both results are past TTL; neither comes
-	// back, and the journal compacts down to nothing.
+	// back, and their files are gone.
 	clock = clock.Add(2 * time.Hour)
 	m2 := New(stubRun(&atomic.Int64{}, nil), Options{TTL: time.Minute, Now: now, Journal: newJournal(t, dir)})
 	defer m2.Close()
@@ -178,14 +186,10 @@ func TestRecoveryEvictsExpiredAndCompacts(t *testing.T) {
 	if _, ok := m2.Get(v1.ID); ok {
 		t.Fatal("expired job must not be restored")
 	}
-	data, err := os.ReadFile(JournalPath(dir))
-	if err != nil {
-		t.Fatal(err)
+	if names := dirNames(t, dir); len(names) != 0 {
+		t.Fatalf("expired jobs' files not deleted: %v", names)
 	}
-	if len(bytes.TrimSpace(data)) != 0 {
-		t.Fatalf("journal not compacted after expiry:\n%s", data)
-	}
-	// New ids continue past the replayed sequence — no id reuse.
+	// New ids continue past the restored sequence — no id reuse.
 	v3, _, err := m2.Submit(validSpec(3))
 	if err != nil {
 		t.Fatal(err)
@@ -195,44 +199,61 @@ func TestRecoveryEvictsExpiredAndCompacts(t *testing.T) {
 	}
 }
 
-// TestRecoveryTornTailCompacted: a journal with a torn final record replays
-// what survived and is compacted clean at startup.
-func TestRecoveryTornTailCompacted(t *testing.T) {
+// TestEvictionPreservesKeptBytes: TTL eviction deletes the expired job's two
+// files and leaves the surviving job's files byte-for-byte.
+func TestEvictionPreservesKeptBytes(t *testing.T) {
+	dir := t.TempDir()
+	clock := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
+	now := func() time.Time { return clock }
+	m := New(stubRun(&atomic.Int64{}, nil), Options{TTL: time.Minute, Now: now, Journal: newJournal(t, dir)})
+	defer m.Close()
+	v1, _, _ := m.Submit(validSpec(1))
+	waitState(t, m, v1.ID, StateDone)
+	clock = clock.Add(50 * time.Second)
+	v2, _, _ := m.Submit(validSpec(2))
+	waitState(t, m, v2.ID, StateDone)
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	keptSpec, keptDone := read(v2.ID+specSuffix), read(v2.ID+doneSuffix)
+
+	clock = clock.Add(30 * time.Second) // v1 is now past the TTL, v2 is not
+	m.EvictExpired()
+	if _, ok := m.Get(v1.ID); ok {
+		t.Fatal("expired job still served")
+	}
+	if names := dirNames(t, dir); len(names) != 2 {
+		t.Fatalf("state dir after eviction holds %v, want only %s's two files", names, v2.ID)
+	}
+	if !bytes.Equal(read(v2.ID+specSuffix), keptSpec) || !bytes.Equal(read(v2.ID+doneSuffix), keptDone) {
+		t.Fatal("eviction changed the surviving job's files")
+	}
+}
+
+// TestRecoverySweepsTornWrites: a crash mid-write leaves only a temp file,
+// never a partial state file. Restart removes it and creates no job from it.
+func TestRecoverySweepsTornWrites(t *testing.T) {
 	dir := t.TempDir()
 	m1 := New(stubRun(&atomic.Int64{}, nil), Options{Journal: newJournal(t, dir)})
 	v, _, _ := m1.Submit(validSpec(1))
 	waitState(t, m1, v.ID, StateDone)
 	m1.Close()
-	appendLines(t, JournalPath(dir), `{"kind":"state","id":"j-0000`) // torn tail
+	writeFile(t, dir, "j-000002.spec.json.tmp4242", `{"id":"j-000002","spec":{"kind":"guardband","benchmark":"sha","ambient_c":25}}`)
 
 	m2 := New(stubRun(&atomic.Int64{}, nil), Options{Journal: newJournal(t, dir)})
 	defer m2.Close()
-	if _, ok := m2.Get(v.ID); !ok {
-		t.Fatal("job before the tear must be restored")
+	if restored, requeued := m2.RecoveryStats(); restored != 1 || requeued != 0 {
+		t.Fatalf("recovery stats = (%d, %d), want (1, 0)", restored, requeued)
 	}
-	recs, damaged, err := ReadJournal(JournalPath(dir))
-	if err != nil || damaged {
-		t.Fatalf("startup did not compact the tear: damaged=%t err=%v (%d recs)", damaged, err, len(recs))
+	if got := m2.ListState(""); len(got) != 1 || got[0].ID != v.ID {
+		t.Fatalf("restored jobs = %+v, want only %s", got, v.ID)
 	}
-}
-
-// TestJournalPersistsAttemptCounts: a job killed mid-run resumes with its
-// attempt count, so recovery re-runs are counted, not reset.
-func TestJournalPersistsAttemptCounts(t *testing.T) {
-	dir := t.TempDir()
-	block := make(chan struct{})
-	defer close(block)
-	m1 := New(stubRun(&atomic.Int64{}, block), Options{Journal: newJournal(t, dir)})
-	v, _, _ := m1.Submit(validSpec(1))
-	waitState(t, m1, v.ID, StateRunning)
-	m1.journal.Sync() // crash here: attempt 1 journaled, m1 abandoned
-
-	m2 := New(stubRun(&atomic.Int64{}, block), Options{Journal: newJournal(t, dir)})
-	defer m2.Close()
-	// The requeued job starts its next attempt as number 2: the journaled
-	// attempt count carried over the restart.
-	got := waitState(t, m2, v.ID, StateRunning)
-	if got.Attempts != 2 || !got.Recovered {
-		t.Fatalf("replayed job = %+v, want attempts=2 recovered", got)
+	want := []string{v.ID + doneSuffix, v.ID + specSuffix}
+	if names := dirNames(t, dir); strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("state dir holds %v, want %v", names, want)
 	}
 }

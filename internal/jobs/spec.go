@@ -179,7 +179,7 @@ func (s Spec) Key() string {
 
 // unsigned drops the sign of a zero in a scalar the key renders: -0
 // computes what 0 does, and JSON omits a zero scalar (omitempty), so a
-// signed zero would change a spec's key across the journal's round trip.
+// signed zero would change a spec's key across its spec file's round trip.
 func unsigned(v float64) float64 {
 	if v == 0 {
 		return 0

@@ -3,7 +3,7 @@ package jobs
 // spec_test.go fuzzes the job-spec trust boundary: whatever JSON a client
 // posts, decoding and admission must not panic, an accepted spec may only
 // carry ambients the guardband accepts, and its dedup key must survive the
-// JSON round trip the journal puts it through.
+// JSON round trip its spec file in the state dir puts it through.
 
 import (
 	"encoding/json"

@@ -46,9 +46,10 @@ func WeakestLeakFactor(f *Flavor, width float64, cells int) float64 {
 	if cells <= 1 {
 		return 1
 	}
-	// The ΔVth→leakage exponent uses the reference thermal voltage, matching
-	// LeakWithDVth: the weak cell is a fixed multiple of the nominal one and
-	// both follow the fitted KLeak over temperature.
+	// The ΔVth→leakage exponent uses the reference thermal voltage: KLeak
+	// already carries the temperature behavior, so the weak cell is a
+	// temperature-independent multiple of the nominal one (a first-order
+	// match to measured weak-cell data).
 	sigmaStar := VthSigmaFor(width) / (f.SubSlope * thermalVoltage(T0))
 	return lognormalMaxMean(sigmaStar, cells)
 }

@@ -128,17 +128,6 @@ func (f *Flavor) Leak(width, tempC float64) float64 {
 	return f.I0 * width * math.Exp(f.KLeak*(tempC-T0))
 }
 
-// LeakWithDVth is Leak for a device whose threshold deviates from nominal by
-// dVth volts (negative dVth leaks more). The ΔVth→leakage translation uses
-// the reference thermal voltage: the fitted per-device KLeak already carries
-// the full temperature behavior, so a variation-affected cell is modeled as
-// a temperature-independent multiple of the nominal one (first-order match
-// to measured weak-cell data). Used by the BRAM weakest-cell analysis.
-func (f *Flavor) LeakWithDVth(width, tempC, dVth float64) float64 {
-	vt := thermalVoltage(T0)
-	return f.Leak(width, tempC) * math.Exp(-dVth/(f.SubSlope*vt))
-}
-
 // Area returns the layout area in µm² of a device of width µm.
 func (f *Flavor) Area(width float64) float64 { return f.AreaPerUm * width }
 

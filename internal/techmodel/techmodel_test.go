@@ -95,12 +95,12 @@ func TestLeakWithDVth(t *testing.T) {
 	k := Default22nm()
 	f := &k.SRAM
 	nom := f.Leak(0.15, 25)
-	lo := f.LeakWithDVth(0.15, 25, +0.05) // higher Vth leaks less
-	hi := f.LeakWithDVth(0.15, 25, -0.05)
+	lo := leakWithDVth(f, 0.15, 25, +0.05) // higher Vth leaks less
+	hi := leakWithDVth(f, 0.15, 25, -0.05)
 	if !(lo < nom && nom < hi) {
 		t.Fatalf("ΔVth ordering violated: %g, %g, %g", lo, nom, hi)
 	}
-	if f.LeakWithDVth(0.15, 25, 0) != nom {
+	if leakWithDVth(f, 0.15, 25, 0) != nom {
 		t.Fatal("zero ΔVth must be nominal")
 	}
 }
@@ -163,6 +163,13 @@ func TestPelgromScaling(t *testing.T) {
 	}
 }
 
+// leakWithDVth is Leak for a device whose threshold deviates from nominal by
+// dVth volts (negative dVth leaks more), using the same reference thermal
+// voltage as WeakestLeakFactor: the sampled counterpart of that closed form.
+func leakWithDVth(f *Flavor, width, tempC, dVth float64) float64 {
+	return f.Leak(width, tempC) * math.Exp(-dVth/(f.SubSlope*thermalVoltage(T0)))
+}
+
 // weakestCellLeak runs a Monte-Carlo over per-cell Vth variation and returns
 // the leakage power in µW of the weakest (leakiest) SRAM cell among `cells`
 // samples at temperature tempC. It is the sampled counterpart of the closed
@@ -175,7 +182,7 @@ func weakestCellLeak(f *Flavor, width, tempC float64, cells int, rng *rand.Rand)
 	worst := 0.0
 	for i := 0; i < cells; i++ {
 		dv := rng.NormFloat64() * sigma
-		if l := f.LeakWithDVth(width, tempC, dv); l > worst {
+		if l := leakWithDVth(f, width, tempC, dv); l > worst {
 			worst = l
 		}
 	}

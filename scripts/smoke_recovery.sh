@@ -6,10 +6,14 @@
 #   1. Start tafpgad with -state-dir, run one job to completion (the
 #      reference result), submit a second job and SIGKILL the daemon while
 #      it is running.
-#   2. Restart over the same state dir: the finished job must come back
-#      byte-identical without recompute, the interrupted job must requeue,
-#      run, and (the flow being deterministic) produce the expected result.
-#      An invalid spec must still fail fast with a 400.
+#   2. Restart over the same state dir, which must hold both jobs' spec
+#      files and only the finished job's finish file, plus a temp file
+#      planted as a write torn by the kill. The restart must remove the temp
+#      file. The finished job must come back byte-identical without
+#      recompute, the interrupted job must requeue, run, and (the flow being
+#      deterministic) produce the expected result, after which the state dir
+#      holds exactly both jobs' spec and finish files. An invalid spec must
+#      still fail fast with a 400.
 #
 # Environment:
 #   ADDR=host:port  listen address (default 127.0.0.1:18081)
@@ -85,14 +89,25 @@ poll_done() {
 	done
 }
 
+# state_files — the state dir's entries on one line, sorted.
+state_files() {
+	ls -A "$STATE" | sort | tr '\n' ' '
+}
+
+# expect_files name... — fails unless the state dir holds exactly these.
+expect_files() {
+	WANT="$(printf '%s\n' "$@" | sort | tr '\n' ' ')"
+	[ "$(state_files)" = "$WANT" ] || fail "state dir holds: $(state_files)
+want: $WANT"
+}
+
 # job_id response — extracts the job id from a submit response.
 job_id() {
 	echo "$1" | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4
 }
 
-# result_of view — extracts the result JSON. Both sides of every comparison
-# go through this same rule, so the byte-compare is exact and fair while
-# ignoring the run-dependent prefix (timestamps, attempt counts).
+# result_of view — extracts the result JSON, dropping the run-dependent
+# prefix (timestamps, the recovered flag).
 result_of() {
 	echo "$1" | sed 's/.*"result"://'
 }
@@ -135,12 +150,18 @@ echo "SIGKILL while $ID_B is running..." >&2
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
+# Nothing is written when a job starts running, so the kill leaves the
+# victim with its spec file alone.
+expect_files "$ID_A.spec.json" "$ID_A.done.json" "$ID_B.spec.json"
+TORN="$ID_B.done.json.tmp-torn"
+echo '{"id":"'"$ID_B"'","state":"do' >"$STATE/$TORN"
 
 # --- Phase 2: restart, recover, verify ------------------------------------
 echo "phase 2: restarting over the same state dir..." >&2
 start_daemon -state-dir "$STATE"
 grep -qF "1 finished job(s) restored, 1 interrupted job(s) requeued" "$LOG" ||
 	fail "restart did not report the expected recovery stats"
+[ ! -e "$STATE/$TORN" ] || fail "restart left the torn temp file $TORN"
 
 echo "checking the restored job serves byte-identical JSON..." >&2
 VIEW_A_AFTER="$(curl -fsS "$BASE/v1/jobs/$ID_A")"
@@ -154,6 +175,7 @@ VIEW_B="$(poll_done "$ID_B")"
 echo "$VIEW_B" | grep -q '"recovered":true' || fail "requeued job not marked recovered: $VIEW_B"
 curl -fsS "$BASE/v1/jobs/$ID_B/events" | grep -q '"type":"recovered"' ||
 	fail "requeued job's event stream has no recovered marker"
+expect_files "$ID_A.spec.json" "$ID_A.done.json" "$ID_B.spec.json" "$ID_B.done.json"
 
 METRICS="$(curl -fsS "$BASE/metrics")"
 echo "$METRICS" | grep -qF "tafpgad_jobs_restored_total 1" || fail "/metrics missing restored_total 1"
