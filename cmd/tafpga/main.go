@@ -214,7 +214,8 @@ func main() {
 	im, err := tafpga.Implement(nl, dev, opts)
 	die(err)
 	if im.Routed.Graph != nil {
-		fmt.Printf("implemented on %s (router: %d iterations, %s)\n", im.Grid, im.Routed.Iters, im.Routed.Graph)
+		fmt.Printf("implemented on %s (router: %d iterations, %d reroutes, %s)\n",
+			im.Grid, im.Routed.Iters, im.Routed.Reroutes, im.Routed.Graph)
 	} else {
 		fmt.Printf("implemented on %s (router: %d iterations, from flow cache)\n", im.Grid, im.Routed.Iters)
 	}

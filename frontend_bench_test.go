@@ -1,8 +1,8 @@
 // Front-end profiling benchmarks: the implementation pipeline stages the
 // flow-level result cache short-circuits — timing-driven placement,
-// PathFinder routing, and the complete pack→place→route build — each in its
-// optimized form and as the retained seed implementation (PlaceReference,
-// RouteReference, Options.Reference) in the same binary. They are entry
+// PathFinder routing, and the complete pack→place→route build — with the
+// placer and the whole build also in their retained seed form
+// (PlaceReference, oracle.Implement) in the same binary. They are entry
 // points for pprof:
 //
 //	go test -run '^$' -bench BenchmarkRoute -benchtime 1x -cpuprofile cpu.out .
@@ -134,18 +134,6 @@ func BenchmarkRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteReference measures the seed router (map-backed trees,
-// per-target frontier allocation).
-func BenchmarkRouteReference(b *testing.B) {
-	f := frontendSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := route.RouteReference(f.placed, f.graph, f.opts.Router); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFlowBuild measures the complete cold-cache implementation build
 // (activity → pack → grid → place → route → model assembly) with the
 // optimized front-end.
@@ -160,8 +148,7 @@ func BenchmarkFlowBuild(b *testing.B) {
 }
 
 // BenchmarkFlowBuildReference measures the same build through the seed
-// placer and router (oracle.Implement) — the "before" half of the
-// front-end harness.
+// placer (oracle.Implement) — the "before" half of the front-end harness.
 func BenchmarkFlowBuildReference(b *testing.B) {
 	f := frontendSetup(b)
 	b.ResetTimer()

@@ -84,21 +84,8 @@ func cacheKey(nl *netlist.Netlist, dev *coffe.Device, params coffe.Params, opts 
 	if err := nl.WriteBLIF(h); err != nil {
 		return "", err
 	}
-	// Only the router's schedule goes into the key — the worker count picks
-	// how the identical result is computed, not what it is (the routed
-	// output is byte-identical for every Workers value), so including it
-	// would split the cache by machine and orphan every pre-existing disk
-	// entry. routerSchedule's fields mirror route.Options' schedule knobs
-	// name for name so its %+v renders the exact bytes the key hashed
-	// before Workers existed.
-	sched := routerSchedule{
-		MaxIters:     opts.Router.MaxIters,
-		PresFacFirst: opts.Router.PresFacFirst,
-		PresFacMult:  opts.Router.PresFacMult,
-		BBoxMargin:   opts.Router.BBoxMargin,
-	}
-	fmt.Fprintf(h, "|arch:%+v|seed:%d|effort:%g|router:%+v",
-		params, opts.Seed, opts.PlaceEffort, sched)
+	fmt.Fprintf(h, "|arch:%+v|seed:%d|effort:%g|router:%s",
+		params, opts.Seed, opts.PlaceEffort, routerKey(opts.Router))
 	// Thermal-aware placement changes the produced bytes, so its knobs are
 	// result-determining and must split the key — but only when enabled:
 	// the weight-0 flow is byte-identical to the historical one, and its
@@ -121,13 +108,20 @@ func cacheKey(nl *netlist.Netlist, dev *coffe.Device, params coffe.Params, opts 
 	return fmt.Sprintf("%x", h.Sum(nil)), nil
 }
 
-// routerSchedule is the result-determining subset of route.Options, in its
-// historical field order (the cache key's byte format is load-bearing:
-// changing it silently abandons every existing cache entry).
-type routerSchedule struct {
-	MaxIters                  int
-	PresFacFirst, PresFacMult float64
-	BBoxMargin                int
+// routerAlgorithm names the negotiation that produced a cached route. Bump
+// it whenever route.Route can route the same inputs differently: entries
+// keyed under the old token then miss once and are rebuilt. "incremental/1"
+// is the PathFinder that reroutes only overused nets after round 1; keys
+// without a token came from the router that rerouted every net every round.
+const routerAlgorithm = "incremental/1"
+
+// routerKey renders the router's part of the cache key: the algorithm token
+// followed by the result-determining schedule fields of route.Options. The
+// worker count stays out: it picks how the identical result is computed,
+// not what it is, so including it would split the cache by machine.
+func routerKey(o route.Options) string {
+	return fmt.Sprintf("%s{MaxIters:%d PresFacFirst:%v PresFacMult:%v BBoxMargin:%d}",
+		routerAlgorithm, o.MaxIters, o.PresFacFirst, o.PresFacMult, o.BBoxMargin)
 }
 
 // snapshot captures a freshly built placement and routing as a payload.

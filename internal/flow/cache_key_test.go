@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"fmt"
 	"testing"
 
 	"tafpga/internal/bench"
@@ -53,22 +52,37 @@ func TestCacheKeyIgnoresRouteWorkers(t *testing.T) {
 	}
 }
 
-// TestCacheKeyRouterByteFormat pins the hashed router rendering to the
-// pre-Workers byte format: existing on-disk entries were keyed with
-// route.Options' old four-field %+v, and routerSchedule must reproduce it
-// exactly or every deployed cache silently goes cold.
+// TestCacheKeyRouterByteFormat pins the hashed router rendering: the
+// algorithm token, then route.Options' four schedule fields in their
+// historical %+v form. Changing these bytes abandons every cached entry, so
+// a change here must be a deliberate router-version bump.
 func TestCacheKeyRouterByteFormat(t *testing.T) {
-	opts := testOptions("sha")
-	sched := routerSchedule{
-		MaxIters:     opts.Router.MaxIters,
-		PresFacFirst: opts.Router.PresFacFirst,
-		PresFacMult:  opts.Router.PresFacMult,
-		BBoxMargin:   opts.Router.BBoxMargin,
-	}
-	got := fmt.Sprintf("%+v", sched)
-	want := fmt.Sprintf("{MaxIters:%d PresFacFirst:%v PresFacMult:%v BBoxMargin:%d}",
-		opts.Router.MaxIters, opts.Router.PresFacFirst, opts.Router.PresFacMult, opts.Router.BBoxMargin)
+	got := routerKey(testOptions("sha").Router)
+	want := "incremental/1{MaxIters:45 PresFacFirst:0.5 PresFacMult:1.3 BBoxMargin:3}"
 	if got != want {
-		t.Fatalf("routerSchedule renders %q, legacy keys hashed %q", got, want)
+		t.Fatalf("router key renders %q, want %q", got, want)
+	}
+}
+
+// TestCacheKeyRouterVersionBump: entries routed by the all-nets-every-round
+// router must miss. The fixture's key from before the algorithm token was
+// added must not come back.
+func TestCacheKeyRouterVersionBump(t *testing.T) {
+	const preBump = "f540899260239f42fff4ea0d7e545ceffc361014b08041abc40bb2b6d0c59503"
+	prof, err := bench.ByName("sha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := bench.Generate(prof.Scaled(1.0/128), bench.SeedFor("sha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := devices(t)
+	k, err := cacheKey(nl, d, coffe.DefaultParams(), testOptions("sha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k == preBump {
+		t.Fatal("cache key still equals the pre-bump key: old routes would be served")
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestFlowReferenceMatchesOptimized is the flow-level equivalence check:
-// the oracle flow (seed placer + seed router) and the optimized flow must
+// the oracle flow (seed placer + route.Route) and the optimized flow must
 // produce identical placements, routings, and guardband results.
 func TestFlowReferenceMatchesOptimized(t *testing.T) {
 	d := coffe.MustSizeDevice(techmodel.Default22nm(), coffe.DefaultParams(), 25)

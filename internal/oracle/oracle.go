@@ -1,7 +1,7 @@
 // Package oracle composes the seed kernels the optimized code replaced into
 // whole runs: Algorithm 1 over sta.AnalyzeReference and
 // hotspot.SolveReference, and the implementation flow over
-// place.PlaceReference and route.RouteReference. The equivalence tests hold
+// place.PlaceReference and the production router. The equivalence tests hold
 // the production engine and flow against these paths, and the perf
 // harness times them as its "before" numbers. Only tests and benchmarks
 // import this package; a guard test keeps it out of production code.
@@ -97,8 +97,8 @@ func Run(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, opts guardband.Op
 	return res, nil
 }
 
-// Implement is flow.Implement through the seed placer and router, built
-// from the flow's public stages. It never consults opts.Cache or opts.Ctx,
+// Implement is flow.Implement through the seed placer and route.Route,
+// built from the flow's public stages. It never consults opts.Cache or opts.Ctx,
 // and rejects thermal placement, which the seed placer does not have.
 func Implement(nl *netlist.Netlist, dev *coffe.Device, opts flow.Options) (*flow.Implementation, error) {
 	if nl.Sinks == nil {
@@ -124,7 +124,7 @@ func Implement(nl *netlist.Netlist, dev *coffe.Device, opts flow.Options) (*flow
 	if err != nil {
 		return nil, fmt.Errorf("oracle: place: %w", err)
 	}
-	routed, err := route.RouteReference(placed, flow.BuildGraph(grid), opts.Router)
+	routed, err := route.Route(placed, flow.BuildGraph(grid), opts.Router)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: route: %w", err)
 	}

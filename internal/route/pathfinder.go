@@ -37,6 +37,8 @@ type Result struct {
 	Nets   map[int]*NetRoute // keyed by driver block ID
 	Iters  int
 	MaxOcc int
+	// Reroutes counts the nets ripped up and rerouted after round 1.
+	Reroutes int
 }
 
 // Options tunes the router.
@@ -62,29 +64,7 @@ func DefaultOptions() Options {
 	return Options{MaxIters: 45, PresFacFirst: 0.5, PresFacMult: 1.3, BBoxMargin: 3}
 }
 
-type pqItem struct {
-	node int32
-	g    float64 // cost from source
-	cost float64 // g + heuristic
-}
-
-type pq []pqItem
-
-// The heap.Interface methods serve the retained seed router
-// (RouteReference); the optimized Route uses the concrete push/pop below.
-func (p pq) Len() int            { return len(p) }
-func (p pq) Less(i, j int) bool  { return p[i].cost < p[j].cost }
-func (p pq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
-}
-
-// qItem is the optimized router's 16-byte frontier entry. The seed item's
+// qItem is the router's 16-byte frontier entry. The classic
 // g-cost stale check (`it.g > dist[n]`) is replaced by a push-sequence
 // match: an entry is live iff it is the node's most recent push, which is
 // exactly the entry whose g equals the node's current label (pushes only
@@ -155,7 +135,7 @@ type netTask struct {
 	maxY    int
 	srcTile int
 	// sinkTiles is the deduplicated ascending target list; PathFinder
-	// consumes it smallest-first, matching the seed's map-min scan.
+	// consumes it smallest-first.
 	sinkTiles []int
 }
 
@@ -267,12 +247,11 @@ func newNetSearcher(g *Graph, cost []float64) *netSearcher {
 }
 
 // routeNet grows one net's route tree target by target at negotiation
-// round iter. The search is the optimized PathFinder inner loop: pooled
+// round iter. The search is the PathFinder inner loop: pooled
 // epoch-stamped wavefront state, precompiled OPIN seeds, precomputed node
 // coordinates, and the settled-neighbor skip (dist ≤ d+1 is safe because
-// every node costs at least 1). None of it changes a single heap
-// comparison, so the chosen tree is byte-identical to what RouteReference
-// commits.
+// every node costs at least 1). None of it changes a heap comparison, so
+// the pop order among equal costs, which picks the tree, is container/heap's.
 func (st *netSearcher) routeNet(t *netTask, iter int, opts *Options) error {
 	g := st.g
 	grid := g.Grid
@@ -286,7 +265,7 @@ func (st *netSearcher) routeNet(t *netTask, iter int, opts *Options) error {
 	st.netEpoch++
 	st.treeList = st.treeList[:0]
 
-	// Targets ascend, exactly the seed's smallest-remaining order.
+	// Targets ascend: the smallest remaining tile is routed next.
 	for tgt := 0; tgt < len(t.sinkTiles); {
 		target := t.sinkTiles[tgt]
 		tx, ty := grid.At(target)
@@ -305,8 +284,8 @@ func (st *netSearcher) routeNet(t *netTask, iter int, opts *Options) error {
 			s.parent = par
 			s.seq = st.pushCtr
 			// |mx−tx| + |my−ty| in integers: the operands are exact in
-			// float64 either way, so this matches the reference's
-			// math.Abs-on-floats arithmetic bit for bit.
+			// float64 either way, so this matches math.Abs on floats bit
+			// for bit.
 			v := g.xy[n]
 			dx := int(v&0xffff) - tx
 			if dx < 0 {
@@ -325,8 +304,7 @@ func (st *netSearcher) routeNet(t *netTask, iter int, opts *Options) error {
 				push(wseed, st.cost[wseed], -1)
 			}
 		} else {
-			// Re-seed the existing tree's wires in ascending order,
-			// matching the seed's sorted-map-keys walk.
+			// Re-seed the existing tree's wires in ascending order.
 			st.seeds = st.seeds[:0]
 			for _, n := range st.treeList {
 				if int(n) < g.numWires {
@@ -438,114 +416,169 @@ func (st *netSearcher) routeNet(t *netTask, iter int, opts *Options) error {
 	return nil
 }
 
+// negotiation is the PathFinder state carried across rounds: the nets, the
+// per-node congestion records with their cached costs, and each net's
+// current route tree.
+type negotiation struct {
+	opts  *Options
+	tasks []netTask
+	nodes []nodeState
+	// prevUse[ti] is net ti's current tree node list: ripped up before a
+	// reroute, and the final tree for traceback.
+	prevUse [][]int32
+	// finalPars[ti][i] is the tree parent of prevUse[ti][i] (-1 roots;
+	// never -2, existing-tree hits stop the commit walk before storing).
+	finalPars [][]int32
+	// routedIn[ti] is the round that routed net ti's current tree.
+	routedIn []int
+	// reroutes counts the nets routed after round 1.
+	reroutes int
+	presFac  float64
+	// cost caches nodeCost per node, maintained incrementally: occupancy
+	// only changes at rip-up/commit and hist/presFac only between rounds,
+	// so the hot expansion loop reads one float64 instead of re-deriving
+	// the congestion term.
+	cost []float64
+	live *netSearcher
+}
+
+func newNegotiation(pl *place.Placement, g *Graph, opts *Options) *negotiation {
+	tasks := buildNetTasks(pl)
+	neg := &negotiation{
+		opts:      opts,
+		tasks:     tasks,
+		nodes:     make([]nodeState, g.numNodes),
+		prevUse:   make([][]int32, len(tasks)),
+		finalPars: make([][]int32, len(tasks)),
+		routedIn:  make([]int, len(tasks)),
+		presFac:   opts.PresFacFirst,
+		cost:      make([]float64, g.numNodes),
+	}
+	for n := range neg.nodes {
+		neg.nodes[n].cap = g.capacity[n]
+	}
+	neg.recostAll()
+	neg.live = newNetSearcher(g, neg.cost)
+	return neg
+}
+
+func (neg *negotiation) recost(n int32) {
+	s := &neg.nodes[n]
+	c := 1.0 + s.hist
+	over := float64(s.occ + 1 - s.cap)
+	if over > 0 {
+		c += over * neg.presFac * 4
+	}
+	neg.cost[n] = c
+}
+
+func (neg *negotiation) recostAll() {
+	for n := int32(0); n < int32(len(neg.nodes)); n++ {
+		neg.recost(n)
+	}
+}
+
+// overused reports whether any node of net ti's current tree holds more
+// nets than its capacity.
+func (neg *negotiation) overused(ti int) bool {
+	for _, n := range neg.prevUse[ti] {
+		if neg.nodes[n].occ > neg.nodes[n].cap {
+			return true
+		}
+	}
+	return false
+}
+
+// round runs negotiation round iter over the nets in driver order. Round 1
+// routes every net; later rounds rip up and reroute only a net whose tree
+// holds an overused node when its turn comes, and leave every other tree
+// as it is.
+func (neg *negotiation) round(iter int) error {
+	for ti := range neg.tasks {
+		if iter > 1 {
+			if !neg.overused(ti) {
+				continue
+			}
+			neg.reroutes++
+		}
+		for _, n := range neg.prevUse[ti] {
+			neg.nodes[n].occ--
+			neg.recost(n)
+		}
+		neg.prevUse[ti] = neg.prevUse[ti][:0]
+		neg.finalPars[ti] = neg.finalPars[ti][:0]
+
+		if err := neg.live.routeNet(&neg.tasks[ti], iter, neg.opts); err != nil {
+			return err
+		}
+		for _, n := range neg.live.treeList {
+			neg.prevUse[ti] = append(neg.prevUse[ti], n)
+			neg.finalPars[ti] = append(neg.finalPars[ti], neg.live.treePar[n])
+			neg.nodes[n].occ++
+			neg.recost(n)
+		}
+		neg.routedIn[ti] = iter
+	}
+	return nil
+}
+
+// congested reports whether any node holds more nets than its capacity.
+func (neg *negotiation) congested() bool {
+	for n := range neg.nodes {
+		if neg.nodes[n].occ > neg.nodes[n].cap {
+			return true
+		}
+	}
+	return false
+}
+
+// penalize adds each overused node's excess to its history, raises the
+// present-congestion factor, and refreshes every cached node cost.
+func (neg *negotiation) penalize() {
+	for n := range neg.nodes {
+		if over := int(neg.nodes[n].occ) - int(neg.nodes[n].cap); over > 0 {
+			neg.nodes[n].hist += float64(over)
+		}
+	}
+	neg.presFac *= neg.opts.PresFacMult
+	neg.recostAll()
+}
+
 // Route routes every multi-terminal net of the placed design.
 //
-// This is the optimized serial PathFinder. Each negotiation round rips up
-// and re-routes every net in driver order over pooled epoch-stamped search
-// state, exactly like the seed. The pooling changes no heap comparison, so
-// the chosen routes — Paths, WireLenTiles, Iters, MaxOcc — are
-// byte-identical to RouteReference (see reference.go and the equivalence
-// tests).
+// This is a serial, incremental PathFinder over pooled epoch-stamped search
+// state. Round 1 routes every net in driver order. From round 2 on, a net
+// is ripped up and rerouted only if its tree holds an overused node when
+// its turn comes; every other net keeps its tree. History grows on the
+// nodes still overused at the end of a round, and negotiation stops at the
+// first round that ends without one.
 func Route(pl *place.Placement, g *Graph, opts Options) (*Result, error) {
-	tasks := buildNetTasks(pl)
-
-	ng := make([]nodeState, g.numNodes)
-	for n := range ng {
-		ng[n].cap = g.capacity[n]
-	}
-	// Per-net used nodes from the previous iteration, for rip-up. The slice
-	// doubles as the final route-tree node list for traceback.
-	prevUse := make([][]int32, len(tasks))
-	// finalPars[ti][i] is the tree parent of prevUse[ti][i] at the last
-	// iteration (-1 roots; never -2, existing-tree hits stop the commit
-	// walk before storing).
-	finalPars := make([][]int32, len(tasks))
-
+	neg := newNegotiation(pl, g, &opts)
 	res := &Result{Graph: g, Place: pl, Nets: map[int]*NetRoute{}}
-
-	presFac := opts.PresFacFirst
-
-	// cost caches nodeCost per node, maintained incrementally: occupancy
-	// only changes at rip-up/commit and hist/presFac only between
-	// iterations, so the hot expansion loop reads one float64 instead of
-	// re-deriving the congestion term. recost evaluates the exact float
-	// expression of the seed's nodeCost, so the cached values are
-	// bit-identical to computing on demand.
-	cost := make([]float64, g.numNodes)
-	recost := func(n int32) {
-		s := &ng[n]
-		c := 1.0 + s.hist
-		over := float64(s.occ + 1 - s.cap)
-		if over > 0 {
-			c += over * presFac * 4
-		}
-		cost[n] = c
-	}
-	for n := int32(0); n < int32(g.numNodes); n++ {
-		recost(n)
-	}
-
-	live := newNetSearcher(g, cost)
-
 	for iter := 1; iter <= opts.MaxIters; iter++ {
 		res.Iters = iter
-		congested := false
-
-		for ti := range tasks {
-			t := &tasks[ti]
-			// Rip up previous route.
-			for _, n := range prevUse[ti] {
-				ng[n].occ--
-				recost(n)
-			}
-			prevUse[ti] = prevUse[ti][:0]
-			finalPars[ti] = finalPars[ti][:0]
-
-			if err := live.routeNet(t, iter, &opts); err != nil {
-				return nil, err
-			}
-			for _, n := range live.treeList {
-				prevUse[ti] = append(prevUse[ti], n)
-				finalPars[ti] = append(finalPars[ti], live.treePar[n])
-			}
-
-			// Account occupancy.
-			for _, n := range prevUse[ti] {
-				ng[n].occ++
-				recost(n)
-				if ng[n].occ > ng[n].cap {
-					congested = true
-				}
-			}
+		if err := neg.round(iter); err != nil {
+			return nil, err
 		}
-
-		if !congested {
+		if !neg.congested() {
 			break
 		}
-		// Update history on overused nodes; raise pressure.
-		for n := range ng {
-			if over := int(ng[n].occ) - int(ng[n].cap); over > 0 {
-				ng[n].hist += float64(over)
-			}
-		}
-		presFac *= opts.PresFacMult
-		// hist and presFac changed; refresh every cached node cost.
-		for n := int32(0); n < int32(g.numNodes); n++ {
-			recost(n)
-		}
+		neg.penalize()
 	}
+	res.Reroutes = neg.reroutes
 
 	// Final congestion check.
-	for n := range ng {
-		if int(ng[n].occ) > res.MaxOcc {
-			res.MaxOcc = int(ng[n].occ)
+	for n, s := range neg.nodes {
+		if int(s.occ) > res.MaxOcc {
+			res.MaxOcc = int(s.occ)
 		}
-		if ng[n].occ > ng[n].cap {
+		if s.occ > s.cap {
 			return nil, fmt.Errorf("route: unresolved congestion after %d iterations (node %d occ %d cap %d)",
-				res.Iters, n, ng[n].occ, ng[n].cap)
+				res.Iters, n, s.occ, s.cap)
 		}
 	}
 
+	tasks, prevUse, finalPars, live := neg.tasks, neg.prevUse, neg.finalPars, neg.live
 	// Traceback into per-sink hop lists. The tree's parent lookup is
 	// re-stamped per net into the shared arrays (tree nodes are unique, so
 	// no dedup is needed for the wirelength sum).
