@@ -31,9 +31,6 @@
 //	              conventional Tworst=100°C baseline clock, i.e. the
 //	              frequency a thermally-oblivious flow would have shipped)
 //	-parallel n   sweep workers (0 = GOMAXPROCS, 1 = serial)
-//	-sweep-batch n  run the sweep's ambients in lockstep batches of n lanes
-//	              through the batched guardband engine (0/1 = serial workers);
-//	              per-lane results are bit-identical to the serial sweep
 //	-timeout d    abort after this duration (0 = none); a sweep still prints
 //	              the rows that finished
 //	-thermal-weight f  weight of the thermal term in the placement objective
@@ -95,7 +92,6 @@ func main() {
 	target := flag.Float64("target", 0, "min-energy iso-frequency target in MHz (0 = worst-case baseline clock)")
 	flowcache := flag.String("flowcache", "", "directory for the on-disk place-and-route cache (reused across runs)")
 	parallel := flag.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = serial)")
-	sweepBatch := flag.Int("sweep-batch", 0, "lockstep lanes per batched guardband dispatch; bit-identical per lane (0/1 = serial)")
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = none)")
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to file")
 	memprofile := flag.String("memprofile", "", "write heap profile to file at exit")
@@ -226,11 +222,7 @@ func main() {
 	}
 
 	if *sweep != "" {
-		if *sweepBatch > 1 {
-			runSweepBatch(runCtx, im, ambients, *sweepBatch)
-		} else {
-			runSweep(runCtx, im, ambients, *parallel)
-		}
+		runSweep(runCtx, im, ambients, *parallel)
 		return
 	}
 
@@ -377,36 +369,6 @@ func runSweep(ctx context.Context, im *flow.Implementation, ambients []float64, 
 		agg.Add(r.Stats)
 		fmt.Printf("%10.1f %12.1f %12.1f %8.1f %7d %8.2f %9t\n",
 			amb, r.FmaxMHz, r.BaselineMHz, r.GainPct, r.Iterations, r.RiseC, r.Converged)
-	}
-	fmt.Printf("kernels: %s\n", agg)
-}
-
-// runSweepBatch guardbands the ambients in lockstep chunks of batch lanes
-// through guardband.RunBatch. Every row is bit-identical to runSweep's;
-// only wall time and the kernel accounting (batch counters included)
-// change. A chunk error still prints the completed rows.
-func runSweepBatch(ctx context.Context, im *flow.Implementation, ambients []float64, batch int) {
-	fmt.Printf("\nThermal-aware guardbanding ambient sweep (batch %d):\n", batch)
-	fmt.Printf("%10s %12s %12s %8s %7s %8s %9s\n", "Tamb(C)", "fmax(MHz)", "worst(MHz)", "gain(%)", "iters", "rise(C)", "converged")
-	var agg guardband.Stats
-	var failed error
-	for lo := 0; lo < len(ambients) && failed == nil; lo += batch {
-		hi := min(lo+batch, len(ambients))
-		o := tafpga.GuardbandOptions(ambients[lo])
-		o.Ctx = ctx
-		rs, err := im.GuardbandBatch(ambients[lo:hi], o)
-		if err != nil {
-			failed = err
-			break
-		}
-		for i, r := range rs {
-			agg.Add(r.Stats)
-			fmt.Printf("%10.1f %12.1f %12.1f %8.1f %7d %8.2f %9t\n",
-				ambients[lo+i], r.FmaxMHz, r.BaselineMHz, r.GainPct, r.Iterations, r.RiseC, r.Converged)
-		}
-	}
-	if failed != nil {
-		fmt.Printf("  error: %v\n", failed)
 	}
 	fmt.Printf("kernels: %s\n", agg)
 }

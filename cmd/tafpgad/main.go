@@ -14,8 +14,7 @@
 //	-bench csv     restrict figure jobs to a comma-separated benchmark list
 //	-parallel n    per-job benchmark fan-out workers (0 = GOMAXPROCS)
 //	-route-workers n  deprecated: ignored, routing is serial
-//	-sweep-batch n lockstep lanes per batched guardband dispatch in sweep
-//	               jobs; per-lane results bit-identical (0/1 = serial)
+//	-sweep-batch n deprecated: ignored, Algorithm 1 runs one ambient at a time
 //	-workers n     concurrent jobs (default 1)
 //	-queue n       queued-job bound before 429s (default 64)
 //	-ttl d         how long finished jobs stay retrievable (default 15m,
@@ -65,7 +64,7 @@ func main() {
 	benchCSV := flag.String("bench", "", "comma-separated benchmark subset for figure jobs")
 	parallel := flag.Int("parallel", 0, "per-job benchmark fan-out workers (0 = GOMAXPROCS)")
 	flag.Int("route-workers", 0, "deprecated: ignored, routing is serial")
-	sweepBatch := flag.Int("sweep-batch", 0, "lockstep lanes per batched guardband dispatch in sweep jobs; bit-identical per lane (0/1 = serial)")
+	flag.Int("sweep-batch", 0, "deprecated: ignored, Algorithm 1 runs one ambient at a time")
 	workers := flag.Int("workers", 1, "concurrent jobs")
 	queue := flag.Int("queue", 64, "queued-job bound")
 	ttl := flag.Duration("ttl", 15*time.Minute, "finished-job retention")
@@ -95,9 +94,7 @@ func main() {
 		ChannelTracks: *width,
 		PlaceEffort:   *effort,
 		BenchWorkers:  *parallel,
-		SweepBatch:    *sweepBatch,
 		FlowCacheDir:  *flowcache,
-		Obs:           reg,
 	}
 	if *benchCSV != "" {
 		cfg.Benchmarks = strings.Split(*benchCSV, ",")

@@ -191,9 +191,8 @@ func sweepAmbients() []float64 {
 	return amb
 }
 
-// BenchmarkGuardbandSweepSerial measures the serial ambient sweep: one
-// Algorithm-1 run per ambient, as GuardbandSweep executes it without
-// batching. The "before" half of the sweep-batching pair.
+// BenchmarkGuardbandSweepSerial measures the ambient sweep: one
+// Algorithm-1 run per ambient, as GuardbandSweep executes it.
 func BenchmarkGuardbandSweepSerial(b *testing.B) {
 	im := innerLoopFixture(b)
 	ambients := sweepAmbients()
@@ -203,31 +202,6 @@ func BenchmarkGuardbandSweepSerial(b *testing.B) {
 			if _, err := im.Guardband(guardband.DefaultOptions(amb)); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// BenchmarkGuardbandSweepBatch measures the same ambient axis through the
-// batched engine at full width (batch = len(ambients)): one shared baseline
-// probe, SoA STA traversals, multi-RHS thermal solves, lanes retiring as
-// they converge. Every per-ambient result is bit-identical to the serial
-// sweep's.
-func BenchmarkGuardbandSweepBatch(b *testing.B) {
-	im := innerLoopFixture(b)
-	ambients := sweepAmbients()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := im.GuardbandBatch(ambients, guardband.DefaultOptions(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			var sum guardband.Stats
-			for _, r := range rs {
-				sum.Add(r.Stats)
-			}
-			b.ReportMetric(float64(sum.LockstepIters), "lockstep-rounds")
-			b.ReportMetric(float64(sum.RetiredEarly), "retired-early")
 		}
 	}
 }

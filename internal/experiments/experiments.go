@@ -43,18 +43,6 @@ type Context struct {
 	// Benchmarks restricts the suite (nil = all 19).
 	Benchmarks []string
 
-	// SweepBatch sets how many ambient lanes GuardbandSweep (and the
-	// sweeping figure drivers) run in lockstep through guardband.RunBatch:
-	// <= 1 keeps the serial per-ambient engine. Every lane of a batch is
-	// bit-identical to the serial run at that ambient, so this is
-	// purely a wall-clock knob and never enters any cache key.
-	SweepBatch int
-
-	// OnBatch, when set, receives the lane count of every batched
-	// guardband dispatch the sweep drivers issue (observability for the
-	// serving layer's lane histogram).
-	OnBatch func(lanes int)
-
 	// Workers bounds the per-benchmark fan-out of the suite drivers
 	// (Figs. 6–8 and the ablations): 0 means runtime.GOMAXPROCS(0) and 1
 	// reproduces the serial engine. Every benchmark carries its own seed
@@ -478,10 +466,8 @@ func (c *Context) guardbandSuite(ambientC float64) ([]BenchResult, error) {
 }
 
 // GuardbandSweep runs Algorithm 1 on one benchmark at each ambient in order
-// (the Fig. 6 → Fig. 7 → Fig. 8 temperature axis), serially or in lockstep
-// batches of SweepBatch lanes. Every ambient is an independent run, so the
-// results are bit-identical to len(ambients) Guardband calls at any batch
-// width. One result per ambient, in sweep order.
+// (the Fig. 6 → Fig. 7 → Fig. 8 temperature axis): one Guardband call per
+// ambient, one result per ambient, in sweep order.
 func (c *Context) GuardbandSweep(name string, ambients []float64) ([]BenchResult, error) {
 	im, err := c.Implementation(name)
 	if err != nil {
@@ -501,34 +487,19 @@ func (c *Context) GuardbandSweep(name string, ambients []float64) ([]BenchResult
 	return out, err
 }
 
-// sweepResults runs one benchmark's ambient axis, serially or in lockstep
-// batches of SweepBatch lanes. Results are per-ambient, in sweep order; on
-// error the completed prefix is returned alongside it.
+// sweepResults runs one benchmark's ambient axis, one Guardband call per
+// ambient. Results are in sweep order; on error the completed prefix is
+// returned alongside it.
 func (c *Context) sweepResults(im *flow.Implementation, name string, ambients []float64) ([]*guardband.Result, error) {
-	batch := max(c.SweepBatch, 1)
 	out := make([]*guardband.Result, 0, len(ambients))
-	for lo := 0; lo < len(ambients); lo += batch {
-		chunk := ambients[lo:min(lo+batch, len(ambients))]
-		opts := c.gbOptions(name, chunk[0])
-		if batch == 1 {
-			res, err := im.Guardband(opts)
-			if err != nil {
-				// Partial flush: completed ambients stay valid (each is an
-				// independent run).
-				return out, fmt.Errorf("experiments: %s at %g°C: %w", name, chunk[0], err)
-			}
-			out = append(out, res)
-			continue
-		}
-		if cb := c.OnBatch; cb != nil {
-			cb(len(chunk))
-		}
-		rs, err := im.GuardbandBatch(chunk, opts)
+	for _, amb := range ambients {
+		res, err := im.Guardband(c.gbOptions(name, amb))
 		if err != nil {
-			return out, fmt.Errorf("experiments: %s at %g..%g°C: %w",
-				name, chunk[0], chunk[len(chunk)-1], err)
+			// Partial flush: completed ambients stay valid (each is an
+			// independent run).
+			return out, fmt.Errorf("experiments: %s at %g°C: %w", name, amb, err)
 		}
-		out = append(out, rs...)
+		out = append(out, res)
 	}
 	return out, nil
 }
@@ -583,10 +554,10 @@ func (c *Context) Fig8() ([]BenchResult, error) {
 }
 
 // Fig8Sweep extends Fig. 8 along an ambient axis for one benchmark: both
-// the 25 °C-sized and 70 °C-sized fabrics are guardbanded at every ambient
-// (each axis batched per SweepBatch), and each row reports the D70 fabric's
-// gain over D25 at that ambient. One row per ambient, in sweep order; on
-// error the completed prefix is returned alongside it.
+// the 25 °C-sized and 70 °C-sized fabrics are guardbanded at every ambient,
+// and each row reports the D70 fabric's gain over D25 at that ambient. One
+// row per ambient, in sweep order; on error the completed prefix is
+// returned alongside it.
 func (c *Context) Fig8Sweep(name string, ambients []float64) ([]BenchResult, error) {
 	im25, err := c.Implementation(name)
 	if err != nil {

@@ -381,61 +381,42 @@ func TestScorecard(t *testing.T) {
 	}
 }
 
-// TestGuardbandSweepBatchInvariance: the batched sweep engine must be
-// bit-identical to the serial sweep at every batch size — including sizes
-// that split the ambient axis mid-stream — and must report its lane counts.
+// TestGuardbandSweepBatchInvariance: a sweep is one Guardband call per
+// ambient, so its rows must equal the lanes of guardband.RunBatch over the
+// same axis, field for field.
 func TestGuardbandSweepBatchInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-flow experiment")
 	}
 	c := testContext(t)
 	ambients := []float64{0, 25, 45, 70, 95}
-	serial, err := c.GuardbandSweep("sha", ambients)
+	sweep, err := c.GuardbandSweep("sha", ambients)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range []int{1, 2, 4, len(ambients)} {
-		var lanes []int
-		c.SweepBatch = batch
-		c.OnBatch = func(n int) { lanes = append(lanes, n) }
-		batched, err := c.GuardbandSweep("sha", ambients)
-		c.SweepBatch = 0
-		c.OnBatch = nil
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batched) != len(serial) {
-			t.Fatalf("batch %d: %d results, want %d", batch, len(batched), len(serial))
-		}
-		for i, r := range batched {
-			s := serial[i]
-			if r.FmaxMHz != s.FmaxMHz || r.BaselineMHz != s.BaselineMHz ||
-				r.GainPct != s.GainPct || r.Iterations != s.Iterations ||
-				r.RiseC != s.RiseC || r.SpreadC != s.SpreadC || r.Converged != s.Converged {
-				t.Fatalf("batch %d at %g°C diverged from serial sweep:\nbatched %+v\nserial  %+v",
-					batch, ambients[i], r, s)
-			}
-		}
-		if batch > 1 {
-			total := 0
-			for _, n := range lanes {
-				if n > batch {
-					t.Fatalf("batch %d dispatched %d lanes", batch, n)
-				}
-				total += n
-			}
-			if total != len(ambients) {
-				t.Fatalf("batch %d covered %d lanes, want %d", batch, total, len(ambients))
-			}
-			if batched[0].Stats.BatchLanes != 1 {
-				t.Fatalf("batch %d: lane counters missing from Stats", batch)
-			}
+	im, err := c.Implementation("sha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes, err := guardband.RunBatch(im.Timing, im.Power, im.Thermal, ambients, c.gbOptions("sha", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep) != len(lanes) {
+		t.Fatalf("%d sweep rows, want %d", len(sweep), len(lanes))
+	}
+	for i, r := range sweep {
+		l := lanes[i]
+		if r.FmaxMHz != l.FmaxMHz || r.BaselineMHz != l.BaselineMHz ||
+			r.GainPct != l.GainPct || r.Iterations != l.Iterations ||
+			r.RiseC != l.RiseC || r.SpreadC != l.SpreadC || r.Converged != l.Converged {
+			t.Fatalf("sweep at %g°C diverged from RunBatch:\nsweep %+v\nlane  %+v", ambients[i], r, l)
 		}
 	}
 }
 
-// TestFig8SweepShape: the batched Fig. 8 axis reports one labelled row per
-// ambient with the D70-over-D25 gain, identical with and without batching.
+// TestFig8SweepShape: the Fig. 8 axis reports one labelled row per ambient
+// with both fabrics' clocks.
 func TestFig8SweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-flow experiment")
@@ -455,17 +436,6 @@ func TestFig8SweepShape(t *testing.T) {
 		}
 		if r.FmaxMHz <= 0 || r.BaselineMHz <= 0 {
 			t.Fatalf("row %d missing clocks: %+v", i, r)
-		}
-	}
-	c.SweepBatch = len(ambients)
-	batched, err := c.Fig8Sweep("sha", ambients)
-	c.SweepBatch = 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if batched[i].FmaxMHz != serial[i].FmaxMHz || batched[i].GainPct != serial[i].GainPct {
-			t.Fatalf("batched Fig. 8 row %d diverged: %+v vs %+v", i, batched[i], serial[i])
 		}
 	}
 }

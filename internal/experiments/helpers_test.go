@@ -16,13 +16,11 @@ func TestSumStatsEmpty(t *testing.T) {
 func TestSumStatsAggregates(t *testing.T) {
 	rs := []BenchResult{
 		{Stats: guardband.Stats{STAProbes: 3, ThermalSolves: 2, STANs: 100, PowerNs: 10, ThermalNs: 1}},
-		{Stats: guardband.Stats{STAProbes: 4, ThermalSolves: 5, STANs: 900, PowerNs: 90, ThermalNs: 9,
-			BatchLanes: 2, LockstepIters: 3, RetiredEarly: 1}},
+		{Stats: guardband.Stats{STAProbes: 4, ThermalSolves: 5, STANs: 900, PowerNs: 90, ThermalNs: 9}},
 	}
 	want := guardband.Stats{
 		STAProbes: 7, ThermalSolves: 7,
 		STANs: 1000, PowerNs: 100, ThermalNs: 10,
-		BatchLanes: 2, LockstepIters: 3, RetiredEarly: 1,
 	}
 	if got := SumStats(rs); got != want {
 		t.Fatalf("SumStats = %+v, want %+v", got, want)

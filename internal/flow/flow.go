@@ -233,9 +233,11 @@ func (im *Implementation) Guardband(opts guardband.Options) (*guardband.Result, 
 	return guardband.Run(im.Timing, im.Power, im.Thermal, opts)
 }
 
-// GuardbandBatch runs Algorithm 1 at every ambient in lockstep
-// (guardband.RunBatch): one batched STA traversal and one multi-RHS thermal
-// solve per round, lane l bit-identical to Guardband at ambients[l].
+// GuardbandBatch runs guardband.RunBatch on the implementation: Algorithm
+// 1 at each ambient in turn, result l == Guardband at ambients[l].
+//
+// Deprecated: call Guardband per ambient; this stays only while tabench's
+// guardband-warm deck calls it.
 func (im *Implementation) GuardbandBatch(ambients []float64, opts guardband.Options) ([]*guardband.Result, error) {
 	return guardband.RunBatch(im.Timing, im.Power, im.Thermal, ambients, opts)
 }

@@ -2,13 +2,14 @@ package guardband
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // physIdentical holds two Results to bit-identity on every physics field —
-// the RunBatch contract. Stats is accounting (wall times, batch counters)
-// and is checked separately where it matters.
+// the RunBatch contract. Stats is accounting (wall times, the shared
+// baseline probe) and is checked separately where it matters.
 func physIdentical(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if got.FmaxMHz != want.FmaxMHz || got.BaselineMHz != want.BaselineMHz ||
@@ -82,83 +83,31 @@ func itoa(n int) string {
 	return string(rune('0' + n))
 }
 
-// TestRunBatchLaneRetirement: lanes converging in different rounds must not
-// perturb each other — the full batch equals the per-lane singleton batches,
-// and RetiredEarly marks exactly the lanes that beat the slowest.
-func TestRunBatchLaneRetirement(t *testing.T) {
-	f := setup(t)
-	full, err := RunBatch(f.an, f.pm, f.th, batchAmbients, DefaultOptions(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxIters := 0
-	for _, res := range full {
-		if res.Iterations > maxIters {
-			maxIters = res.Iterations
-		}
-	}
-	if full[0].Stats.LockstepIters != maxIters {
-		t.Fatalf("lockstep rounds %d, want the slowest lane's %d iterations",
-			full[0].Stats.LockstepIters, maxIters)
-	}
-	retired := 0
-	for l, res := range full {
-		single, err := RunBatch(f.an, f.pm, f.th, batchAmbients[l:l+1], DefaultOptions(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		physIdentical(t, "retirement lane "+itoa(l), res, single[0])
-		if res.Stats.BatchLanes != 1 {
-			t.Fatalf("lane %d: BatchLanes %d, want 1", l, res.Stats.BatchLanes)
-		}
-		early := res.Iterations < maxIters
-		if got := res.Stats.RetiredEarly == 1; got != early {
-			t.Fatalf("lane %d: RetiredEarly=%v but iterations %d of %d rounds",
-				l, got, res.Iterations, maxIters)
-		}
-		if early {
-			retired++
-		}
-	}
-	var sum Stats
-	for _, res := range full {
-		sum.Add(res.Stats)
-	}
-	if sum.BatchLanes != len(batchAmbients) || sum.RetiredEarly != retired {
-		t.Fatalf("summed counters %d lanes / %d retired, want %d / %d",
-			sum.BatchLanes, sum.RetiredEarly, len(batchAmbients), retired)
-	}
-	if !strings.Contains(sum.String(), "lockstep rounds") {
-		t.Fatalf("batch counters missing from Stats string: %q", sum.String())
-	}
-}
-
-// TestRunBatchProgressAttribution: OnIteration events carry the lane's
-// ambient, so an interleaved batched trace can be demultiplexed.
+// TestRunBatchProgressAttribution: RunBatch's OnIteration stream is the
+// concatenation of the per-ambient Run streams, in ambient order.
 func TestRunBatchProgressAttribution(t *testing.T) {
 	f := setup(t)
-	seen := map[float64]int{}
-	opts := DefaultOptions(0)
-	opts.OnIteration = func(p Progress) {
-		if p.Iteration < 1 || p.FmaxMHz <= 0 {
-			t.Fatalf("malformed progress %+v", p)
+	var want []Progress
+	for _, amb := range batchAmbients {
+		opts := DefaultOptions(amb)
+		opts.OnIteration = func(p Progress) { want = append(want, p) }
+		if _, err := Run(f.an, f.pm, f.th, opts); err != nil {
+			t.Fatal(err)
 		}
-		seen[p.AmbientC]++
 	}
-	results, err := RunBatch(f.an, f.pm, f.th, batchAmbients, opts)
-	if err != nil {
+	var got []Progress
+	opts := DefaultOptions(0)
+	opts.OnIteration = func(p Progress) { got = append(got, p) }
+	if _, err := RunBatch(f.an, f.pm, f.th, batchAmbients, opts); err != nil {
 		t.Fatal(err)
 	}
-	for l, amb := range batchAmbients {
-		if seen[amb] != results[l].Iterations {
-			t.Fatalf("ambient %g: %d progress events, want %d iterations",
-				amb, seen[amb], results[l].Iterations)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("RunBatch progress differs from the per-ambient Run streams:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 // TestRunBatchEdges: empty batch is a no-op, and a cancelled context stops
-// the lockstep loop.
+// the loop.
 func TestRunBatchEdges(t *testing.T) {
 	f := setup(t)
 	if res, err := RunBatch(f.an, f.pm, f.th, nil, DefaultOptions(0)); res != nil || err != nil {

@@ -199,7 +199,7 @@ func RunEnergy(opts EnergyOptions) (*EnergyResult, error) {
 			}
 		}
 		ln := &lane{ambientC: opts.AmbientC, pinned: true, fMHz: res.TargetMHz, vddV: vdd}
-		if err := converge(m.Timing, m.Power, m.Thermal, []*lane{ln}, opts.Options); err != nil {
+		if err := converge(m.Timing, m.Power, m.Thermal, ln, opts.Options); err != nil {
 			return nil, err
 		}
 		res.Stats.Add(ln.res.Stats)

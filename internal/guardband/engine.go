@@ -1,15 +1,11 @@
 package guardband
 
 // engine.go is the one implementation of Algorithm 1's convergence loop.
-// Every entry point drives it: Run at one lane, RunBatch at one lane per
-// ambient, and RunEnergy at one pinned lane per voltage probe. Each round
-// issues one batched STA traversal for the lanes whose clock follows
-// timing, one power evaluation per lane, and one multi-RHS thermal solve; a
-// lane whose map meets δT (or runs out of iterations) retires that round
-// with its margined final probe while the others keep iterating. The
-// batched kernels preserve each lane's serial floating-point order and take
-// the serial path at one lane, so a lane's physics never depends on how
-// many lanes share its rounds.
+// Every entry point drives it one ambient at a time: Run and RunBatch
+// converge one lane per ambient, and RunEnergy one pinned lane per voltage
+// probe. Each iteration times the design at the lane's current map, prices
+// its power, and solves the thermal network; the lane stops when its map
+// meets δT (or runs out of iterations) and takes its margined final probe.
 
 import (
 	"fmt"
@@ -24,7 +20,7 @@ import (
 type lane struct {
 	ambientC float64
 	// pinned holds the clock at the driver-set fMHz instead of re-timing
-	// the design every round — the min-energy probe, where the STA step
+	// the design every iteration — the min-energy probe, where the STA step
 	// only fed the frequency into the power model. vddV is the probe's
 	// rail, reported on its Progress events.
 	pinned bool
@@ -37,7 +33,7 @@ type lane struct {
 	// powerUW is a pinned lane's total power at its final temperatures.
 	powerUW float64
 
-	fMHz   float64   // this round's clock (fixed when pinned)
+	fMHz   float64   // this iteration's clock (fixed when pinned)
 	frozen []float64 // the ambient map leakage is priced at under FreezeLeakage
 	power  []float64 // reused power vector
 }
@@ -50,175 +46,118 @@ func (ln *lane) leakTemps() []float64 {
 	return ln.res.Temps
 }
 
-// baseline probes the conventional worst-case corner — every tile at
-// T_worst — and accounts the probe to st.
-func baseline(an *sta.Analyzer, opts Options, st *Stats) sta.Report {
+// analyze runs one full-netlist timing probe and accounts it to st.
+func analyze(an *sta.Analyzer, temps []float64, st *Stats) sta.Report {
 	t0 := time.Now()
-	rep := an.Analyze(sta.UniformTemps(an.PL.Grid.NumTiles(), opts.WorstCaseC))
+	rep := an.Analyze(temps)
 	st.STAProbes++
 	st.STANs += time.Since(t0).Nanoseconds()
 	return rep
 }
 
-// converge runs Algorithm 1 over lanes that share one implementation's
-// models until every lane has retired. opts must already be normalized;
-// its AmbientC is ignored (each lane carries its own). Cancellation is
-// checked on the round boundary, so an aborted run stops between coherent
-// iterates. Shared kernel wall time is split evenly
-// across the lanes that shared it.
-func converge(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, lanes []*lane, opts Options) error {
+// baseline probes the conventional worst-case corner — every tile at
+// T_worst — and accounts the probe to st.
+func baseline(an *sta.Analyzer, opts Options, st *Stats) sta.Report {
+	return analyze(an, sta.UniformTemps(an.PL.Grid.NumTiles(), opts.WorstCaseC), st)
+}
+
+// converge runs Algorithm 1 for one lane on one implementation's models.
+// opts must already be normalized; its AmbientC is ignored (the lane
+// carries its own). Cancellation is checked at the top of every iteration,
+// so an aborted run stops between coherent iterates.
+func converge(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, ln *lane, opts Options) error {
 	nTiles := an.PL.Grid.NumTiles()
-	active := make([]*lane, 0, len(lanes))
-	for _, ln := range lanes {
-		// Line 1-2: start from ambient everywhere.
-		ln.res.Temps = sta.UniformTemps(nTiles, ln.ambientC)
-		if opts.FreezeLeakage {
-			ln.frozen = sta.UniformTemps(nTiles, ln.ambientC)
-		}
-		active = append(active, ln)
+	r := &ln.res
+	// Line 1-2: start from ambient everywhere.
+	r.Temps = sta.UniformTemps(nTiles, ln.ambientC)
+	if opts.FreezeLeakage {
+		ln.frozen = sta.UniformTemps(nTiles, ln.ambientC)
 	}
-	var (
-		timed    []*lane
-		timedMap [][]float64
-		powers   [][]float64
-		ambients []float64
-		retiring []*lane
-	)
-	for round := 1; len(active) > 0; round++ {
+	for iter := 1; ; iter++ {
 		if opts.Ctx != nil {
 			if err := opts.Ctx.Err(); err != nil {
-				return fmt.Errorf("guardband: cancelled after %d iterations: %w", round-1, err)
+				return fmt.Errorf("guardband: cancelled after %d iterations: %w", iter-1, err)
 			}
 		}
 
-		// Line 4: full-netlist timing at each lane's current map, one
-		// traversal for every lane whose clock is not pinned.
-		timed, timedMap = timed[:0], timedMap[:0]
-		for _, ln := range active {
-			if !ln.pinned {
-				timed = append(timed, ln)
-				timedMap = append(timedMap, ln.res.Temps)
-			}
-		}
-		if len(timed) > 0 {
-			t0 := time.Now()
-			reps := an.AnalyzeBatch(timedMap)
-			ns := time.Since(t0).Nanoseconds() / int64(len(timed))
-			for i, ln := range timed {
-				ln.fMHz = reps[i].FmaxMHz
-				ln.res.Stats.STAProbes++
-				ln.res.Stats.STANs += ns
-			}
+		// Line 4: full-netlist timing at the current map, unless the clock
+		// is pinned.
+		if !ln.pinned {
+			ln.fMHz = analyze(an, r.Temps, &r.Stats).FmaxMHz
 		}
 
-		// Line 5: dynamic power at the lane's clock plus leakage at its
+		// Line 5: dynamic power at the clock plus leakage at the lane's
 		// temperatures.
-		powers, ambients = powers[:0], ambients[:0]
 		t0 := time.Now()
-		for _, ln := range active {
-			ln.power = pm.VectorInto(ln.fMHz, ln.leakTemps(), ln.power)
-			powers = append(powers, ln.power)
-			ambients = append(ambients, ln.ambientC)
-		}
-		powerNs := time.Since(t0).Nanoseconds() / int64(len(active))
+		ln.power = pm.VectorInto(ln.fMHz, ln.leakTemps(), ln.power)
+		r.Stats.PowerNs += time.Since(t0).Nanoseconds()
 
-		// Line 7: one thermal solve for every active lane.
+		// Line 7: steady-state thermal solve.
 		t0 = time.Now()
-		solved, err := th.SolveBatch(powers, ambients)
-		thermalNs := time.Since(t0).Nanoseconds() / int64(len(active))
+		solved, err := th.Solve(ln.power, ln.ambientC)
+		r.Stats.ThermalNs += time.Since(t0).Nanoseconds()
 		if err != nil {
 			return fmt.Errorf("guardband: %w", err)
 		}
+		r.Stats.ThermalSolves++
+		r.Iterations = iter
 
-		// Line 3/8: convergence on the infinity norm; converged lanes and
-		// lanes out of iterations retire.
-		retiring = retiring[:0]
-		survivors := active[:0]
-		for i, ln := range active {
-			r := &ln.res
-			r.Iterations = round
-			r.Stats.PowerNs += powerNs
-			r.Stats.ThermalSolves++
-			r.Stats.ThermalNs += thermalNs
-
-			// SeedTemps keeps the raw solver output, before any collapse.
-			r.SeedTemps = solved[i]
-			next := solved[i]
-			if opts.UniformT {
-				next = sta.UniformTemps(nTiles, hotspot.Max(next))
+		// SeedTemps keeps the raw solver output, before any collapse.
+		r.SeedTemps = solved
+		next := solved
+		if opts.UniformT {
+			next = sta.UniformTemps(nTiles, hotspot.Max(next))
+		}
+		// Line 3/8: convergence on the infinity norm.
+		maxDelta := 0.0
+		for j := range next {
+			d := next[j] - r.Temps[j]
+			if d < 0 {
+				d = -d
 			}
-			maxDelta := 0.0
-			for j := range next {
-				d := next[j] - r.Temps[j]
-				if d < 0 {
-					d = -d
-				}
-				if d > maxDelta {
-					maxDelta = d
-				}
-			}
-			r.Temps = next
-			converged := maxDelta <= opts.DeltaTC
-			if opts.OnIteration != nil {
-				opts.OnIteration(Progress{
-					Iteration: round, AmbientC: ln.ambientC, FmaxMHz: ln.fMHz,
-					MaxDeltaC: maxDelta, MaxC: hotspot.Max(next), Converged: converged,
-					VddV: ln.vddV,
-				})
-			}
-			r.Converged = converged
-			if converged || round >= opts.MaxIters {
-				retiring = append(retiring, ln)
-			} else {
-				survivors = append(survivors, ln)
+			if d > maxDelta {
+				maxDelta = d
 			}
 		}
-		active = survivors
-		if len(retiring) > 0 {
-			retire(an, pm, retiring, opts)
+		r.Temps = next
+		r.Converged = maxDelta <= opts.DeltaTC
+		if opts.OnIteration != nil {
+			opts.OnIteration(Progress{
+				Iteration: iter, AmbientC: ln.ambientC, FmaxMHz: ln.fMHz,
+				MaxDeltaC: maxDelta, MaxC: hotspot.Max(next), Converged: r.Converged,
+				VddV: ln.vddV,
+			})
+		}
+		if r.Converged || iter >= opts.MaxIters {
+			break
+		}
+	}
+
+	// Line 9: one timing probe at the final map plus the δT margin sets
+	// the final clock.
+	margined := make([]float64, nTiles)
+	for j, t := range r.Temps {
+		margined[j] = t + opts.DeltaTC
+	}
+	final := analyze(an, margined, &r.Stats)
+	r.FmaxMHz = final.FmaxMHz
+	r.Breakdown = final.Breakdown
+	r.RiseC = hotspot.Mean(r.Temps) - ln.ambientC
+	r.SpreadC = hotspot.Spread(r.Temps)
+	// A pinned lane re-evaluates its power at the final temperatures, so
+	// the wattage it reports matches the map it is quoted with.
+	if ln.pinned {
+		t0 := time.Now()
+		ln.power = pm.VectorInto(ln.fMHz, ln.leakTemps(), ln.power)
+		r.Stats.PowerNs += time.Since(t0).Nanoseconds()
+		for _, w := range ln.power {
+			ln.powerUW += w
 		}
 	}
 	return nil
 }
 
-// retire runs Line 9 for the lanes leaving the loop this round: one batched
-// timing probe at every lane's map plus the δT margin sets the final clock.
-// A pinned lane also re-evaluates its power at the final temperatures, so
-// the wattage it reports matches the map it is quoted with.
-func retire(an *sta.Analyzer, pm *power.Model, lanes []*lane, opts Options) {
-	margined := make([][]float64, len(lanes))
-	for i, ln := range lanes {
-		mg := make([]float64, len(ln.res.Temps))
-		for j, t := range ln.res.Temps {
-			mg[j] = t + opts.DeltaTC
-		}
-		margined[i] = mg
-	}
-	t0 := time.Now()
-	finals := an.AnalyzeBatch(margined)
-	ns := time.Since(t0).Nanoseconds() / int64(len(lanes))
-	for i, ln := range lanes {
-		r := &ln.res
-		r.Stats.STAProbes++
-		r.Stats.STANs += ns
-		r.FmaxMHz = finals[i].FmaxMHz
-		r.Breakdown = finals[i].Breakdown
-		r.RiseC = hotspot.Mean(r.Temps) - ln.ambientC
-		r.SpreadC = hotspot.Spread(r.Temps)
-		if ln.pinned {
-			t0 := time.Now()
-			ln.power = pm.VectorInto(ln.fMHz, ln.leakTemps(), ln.power)
-			r.Stats.PowerNs += time.Since(t0).Nanoseconds()
-			total := 0.0
-			for _, w := range ln.power {
-				total += w
-			}
-			ln.powerUW = total
-		}
-	}
-}
-
-// result completes a retired fmax lane against the worst-case baseline.
+// result completes a finished fmax lane against the worst-case baseline.
 func (ln *lane) result(worst sta.Report) *Result {
 	r := &ln.res
 	r.BaselineMHz = worst.FmaxMHz

@@ -34,15 +34,11 @@ var goldenDesigns = []string{"sha", "mkPktMerge", "raygentop"}
 
 // goldenCounts is the work accounting of a run: Stats without wall times.
 type goldenCounts struct {
-	STAProbes, ThermalSolves                int
-	BatchLanes, LockstepIters, RetiredEarly int
+	STAProbes, ThermalSolves int
 }
 
 func countsOf(s guardband.Stats) goldenCounts {
-	return goldenCounts{
-		STAProbes: s.STAProbes, ThermalSolves: s.ThermalSolves,
-		BatchLanes: s.BatchLanes, LockstepIters: s.LockstepIters, RetiredEarly: s.RetiredEarly,
-	}
+	return goldenCounts{STAProbes: s.STAProbes, ThermalSolves: s.ThermalSolves}
 }
 
 type goldenResult struct {
@@ -114,6 +110,8 @@ type goldenSweepRow struct {
 }
 
 type goldenSweep struct {
+	// SweepBatch is always 1: sweeps run one ambient at a time. It stays
+	// so the recorded rows keep their bytes.
 	SweepBatch int
 	Rows       []goldenSweepRow
 }
@@ -126,7 +124,7 @@ type goldenDesign struct {
 	Sweeps  []goldenSweep
 }
 
-// sweepAxis is the 0:100:10 ambient axis of the batched sweeps.
+// sweepAxis is the 0:100:10 ambient axis of the batches and sweeps.
 func sweepAxis() []float64 {
 	var a []float64
 	for t := 0.0; t <= 100; t += 10 {
@@ -136,8 +134,9 @@ func sweepAxis() []float64 {
 }
 
 // variantOptions returns the Algorithm-1 options of one recorded variant:
-// the defaults, the two ablations, a tight δT that makes lanes converge at
-// different rounds, and a one-iteration budget that leaves runs unconverged.
+// the defaults, the two ablations, a tight δT that makes ambients converge
+// in different iteration counts, and a one-iteration budget that leaves
+// runs unconverged.
 func variantOptions(variant string, ambientC float64) guardband.Options {
 	opts := guardband.DefaultOptions(ambientC)
 	switch variant {
@@ -243,23 +242,19 @@ func recordDesign(t *testing.T, c *experiments.Context, name string) goldenDesig
 		})
 	}
 
-	for _, batch := range []int{1, 11} {
-		c.SweepBatch = batch
-		rows, err := c.GuardbandSweep(name, axis)
-		if err != nil {
-			t.Fatalf("%s GuardbandSweep batch %d: %v", name, batch, err)
-		}
-		s := goldenSweep{SweepBatch: batch}
-		for _, r := range rows {
-			s.Rows = append(s.Rows, goldenSweepRow{
-				Name: r.Name, GainPct: r.GainPct, FmaxMHz: r.FmaxMHz, BaselineMHz: r.BaselineMHz,
-				Iterations: r.Iterations, RiseC: r.RiseC, SpreadC: r.SpreadC,
-				Converged: r.Converged, Counts: countsOf(r.Stats),
-			})
-		}
-		d.Sweeps = append(d.Sweeps, s)
+	rows, err := c.GuardbandSweep(name, axis)
+	if err != nil {
+		t.Fatalf("%s GuardbandSweep: %v", name, err)
 	}
-	c.SweepBatch = 0
+	s := goldenSweep{SweepBatch: 1}
+	for _, r := range rows {
+		s.Rows = append(s.Rows, goldenSweepRow{
+			Name: r.Name, GainPct: r.GainPct, FmaxMHz: r.FmaxMHz, BaselineMHz: r.BaselineMHz,
+			Iterations: r.Iterations, RiseC: r.RiseC, SpreadC: r.SpreadC,
+			Converged: r.Converged, Counts: countsOf(r.Stats),
+		})
+	}
+	d.Sweeps = append(d.Sweeps, s)
 	return d
 }
 

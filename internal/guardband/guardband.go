@@ -56,8 +56,7 @@ type Options struct {
 type Progress struct {
 	// Iteration counts from 1.
 	Iteration int
-	// AmbientC is the ambient temperature of the run (the lane's ambient in
-	// a batched sweep, where iterations from several lanes interleave).
+	// AmbientC is the ambient temperature of the run.
 	AmbientC float64
 	// FmaxMHz is the timing result at the iteration's input temperatures —
 	// or, on a min-energy probe's iteration, the pinned target clock.
@@ -150,8 +149,41 @@ func Run(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, opts Options) (*R
 	opts.normalize()
 	ln := &lane{ambientC: opts.AmbientC}
 	worst := baseline(an, opts, &ln.res.Stats)
-	if err := converge(an, pm, th, []*lane{ln}, opts); err != nil {
+	if err := converge(an, pm, th, ln, opts); err != nil {
 		return nil, err
 	}
 	return ln.result(worst), nil
+}
+
+// RunBatch runs Algorithm 1 at each ambient in turn. The worst-case
+// baseline depends only on the implementation and T_worst, so one probe
+// serves every ambient; its accounting rides on result 0, so a summed
+// batch counts it once. Otherwise result l is == to Run at ambients[l],
+// Stats wall times aside, and the OnIteration stream is the per-ambient
+// Run streams in ambient order. opts.AmbientC is ignored. An empty list
+// returns (nil, nil); an out-of-range ambient fails the call before any
+// run. New code loops over Run; RunBatch stays for the benchmark harness.
+func RunBatch(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, ambients []float64, opts Options) ([]*Result, error) {
+	for _, amb := range ambients {
+		if err := CheckAmbient(amb); err != nil {
+			return nil, err
+		}
+	}
+	if len(ambients) == 0 {
+		return nil, nil
+	}
+	opts.normalize()
+	results := make([]*Result, len(ambients))
+	var worst sta.Report
+	for l, amb := range ambients {
+		ln := &lane{ambientC: amb}
+		if l == 0 {
+			worst = baseline(an, opts, &ln.res.Stats)
+		}
+		if err := converge(an, pm, th, ln, opts); err != nil {
+			return nil, err
+		}
+		results[l] = ln.result(worst)
+	}
+	return results, nil
 }

@@ -8,7 +8,7 @@ import (
 	"tafpga/internal/oracle"
 )
 
-// TestOptimizedRunMatchesReferenceRun: the lane engine on the optimized
+// TestOptimizedRunMatchesReferenceRun: the engine on the optimized
 // kernels (compiled STA, factorized thermal solver) must land on the same
 // operating point as Algorithm 1 over the seed kernels. The thermal paths
 // differ by at most the Gauss-Seidel tolerance (1e-5 °C), far inside the

@@ -18,14 +18,10 @@ type Stats struct {
 	STANs     int64
 	PowerNs   int64
 	ThermalNs int64
-	// BatchLanes counts lanes executed by RunBatch (1 per batched lane, 0
-	// for serial runs); LockstepIters counts batch lockstep rounds (carried
-	// by one lane per batch so a summed batch counts each round once); and
-	// RetiredEarly counts lanes that converged before the batch's final
-	// round — the continuous-batching win.
-	BatchLanes    int
+	// Deprecated: always 0; Algorithm 1 runs one ambient at a time.
 	LockstepIters int
-	RetiredEarly  int
+	// Deprecated: always 0; Algorithm 1 runs one ambient at a time.
+	RetiredEarly int
 }
 
 // Add accumulates another run's stats (used by the experiment suites to
@@ -36,20 +32,12 @@ func (s *Stats) Add(o Stats) {
 	s.STANs += o.STANs
 	s.PowerNs += o.PowerNs
 	s.ThermalNs += o.ThermalNs
-	s.BatchLanes += o.BatchLanes
-	s.LockstepIters += o.LockstepIters
-	s.RetiredEarly += o.RetiredEarly
 }
 
 // String renders a one-line kernel accounting.
 func (s Stats) String() string {
-	line := fmt.Sprintf("sta %d probes %.2fms | power %.2fms | thermal %d solves %.2fms",
+	return fmt.Sprintf("sta %d probes %.2fms | power %.2fms | thermal %d solves %.2fms",
 		s.STAProbes, float64(s.STANs)/1e6,
 		float64(s.PowerNs)/1e6,
 		s.ThermalSolves, float64(s.ThermalNs)/1e6)
-	if s.BatchLanes > 0 {
-		line += fmt.Sprintf(" | batch %d lanes (%d lockstep rounds, %d retired early)",
-			s.BatchLanes, s.LockstepIters, s.RetiredEarly)
-	}
-	return line
 }

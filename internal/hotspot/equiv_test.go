@@ -122,8 +122,8 @@ func TestDirectMatchesConvergedGaussSeidel(t *testing.T) {
 }
 
 // TestLiteralModelSolveErrors: a Model assembled by struct literal (no
-// NewModel, so no factorization) has no solver to fall back on — Solve,
-// SolveBatch, and Influence report an error instead of answering — while
+// NewModel, so no factorization) has no solver to fall back on — Solve and
+// Influence report an error instead of answering — while
 // the seed relaxation, which needs no factorization, still solves it.
 func TestLiteralModelSolveErrors(t *testing.T) {
 	t.Parallel()
@@ -133,9 +133,6 @@ func TestLiteralModelSolveErrors(t *testing.T) {
 	p[5] = 4000
 	if _, err := m.Solve(p, 25); err == nil || !strings.Contains(err.Error(), "no factorization") {
 		t.Fatalf("Solve on a literal model: err=%v, want a missing-factorization error", err)
-	}
-	if _, err := m.SolveBatch([][]float64{p, p}, []float64{25, 30}); err == nil {
-		t.Fatal("SolveBatch on a literal model must error")
 	}
 	if err := m.Influence(0, make([]float64, 12)); err == nil {
 		t.Fatal("Influence on a literal model must error")

@@ -65,13 +65,13 @@ type Event struct {
 	// "thermal") and a streaming consumer needs to tell them apart.
 	Phase     string `json:"phase,omitempty"`
 	Iteration int    `json:"iteration,omitempty"`
-	// AmbientC attributes the iteration to its ambient lane — in a batched
-	// sweep, iterations from several ambients interleave in one stream.
-	AmbientC  float64 `json:"ambient_c,omitempty"`
-	FmaxMHz   float64 `json:"fmax_mhz,omitempty"`
-	MaxDeltaC float64 `json:"max_delta_c,omitempty"`
-	MaxC      float64 `json:"max_c,omitempty"`
-	Converged bool    `json:"converged,omitempty"`
+	// AmbientC is the ambient of the run the iteration belongs to. Every
+	// progress event sets it, 0 °C included; state events leave it nil.
+	AmbientC  *float64 `json:"ambient_c,omitempty"`
+	FmaxMHz   float64  `json:"fmax_mhz,omitempty"`
+	MaxDeltaC float64  `json:"max_delta_c,omitempty"`
+	MaxC      float64  `json:"max_c,omitempty"`
+	Converged bool     `json:"converged,omitempty"`
 	// VddV is the candidate core rail of a min-energy bisection probe
 	// (the progress stream narrates the voltage search, one event per
 	// probe); 0 on fmax-objective iterations.

@@ -9,7 +9,6 @@ import (
 	"tafpga/internal/experiments"
 	"tafpga/internal/flow"
 	"tafpga/internal/guardband"
-	"tafpga/internal/obs"
 	"tafpga/internal/techmodel"
 	"tafpga/internal/thermarch"
 )
@@ -29,10 +28,7 @@ type RunnerConfig struct {
 	BenchWorkers int
 	// Deprecated: ignored; routing is serial (parallel speculation lost to one worker).
 	RouteWorkers int
-	// SweepBatch sets how many ambient lanes sweep jobs run in lockstep
-	// through the batched guardband engine (<= 1 = serial). Per-lane
-	// results are bit-identical to the serial engine, so this is a
-	// wall-clock knob only, excluded from Spec and the dedup key.
+	// Deprecated: ignored; Algorithm 1 runs one ambient at a time.
 	SweepBatch int
 	// Benchmarks restricts the suite used by figure jobs (nil = the full
 	// Table II suite).
@@ -40,9 +36,6 @@ type RunnerConfig struct {
 	// FlowCacheDir spills the content-keyed place-and-route cache to disk
 	// (empty = memory only).
 	FlowCacheDir string
-	// Obs, when non-nil, receives the runner's metrics (the per-dispatch
-	// sweep-lane histogram).
-	Obs *obs.Registry
 }
 
 // Runner executes specs. The expensive cross-job state — the corner-device
@@ -51,31 +44,24 @@ type RunnerConfig struct {
 // and progress callback. Both shared structures are safe for concurrent
 // use, so a multi-worker Manager can run jobs in parallel.
 type Runner struct {
-	cfg        RunnerConfig
-	kit        *techmodel.Kit
-	arch       coffe.Params
-	lib        *thermarch.Library
-	cache      *flow.Cache
-	sweepLanes *obs.Histogram
+	cfg   RunnerConfig
+	kit   *techmodel.Kit
+	arch  coffe.Params
+	lib   *thermarch.Library
+	cache *flow.Cache
 }
 
 // NewRunner builds the shared state once.
 func NewRunner(cfg RunnerConfig) *Runner {
 	kit := techmodel.Default22nm()
 	arch := coffe.DefaultParams()
-	r := &Runner{
+	return &Runner{
 		cfg:   cfg,
 		kit:   kit,
 		arch:  arch,
 		lib:   thermarch.NewLibrary(kit, arch),
 		cache: flow.NewCache(cfg.FlowCacheDir),
 	}
-	if cfg.Obs != nil {
-		r.sweepLanes = cfg.Obs.Histogram("tafpgad_sweep_lanes",
-			"Lanes per batched guardband dispatch of sweep jobs.",
-			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
-	}
-	return r
 }
 
 // Warm sizes the default device ahead of traffic so the first job does not
@@ -97,12 +83,8 @@ func (r *Runner) context(ctx context.Context, emit func(Event)) *experiments.Con
 		c.PlaceEffort = r.cfg.PlaceEffort
 	}
 	c.Workers = r.cfg.BenchWorkers
-	c.SweepBatch = r.cfg.SweepBatch
 	c.Benchmarks = r.cfg.Benchmarks
 	c.Ctx = ctx
-	if h := r.sweepLanes; h != nil {
-		c.OnBatch = func(lanes int) { h.Observe(float64(lanes)) }
-	}
 	if emit != nil {
 		c.OnProgress = func(bench string, p guardband.Progress) {
 			// Compare-style experiments label progress "<bench>/<phase>";
@@ -112,7 +94,7 @@ func (r *Runner) context(ctx context.Context, emit func(Event)) *experiments.Con
 				bench, phase = bench[:i], bench[i+1:]
 			}
 			emit(Event{
-				Benchmark: bench, Phase: phase, Iteration: p.Iteration, AmbientC: p.AmbientC,
+				Benchmark: bench, Phase: phase, Iteration: p.Iteration, AmbientC: &p.AmbientC,
 				FmaxMHz: p.FmaxMHz, MaxDeltaC: p.MaxDeltaC, MaxC: p.MaxC,
 				Converged: p.Converged, VddV: p.VddV,
 			})

@@ -792,10 +792,3 @@ func topoCombo(nl *netlist.Netlist) []int {
 	}
 	return order
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

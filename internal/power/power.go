@@ -124,8 +124,8 @@ func (m *Model) Vector(fMHz float64, temps []float64) []float64 {
 // VectorInto is Vector with a caller-owned destination: when dst has the
 // tile count it is overwritten and returned, otherwise a fresh vector is
 // allocated. Every entry is the same expression Vector computes, so reusing
-// a buffer (the batched guardband loop re-evaluates power every lockstep
-// round) cannot change a single bit of the result.
+// a buffer (the guardband loop re-evaluates power every iteration) cannot
+// change a single bit of the result.
 func (m *Model) VectorInto(fMHz float64, temps, dst []float64) []float64 {
 	grid := m.PL.Grid
 	if len(dst) != grid.NumTiles() {

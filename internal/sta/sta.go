@@ -159,7 +159,7 @@ func (a *Analyzer) Analyze(temps []float64) Report {
 
 // finish runs the endpoint scan, the hard-block constraints, and the
 // critical-path trace over an already-propagated working set. It is a pure
-// function of (temps, sc), shared by Analyze and AnalyzeBatch.
+// function of (temps, sc).
 func (a *Analyzer) finish(temps []float64, sc *analyzeScratch) Report {
 	dev := a.Dev
 	c := a.comp

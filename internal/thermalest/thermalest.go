@@ -68,8 +68,8 @@ func NewKernel(m *hotspot.Model, radius int) (*Kernel, error) {
 			return nil, err
 		}
 		xi, yi := i%m.W, i/m.W
-		x0, x1 := maxi(0, xi-radius), mini(m.W-1, xi+radius)
-		y0, y1 := maxi(0, yi-radius), mini(m.H-1, yi+radius)
+		x0, x1 := max(0, xi-radius), min(m.W-1, xi+radius)
+		y0, y1 := max(0, yi-radius), min(m.H-1, yi+radius)
 		bw, bh := x1-x0+1, y1-y0+1
 		col := make([]float64, bw*bh)
 		for dy := 0; dy < bh; dy++ {
@@ -298,18 +298,4 @@ func (e *Estimate) Recompute() float64 {
 	}
 	e.obj = obj
 	return drift
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
