@@ -80,3 +80,32 @@ func TestPlaceReferenceErrorsAgree(t *testing.T) {
 		t.Fatalf("error text diverged: opt=%q ref=%q", errOpt, errRef)
 	}
 }
+
+// TestNetsAtListAscending pins the invariant tryMove's merge relies on:
+// every entity's slice of netsAtList is strictly ascending, so the merged
+// touched-net list comes out in the ascending order the seed's sort gave,
+// with no net twice.
+func TestNetsAtListAscending(t *testing.T) {
+	for _, tc := range []struct {
+		bench string
+		scale float64
+	}{
+		{"sha", 1.0 / 64},
+		{"mkPktMerge", 1.0 / 8},
+		{"raygentop", 1.0 / 32},
+	} {
+		packed, grid := testSetup(t, tc.bench, tc.scale)
+		a, _, err := newAnnealer(packed, grid, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ei := range a.ents {
+			nets := a.netsAtList[a.netsAtStart[ei]:a.netsAtStart[ei+1]]
+			for k := 1; k < len(nets); k++ {
+				if nets[k] <= nets[k-1] {
+					t.Fatalf("%s: entity %d nets not strictly ascending: %v", tc.bench, ei, nets)
+				}
+			}
+		}
+	}
+}

@@ -9,8 +9,9 @@
 // Place is the optimized annealer: per-net cached bounding boxes with
 // boundary counts (VPR's incremental bbox cost update) priced in O(moved
 // endpoints) per move instead of a full HPWL recompute of every touched
-// net, flat slice-backed occupancy and site tables, and a stamp-based
-// touched-net index. It consumes the exact RNG stream of the seed annealer
+// net, flat slice-backed occupancy and site tables, a dense per-entity
+// coordinate table, and a touched-net list merged from two ascending
+// per-entity net lists. It consumes the exact RNG stream of the seed annealer
 // and reproduces its accept/reject decisions, so TileOf and Cost are
 // byte-identical to PlaceReference (see reference.go and the equivalence
 // tests).
@@ -20,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"tafpga/internal/arch"
@@ -109,6 +109,16 @@ type bbox struct {
 	cMinX, cMaxX, cMinY, cMaxY int32
 }
 
+// point is one tile's grid coordinates.
+type point struct{ x, y int32 }
+
+// touch is one net a move touches; flag bit 0 marks a net holding the moved
+// entity, bit 1 a net holding the displaced one.
+type touch struct {
+	net  int32
+	flag uint8
+}
+
 // annealer bundles the flat working state of one Place call.
 type annealer struct {
 	grid  *arch.Grid
@@ -116,8 +126,11 @@ type annealer struct {
 	sites *gridSites
 	// occupant[tile*ioPadsPerTile+slot] is the entity index or -1.
 	occupant []int32
-	// tileX/tileY decompose flat tile indices once.
-	tileX, tileY []int32
+	// tileXY decomposes flat tile indices once; pos[ei] is tileXY of
+	// ents[ei].tile, kept in step with every applied or reverted move so
+	// rescan reads one record per endpoint.
+	tileXY []point
+	pos    []point
 
 	// Nets in CSR form: net ni owns endpoints
 	// endsList[endsStart[ni]:endsStart[ni+1]].
@@ -127,17 +140,16 @@ type annealer struct {
 	netCost   []float64
 	bb        []bbox
 	// netsAt in CSR form: entity ei touches nets
-	// netsAtList[netsAtStart[ei]:netsAtStart[ei+1]].
+	// netsAtList[netsAtStart[ei]:netsAtStart[ei+1]], in strictly ascending
+	// net order (the list is filled net by net), which tryMove's merge
+	// relies on.
 	netsAtStart []int32
 	netsAtList  []int32
 
 	// Per-move scratch, reused across every move.
-	touched    []int
-	touchFlag  []uint8 // bit 0: net contains the moved entity; bit 1: the displaced one
-	touchStamp []int32
-	stamp      int32
-	savedBB    []bbox
-	newCosts   []float64
+	touched  []touch
+	savedBB  []bbox
+	newCosts []float64
 
 	total float64
 
@@ -194,7 +206,59 @@ func placeAnneal(p *pack.Result, grid *arch.Grid, seed int64, effort float64, tc
 	if effort <= 0 {
 		effort = 1.0
 	}
+	a, entOf, err := newAnnealer(p, grid, tc)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(seed))
+	numNets := len(a.weight)
+
+	// Annealing schedule (VPR-like), identical to the seed.
+	movesPerT := int(effort * 8 * math.Pow(float64(len(a.ents)), 1.2))
+	if movesPerT < 200 {
+		movesPerT = 200
+	}
+	temp := initialTemp(numNets, a.total)
+
+	for temp > 0.001*a.total/float64(numNets+1) {
+		accepted := 0
+		for m := 0; m < movesPerT; m++ {
+			if a.tryMove(rng, temp) {
+				accepted++
+			}
+		}
+		frac := float64(accepted) / float64(movesPerT)
+		// VPR's adaptive cooling: cool slowly near 44 % acceptance.
+		switch {
+		case frac > 0.96:
+			temp *= 0.5
+		case frac > 0.8:
+			temp *= 0.9
+		case frac > 0.15:
+			temp *= 0.95
+		default:
+			temp *= 0.8
+		}
+		if frac < 0.02 && temp < 0.01*a.total/float64(numNets+1) {
+			break
+		}
+	}
+
+	pl := &Placement{Grid: grid, Packed: p, TileOf: make([]int, len(entOf)), Cost: a.total}
+	for i := range pl.TileOf {
+		pl.TileOf[i] = -1
+		if entOf[i] >= 0 {
+			pl.TileOf[i] = a.ents[entOf[i]].tile
+		}
+	}
+	return pl, nil
+}
+
+// newAnnealer enumerates the entities, makes the seed's deterministic
+// initial placement, and builds the net, coordinate, bounding-box and
+// (with tc) thermal state the anneal works on. It draws no random numbers.
+// entOf maps every netlist block to its entity, or -1.
+func newAnnealer(p *pack.Result, grid *arch.Grid, tc *ThermalCost) (*annealer, []int, error) {
 	nl := p.Netlist
 
 	// Enumerate entities (same order as the seed annealer).
@@ -221,7 +285,7 @@ func placeAnneal(p *pack.Result, grid *arch.Grid, seed int64, effort float64, tc
 			}
 		}
 		if need > len(sites.byClass[cls]) {
-			return nil, fmt.Errorf("place: %d %s blocks exceed %d sites", need, cls, len(sites.byClass[cls]))
+			return nil, nil, fmt.Errorf("place: %d %s blocks exceed %d sites", need, cls, len(sites.byClass[cls]))
 		}
 	}
 	{
@@ -232,7 +296,7 @@ func placeAnneal(p *pack.Result, grid *arch.Grid, seed int64, effort float64, tc
 			}
 		}
 		if needIO > len(sites.byClass[coffe.TileIO])*ioPadsPerTile {
-			return nil, fmt.Errorf("place: %d pads exceed IO capacity %d", needIO, len(sites.byClass[coffe.TileIO])*ioPadsPerTile)
+			return nil, nil, fmt.Errorf("place: %d pads exceed IO capacity %d", needIO, len(sites.byClass[coffe.TileIO])*ioPadsPerTile)
 		}
 	}
 
@@ -254,10 +318,10 @@ func placeAnneal(p *pack.Result, grid *arch.Grid, seed int64, effort float64, tc
 			if e.class == coffe.TileIO {
 				slot = k / len(s)
 				if slot >= ioPadsPerTile {
-					return nil, fmt.Errorf("place: IO overflow")
+					return nil, nil, fmt.Errorf("place: IO overflow")
 				}
 			} else if k >= len(s) {
-				return nil, fmt.Errorf("place: %s overflow", e.class)
+				return nil, nil, fmt.Errorf("place: %s overflow", e.class)
 			}
 			if occupant[tile*ioPadsPerTile+slot] < 0 {
 				e.tile, e.slot = tile, slot
@@ -339,13 +403,15 @@ func placeAnneal(p *pack.Result, grid *arch.Grid, seed int64, effort float64, tc
 		}
 	}
 
-	// Tile coordinate tables.
-	a.tileX = make([]int32, grid.NumTiles())
-	a.tileY = make([]int32, grid.NumTiles())
-	for idx := 0; idx < grid.NumTiles(); idx++ {
+	// Coordinate tables.
+	a.tileXY = make([]point, grid.NumTiles())
+	for idx := range a.tileXY {
 		x, y := grid.At(idx)
-		a.tileX[idx] = int32(x)
-		a.tileY[idx] = int32(y)
+		a.tileXY[idx] = point{int32(x), int32(y)}
+	}
+	a.pos = make([]point, len(ents))
+	for ei := range ents {
+		a.pos[ei] = a.tileXY[ents[ei].tile]
 	}
 
 	// Initial bounding boxes and costs (same accumulation order as the
@@ -358,23 +424,16 @@ func placeAnneal(p *pack.Result, grid *arch.Grid, seed int64, effort float64, tc
 		a.total += a.netCost[ni]
 	}
 
-	// Per-move scratch.
-	a.touchStamp = make([]int32, numNets)
-	a.touchFlag = make([]uint8, numNets)
-	for i := range a.touchStamp {
-		a.touchStamp[i] = -1
-	}
-
 	// Thermal-aware extension: aggregate the block-power proxy per entity,
 	// deposit it on the initial tiles, and normalize the weight so the
 	// thermal objective enters the cost in wirelength units.
 	if tc != nil {
 		if tc.Kernel.W != grid.W || tc.Kernel.H != grid.H {
-			return nil, fmt.Errorf("place: thermal kernel %dx%d != grid %dx%d",
+			return nil, nil, fmt.Errorf("place: thermal kernel %dx%d != grid %dx%d",
 				tc.Kernel.W, tc.Kernel.H, grid.W, grid.H)
 		}
 		if len(tc.BlockPowerUW) != len(nl.Blocks) {
-			return nil, fmt.Errorf("place: block power length %d != %d blocks",
+			return nil, nil, fmt.Errorf("place: block power length %d != %d blocks",
 				len(tc.BlockPowerUW), len(nl.Blocks))
 		}
 		a.entPowerUW = make([]float64, len(ents))
@@ -399,7 +458,7 @@ func placeAnneal(p *pack.Result, grid *arch.Grid, seed int64, effort float64, tc
 		}
 		est, err := thermalest.New(tc.Kernel, tilePow)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if obj := est.Objective(); obj > 0 && a.total > 0 {
 			a.est = est
@@ -409,48 +468,7 @@ func placeAnneal(p *pack.Result, grid *arch.Grid, seed int64, effort float64, tc
 		// est stays nil and the anneal runs the baseline arithmetic.
 	}
 
-	// Annealing schedule (VPR-like), identical to the seed.
-	movesPerT := int(effort * 8 * math.Pow(float64(len(ents)), 1.2))
-	if movesPerT < 200 {
-		movesPerT = 200
-	}
-	rangeLim := float64(max(grid.W, grid.H))
-	temp := initialTemp(numNets, a.total)
-
-	for temp > 0.001*a.total/float64(numNets+1) {
-		accepted := 0
-		for m := 0; m < movesPerT; m++ {
-			if a.tryMove(rng, temp) {
-				accepted++
-			}
-		}
-		frac := float64(accepted) / float64(movesPerT)
-		// VPR's adaptive cooling: cool slowly near 44 % acceptance.
-		switch {
-		case frac > 0.96:
-			temp *= 0.5
-		case frac > 0.8:
-			temp *= 0.9
-		case frac > 0.15:
-			temp *= 0.95
-		default:
-			temp *= 0.8
-		}
-		// Shrink the move range toward the sweet spot.
-		rangeLim = math.Max(1, rangeLim*(1-0.44+frac))
-		if frac < 0.02 && temp < 0.01*a.total/float64(numNets+1) {
-			break
-		}
-	}
-
-	pl := &Placement{Grid: grid, Packed: p, TileOf: make([]int, len(nl.Blocks)), Cost: a.total}
-	for i := range pl.TileOf {
-		pl.TileOf[i] = -1
-		if entOf[i] >= 0 {
-			pl.TileOf[i] = ents[entOf[i]].tile
-		}
-	}
-	return pl, nil
+	return a, entOf, nil
 }
 
 // cost prices a net from its cached bounding box: exactly the seed's
@@ -466,8 +484,7 @@ func (a *annealer) cost(ni int) float64 {
 func (a *annealer) rescan(ni int) {
 	b := bbox{minX: math.MaxInt32, minY: math.MaxInt32, maxX: -1, maxY: -1}
 	for _, ei := range a.endsList[a.endsStart[ni]:a.endsStart[ni+1]] {
-		tile := a.ents[ei].tile
-		x, y := a.tileX[tile], a.tileY[tile]
+		x, y := a.pos[ei].x, a.pos[ei].y
 		switch {
 		case x < b.minX:
 			b.minX, b.cMinX = x, 1
@@ -563,51 +580,37 @@ func (a *annealer) tryMove(rng *rand.Rand, temp float64) bool {
 	hasOcc := oiRaw >= 0
 	oi := int(oiRaw)
 
-	// Collect the affected nets, deduplicated with a stamp and sorted so
-	// the summation order matches the seed exactly.
-	a.stamp++
-	stamp := a.stamp
-	a.touched = a.touched[:0]
-	for _, ni := range a.netsAtList[a.netsAtStart[ei]:a.netsAtStart[ei+1]] {
-		a.touchStamp[ni] = stamp
-		a.touchFlag[ni] = 1
-		a.touched = append(a.touched, int(ni))
-	}
+	// Collect the affected nets in ascending order, so the summation order
+	// matches the seed exactly.
+	var displaced []int32
 	if hasOcc {
-		for _, ni := range a.netsAtList[a.netsAtStart[oi]:a.netsAtStart[oi+1]] {
-			if a.touchStamp[ni] == stamp {
-				a.touchFlag[ni] |= 2
-				continue
-			}
-			a.touchStamp[ni] = stamp
-			a.touchFlag[ni] = 2
-			a.touched = append(a.touched, int(ni))
-		}
+		displaced = a.netsAtList[a.netsAtStart[oi]:a.netsAtStart[oi+1]]
 	}
-	sort.Ints(a.touched)
+	a.touched = mergeTouched(a.touched[:0], a.netsAtList[a.netsAtStart[ei]:a.netsAtStart[ei+1]], displaced)
 	oldSum := 0.0
-	for _, ni := range a.touched {
-		oldSum += a.netCost[ni]
+	for _, t := range a.touched {
+		oldSum += a.netCost[t.net]
 	}
 
 	// Apply tentatively.
 	oldTile, oldSlot := e.tile, e.slot
+	p0, p1 := a.tileXY[oldTile], a.tileXY[target]
 	a.occupant[oldTile*ioPadsPerTile+oldSlot] = -1
 	if hasOcc {
 		o := &ents[oi]
 		o.tile, o.slot = oldTile, oldSlot
+		a.pos[oi] = p0
 		a.occupant[oldTile*ioPadsPerTile+oldSlot] = int32(oi)
 	}
 	e.tile, e.slot = target, slot
+	a.pos[ei] = p1
 	a.occupant[target*ioPadsPerTile+slot] = int32(ei)
 
 	// Incremental bbox update per touched net: O(moved endpoints), with a
 	// targeted rescan only when a boundary count collapses. The new cost is
 	// the same weight × integer-span product the seed recomputed from
-	// scratch, so newSum (accumulated in the same sorted order) is
+	// scratch, so newSum (accumulated in the same ascending order) is
 	// bit-identical.
-	ex0, ey0 := a.tileX[oldTile], a.tileY[oldTile]
-	ex1, ey1 := a.tileX[target], a.tileY[target]
 	if cap(a.savedBB) < len(a.touched) {
 		a.savedBB = make([]bbox, len(a.touched), 2*len(a.touched)+8)
 		a.newCosts = make([]float64, len(a.touched), 2*len(a.touched)+8)
@@ -615,16 +618,16 @@ func (a *annealer) tryMove(rng *rand.Rand, temp float64) bool {
 	a.savedBB = a.savedBB[:len(a.touched)]
 	a.newCosts = a.newCosts[:len(a.touched)]
 	newSum := 0.0
-	for i, ni := range a.touched {
+	for i, t := range a.touched {
+		ni, f := int(t.net), t.flag
 		a.savedBB[i] = a.bb[ni]
 		ok := true
-		f := a.touchFlag[ni]
-		if f&1 != 0 && (ex0 != ex1 || ey0 != ey1) {
-			ok = a.movePoint(ni, ex0, ey0, ex1, ey1)
+		if f&1 != 0 && p0 != p1 {
+			ok = a.movePoint(ni, p0.x, p0.y, p1.x, p1.y)
 		}
-		if f&2 != 0 && (ex0 != ex1 || ey0 != ey1) {
+		if f&2 != 0 && p0 != p1 {
 			// The displaced entity moved the opposite way.
-			if !a.movePoint(ni, ex1, ey1, ex0, ey0) {
+			if !a.movePoint(ni, p1.x, p1.y, p0.x, p0.y) {
 				ok = false
 			}
 		}
@@ -651,8 +654,8 @@ func (a *annealer) tryMove(rng *rand.Rand, temp float64) bool {
 		}
 	}
 	if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
-		for i, ni := range a.touched {
-			a.netCost[ni] = a.newCosts[i]
+		for i, t := range a.touched {
+			a.netCost[t.net] = a.newCosts[i]
 		}
 		a.total += delta
 		if thermQ != 0 {
@@ -672,14 +675,44 @@ func (a *annealer) tryMove(rng *rand.Rand, temp float64) bool {
 	if hasOcc {
 		o := &ents[oi]
 		o.tile, o.slot = target, slot
+		a.pos[oi] = p1
 		a.occupant[target*ioPadsPerTile+slot] = int32(oi)
 	}
 	e.tile, e.slot = oldTile, oldSlot
+	a.pos[ei] = p0
 	a.occupant[oldTile*ioPadsPerTile+oldSlot] = int32(ei)
-	for i, ni := range a.touched {
-		a.bb[ni] = a.savedBB[i]
+	for i, t := range a.touched {
+		a.bb[t.net] = a.savedBB[i]
 	}
 	return false
+}
+
+// mergeTouched appends to dst the union of two strictly ascending net lists,
+// moved (the moved entity's nets, flag 1) and displaced (the displaced
+// entity's, flag 2), in ascending order; a net on both lists gets flag 3.
+func mergeTouched(dst []touch, moved, displaced []int32) []touch {
+	i, j := 0, 0
+	for i < len(moved) && j < len(displaced) {
+		switch m, d := moved[i], displaced[j]; {
+		case m < d:
+			dst = append(dst, touch{m, 1})
+			i++
+		case m > d:
+			dst = append(dst, touch{d, 2})
+			j++
+		default:
+			dst = append(dst, touch{m, 3})
+			i++
+			j++
+		}
+	}
+	for ; i < len(moved); i++ {
+		dst = append(dst, touch{moved[i], 1})
+	}
+	for ; j < len(displaced); j++ {
+		dst = append(dst, touch{displaced[j], 2})
+	}
+	return dst
 }
 
 // initialTemp estimates the starting temperature: T0 ≈ 20 × the average

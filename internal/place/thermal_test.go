@@ -1,6 +1,9 @@
 package place
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"tafpga/internal/arch"
@@ -138,5 +141,54 @@ func TestPlaceThermalFlattensRises(t *testing.T) {
 	ob, ot := objective(base), objective(therm)
 	if ot >= ob {
 		t.Fatalf("thermal placement did not flatten the rise field: Σrise² %g (thermal) vs %g (baseline)", ot, ob)
+	}
+}
+
+// placementDigest hashes a placement's TileOf and the bit pattern of its
+// Cost with FNV-1a, so a golden test can pin a whole placement in one word.
+func placementDigest(pl *Placement) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, tile := range pl.TileOf {
+		binary.LittleEndian.PutUint64(buf[:], uint64(int64(tile)))
+		h.Write(buf[:])
+	}
+	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(pl.Cost))
+	h.Write(buf[:])
+	return h.Sum64()
+}
+
+// TestPlaceThermalGolden pins the thermal-aware annealer's output bit for
+// bit. TestPlaceMatchesReference covers only the wirelength path, so any
+// change to the shared move kernel that perturbs the thermal path (the
+// touched-net order, the delta arithmetic, the RNG stream) shows up here.
+// The digests were captured before the touched-net merge and the dense
+// coordinate table replaced the stamp-and-sort kernel.
+func TestPlaceThermalGolden(t *testing.T) {
+	cases := []struct {
+		bench  string
+		scale  float64
+		seed   int64
+		weight float64
+		want   uint64
+	}{
+		{"sha", 1.0 / 64, 7, 0.5, 0x75f87eb28ad0d38b},       // logic + IO only
+		{"mkPktMerge", 1.0 / 8, 2, 0.8, 0x04086bc4280bfca8}, // BRAM macros
+		{"raygentop", 1.0 / 32, 5, 1.0, 0xc3fcfc531675cd9a}, // DSP macros
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.bench, func(t *testing.T) {
+			t.Parallel()
+			packed, grid := testSetup(t, tc.bench, tc.scale)
+			cost := ThermalCost{Weight: tc.weight, Kernel: testKernel(t, grid), BlockPowerUW: testBlockPowers(packed)}
+			pl, err := PlaceThermal(packed, grid, tc.seed, 0.3, cost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := placementDigest(pl); got != tc.want {
+				t.Fatalf("digest %#016x, want %#016x (cost %v)", got, tc.want, pl.Cost)
+			}
+		})
 	}
 }

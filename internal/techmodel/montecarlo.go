@@ -1,6 +1,9 @@
 package techmodel
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // VthSigmaRef is the standard deviation of random threshold-voltage
 // variation for an SRAM device of reference width VthSigmaRefWidth, in
@@ -54,38 +57,73 @@ func WeakestLeakFactor(f *Flavor, width float64, cells int) float64 {
 	return lognormalMaxMean(sigmaStar, cells)
 }
 
-// lognormalMaxMean computes E[e^(σ·max of n standard normals)] by Simpson
-// quadrature of e^(σz)·n·φ(z)·Φ(z)^(n−1).
-func lognormalMaxMean(sigma float64, n int) float64 {
-	const (
-		zLo  = -8.0
-		zHi  = 16.0
-		step = 0.005
-	)
-	phi := func(z float64) float64 { return math.Exp(-z*z/2) / math.Sqrt(2*math.Pi) }
-	cdf := func(z float64) float64 { return 0.5 * (1 + math.Erf(z/math.Sqrt2)) }
-	fn := float64(n)
-	integrand := func(z float64) float64 {
-		c := cdf(z)
-		if c <= 0 {
-			return 0
-		}
-		return math.Exp(sigma*z+(fn-1)*math.Log(c)) * fn * phi(z)
-	}
-	// Composite Simpson.
-	steps := int((zHi - zLo) / step)
+// The Simpson grid of lognormalMaxMean: [quadZLo, quadZHi] in panels of
+// about quadStep.
+const (
+	quadZLo  = -8.0
+	quadZHi  = 16.0
+	quadStep = 0.005
+)
+
+// quadNode is one Simpson node of lognormalMaxMean with its σ-independent
+// terms ln Φ(z) and φ(z). skip marks a node where Φ(z) rounds to 0; its
+// integrand is 0 for every σ and n.
+type quadNode struct {
+	z, lnCDF, pdf float64
+	skip          bool
+}
+
+// quadGrid is the tabulated Simpson grid: panel width h and its nodes.
+type quadGrid struct {
+	h     float64
+	nodes []quadNode
+}
+
+// quadTable builds the grid once per process. Each node term is the
+// expression the direct quadrature evaluated inline, so lognormalMaxMean
+// stays bit-identical to it.
+var quadTable = sync.OnceValue(func() quadGrid {
+	steps := int((quadZHi - quadZLo) / quadStep)
 	if steps%2 == 1 {
 		steps++
 	}
-	h := (zHi - zLo) / float64(steps)
-	sum := integrand(zLo) + integrand(zHi)
-	for i := 1; i < steps; i++ {
-		z := zLo + float64(i)*h
+	g := quadGrid{h: (quadZHi - quadZLo) / float64(steps), nodes: make([]quadNode, steps+1)}
+	for i := range g.nodes {
+		z := quadZLo + float64(i)*g.h
+		if i == steps {
+			z = quadZHi
+		}
+		c := 0.5 * (1 + math.Erf(z/math.Sqrt2))
+		if c <= 0 {
+			g.nodes[i] = quadNode{z: z, skip: true}
+			continue
+		}
+		g.nodes[i] = quadNode{z: z, lnCDF: math.Log(c), pdf: math.Exp(-z*z/2) / math.Sqrt(2*math.Pi)}
+	}
+	return g
+})
+
+// lognormalMaxMean computes E[e^(σ·max of n standard normals)] by Simpson
+// quadrature of e^(σz)·n·φ(z)·Φ(z)^(n−1). The σ-independent node terms come
+// from quadTable, so one call costs one Exp per node.
+func lognormalMaxMean(sigma float64, n int) float64 {
+	g := quadTable()
+	fn := float64(n)
+	integrand := func(q *quadNode) float64 {
+		if q.skip {
+			return 0
+		}
+		return math.Exp(sigma*q.z+(fn-1)*q.lnCDF) * fn * q.pdf
+	}
+	// Composite Simpson.
+	last := len(g.nodes) - 1
+	sum := integrand(&g.nodes[0]) + integrand(&g.nodes[last])
+	for i := 1; i < last; i++ {
 		if i%2 == 1 {
-			sum += 4 * integrand(z)
+			sum += 4 * integrand(&g.nodes[i])
 		} else {
-			sum += 2 * integrand(z)
+			sum += 2 * integrand(&g.nodes[i])
 		}
 	}
-	return sum * h / 3
+	return sum * g.h / 3
 }
