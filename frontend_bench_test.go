@@ -1,9 +1,7 @@
 // Front-end profiling benchmarks: the implementation pipeline stages the
 // flow-level result cache short-circuits — timing-driven placement,
-// PathFinder routing, and the complete pack→place→route build — with the
-// placer and the whole build also in their retained seed form
-// (PlaceReference, oracle.Implement) in the same binary. They are entry
-// points for pprof:
+// PathFinder routing, and the complete pack→place→route build. They are
+// entry points for pprof:
 //
 //	go test -run '^$' -bench BenchmarkRoute -benchtime 1x -cpuprofile cpu.out .
 //
@@ -22,7 +20,6 @@ import (
 	"tafpga/internal/flow"
 	"tafpga/internal/hotspot"
 	"tafpga/internal/netlist"
-	"tafpga/internal/oracle"
 	"tafpga/internal/pack"
 	"tafpga/internal/place"
 	"tafpga/internal/route"
@@ -111,18 +108,6 @@ func BenchmarkPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkPlaceReference measures the seed annealer (full per-move HPWL
-// recompute) — the "before" number placement speedups are quoted against.
-func BenchmarkPlaceReference(b *testing.B) {
-	f := frontendSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := place.PlaceReference(f.packed, f.grid, bench.SeedFor("mcml"), 0.5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRoute measures the pooled CSR PathFinder on a prebuilt graph.
 func BenchmarkRoute(b *testing.B) {
 	f := frontendSetup(b)
@@ -142,18 +127,6 @@ func BenchmarkFlowBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := flow.Implement(f.nl, f.dev, f.opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFlowBuildReference measures the same build through the seed
-// placer (oracle.Implement) — the "before" half of the front-end harness.
-func BenchmarkFlowBuildReference(b *testing.B) {
-	f := frontendSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := oracle.Implement(f.nl, f.dev, f.opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,6 @@
 // Inner-loop profiling benchmarks: the three kernels Algorithm 1 spends
 // its time in — the full-netlist timing probe, the steady-state thermal
-// solve, and the complete guardbanding run — each in its optimized form and
-// as the seed ("Reference") implementation kept in the same test binary
-// (whole runs through internal/oracle). They are entry points for pprof:
+// solve, and the complete guardbanding run. They are entry points for pprof:
 //
 //	go test -run '^$' -bench BenchmarkGuardbandRun -cpuprofile cpu.out .
 //
@@ -18,7 +16,6 @@ import (
 
 	"tafpga/internal/flow"
 	"tafpga/internal/guardband"
-	"tafpga/internal/oracle"
 	"tafpga/internal/sta"
 )
 
@@ -56,22 +53,10 @@ func hotTemps(im *flow.Implementation) []float64 {
 // BenchmarkHotspotSolve measures the factorized direct thermal solve.
 func BenchmarkHotspotSolve(b *testing.B) {
 	im := innerLoopFixture(b)
-	p := im.Power.Vector(100, hotTemps(im))
+	p := im.Power.VectorInto(100, hotTemps(im), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := im.Thermal.Solve(p, 25); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHotspotSolveReference measures the seed Gauss-Seidel solver.
-func BenchmarkHotspotSolveReference(b *testing.B) {
-	im := innerLoopFixture(b)
-	p := im.Power.Vector(100, hotTemps(im))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := im.Thermal.SolveReference(p, 25); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,18 +69,6 @@ func BenchmarkSTAAnalyze(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if rep := im.Timing.Analyze(temps); rep.PeriodPs <= 0 {
-			b.Fatal("degenerate probe")
-		}
-	}
-}
-
-// BenchmarkSTAAnalyzeReference measures the seed map-walking probe.
-func BenchmarkSTAAnalyzeReference(b *testing.B) {
-	im := innerLoopFixture(b)
-	temps := hotTemps(im)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rep := im.Timing.AnalyzeReference(temps); rep.PeriodPs <= 0 {
 			b.Fatal("degenerate probe")
 		}
 	}
@@ -164,19 +137,6 @@ func BenchmarkGuardbandRun(b *testing.B) {
 		}
 		if i == b.N-1 {
 			b.ReportMetric(float64(res.Stats.STAProbes), "sta-probes")
-		}
-	}
-}
-
-// BenchmarkGuardbandRunReference measures the same run on the seed kernels
-// (oracle.Run) — the "before" number of the perf harness.
-func BenchmarkGuardbandRunReference(b *testing.B) {
-	im := innerLoopFixture(b)
-	opts := guardband.DefaultOptions(25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := oracle.Run(im.Timing, im.Power, im.Thermal, opts); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -308,42 +268,5 @@ func TestMinEnergyBenchmarkAgreement(t *testing.T) {
 		if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
 			t.Fatalf("ambient %g: memoized and naive searches diverged:\nlab:   %+v\nnaive: %+v", amb, a, b)
 		}
-	}
-}
-
-// TestInnerLoopBenchmarkAgreement guards the harness itself: the optimized
-// and reference guardband runs it compares must land on the same operating
-// point for the benchmark subject.
-func TestInnerLoopBenchmarkAgreement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("implements mcml; skipped in -short")
-	}
-	ctx := sharedContext(t)
-	im, err := ctx.Implementation("mcml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := im.Guardband(guardband.DefaultOptions(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := oracle.Run(im.Timing, im.Power, im.Thermal, guardband.DefaultOptions(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.BaselineMHz != ref.BaselineMHz {
-		t.Fatalf("baseline diverged: %v vs %v", opt.BaselineMHz, ref.BaselineMHz)
-	}
-	rel := (opt.FmaxMHz - ref.FmaxMHz) / ref.FmaxMHz
-	if rel < 0 {
-		rel = -rel
-	}
-	if rel > 1e-5 {
-		t.Fatalf("fmax diverged: %v vs %v (rel %g)", opt.FmaxMHz, ref.FmaxMHz, rel)
-	}
-	// The probe the benchmarks time must also agree bit for bit.
-	temps := hotTemps(im)
-	if got, want := im.Timing.Analyze(temps).PeriodPs, im.Timing.AnalyzeReference(temps).PeriodPs; got != want {
-		t.Fatalf("Analyze %v != AnalyzeReference %v", got, want)
 	}
 }

@@ -74,6 +74,9 @@ func (c *Context) EnergySweep(ambients []float64, targetMHz float64) ([]EnergyRo
 	if len(ambients) == 0 {
 		return nil, fmt.Errorf("experiments: energy sweep needs at least one ambient")
 	}
+	if err := checkAmbients(ambients...); err != nil {
+		return nil, err
+	}
 	out, done, err := forEachBench(c, c.suite(), func(name string) ([]EnergyRow, error) {
 		im, err := c.Implementation(name)
 		if err != nil {

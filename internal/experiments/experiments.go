@@ -465,10 +465,25 @@ func (c *Context) guardbandSuite(ambientC float64) ([]BenchResult, error) {
 	return out, nil
 }
 
+// checkAmbients rejects an ambient outside guardband's accepted range
+// before a driver implements its first benchmark, so a bad axis fails at
+// once instead of after a place and route.
+func checkAmbients(ambients ...float64) error {
+	for _, a := range ambients {
+		if err := guardband.CheckAmbient(a); err != nil {
+			return fmt.Errorf("experiments: %w", err)
+		}
+	}
+	return nil
+}
+
 // GuardbandSweep runs Algorithm 1 on one benchmark at each ambient in order
 // (the Fig. 6 → Fig. 7 → Fig. 8 temperature axis): one Guardband call per
 // ambient, one result per ambient, in sweep order.
 func (c *Context) GuardbandSweep(name string, ambients []float64) ([]BenchResult, error) {
+	if err := checkAmbients(ambients...); err != nil {
+		return nil, err
+	}
 	im, err := c.Implementation(name)
 	if err != nil {
 		return nil, err
@@ -559,6 +574,9 @@ func (c *Context) Fig8() ([]BenchResult, error) {
 // row per ambient, in sweep order; on error the completed prefix is
 // returned alongside it.
 func (c *Context) Fig8Sweep(name string, ambients []float64) ([]BenchResult, error) {
+	if err := checkAmbients(ambients...); err != nil {
+		return nil, err
+	}
 	im25, err := c.Implementation(name)
 	if err != nil {
 		return nil, err

@@ -41,6 +41,9 @@ type ThermalCompareResult struct {
 // "<bench>/baseline" and "<bench>/thermal" so a streaming consumer can
 // attribute iterations to their phase.
 func (c *Context) ThermalPlaceCompare(ambientC float64, tp flow.ThermalPlace) ([]ThermalCompareResult, error) {
+	if err := checkAmbients(ambientC); err != nil {
+		return nil, err
+	}
 	out, done, err := forEachBench(c, c.suite(), func(name string) (ThermalCompareResult, error) {
 		imB, err := c.Implementation(name)
 		if err != nil {

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"tafpga/internal/flow"
 	"tafpga/internal/guardband"
@@ -150,5 +152,44 @@ func TestWriteThermalCompareCSV(t *testing.T) {
 	}
 	if lines[1] != "sha,40.000,38.500,-1.500,200.00,201.00,0.50,true" {
 		t.Fatalf("row changed: %s", lines[1])
+	}
+}
+
+// TestDriversRejectAmbientBeforeImplementing: every driver that takes an
+// ambient axis checks it before its first implementation, so an ambient
+// outside guardband's range fails with no benchmark built — OnBenchDone
+// never fires and the variant cache stays empty.
+func TestDriversRejectAmbientBeforeImplementing(t *testing.T) {
+	drivers := map[string]func(c *Context) error{
+		"EnergySweep": func(c *Context) error {
+			_, err := c.EnergySweep([]float64{25, 200}, 0)
+			return err
+		},
+		"ThermalPlaceCompare": func(c *Context) error {
+			_, err := c.ThermalPlaceCompare(999, flow.ThermalPlace{Weight: 0.25})
+			return err
+		},
+		"GuardbandSweep": func(c *Context) error {
+			_, err := c.GuardbandSweep("sha", []float64{25, -60})
+			return err
+		},
+		"Fig8Sweep": func(c *Context) error {
+			_, err := c.Fig8Sweep("sha", []float64{math.NaN()})
+			return err
+		},
+	}
+	for name, run := range drivers {
+		c := NewContext(1.0 / 64)
+		c.Benchmarks = []string{"sha"}
+		done := 0
+		c.OnBenchDone = func(string, time.Duration) { done++ }
+		err := run(c)
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("%s: err = %v, want an out-of-range ambient error", name, err)
+		}
+		if done != 0 || len(c.impls) != 0 {
+			t.Fatalf("%s: %d benchmarks done and %d variants built before the ambient check",
+				name, done, len(c.impls))
+		}
 	}
 }

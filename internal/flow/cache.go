@@ -70,15 +70,15 @@ type cachePayload struct {
 // cacheKey hashes what place-and-route actually depends on: the netlist
 // content (its BLIF serialization), the architecture parameters after any
 // ChannelTracks override, the placement seed and effort, and the router
-// schedule. Activity estimation (PIDensity) is deliberately excluded — it
-// never influences which tiles and wires the implementation uses and is
-// recomputed on a hit. The device's corner is excluded too, with one
-// exception: thermal-aware placement consumes the device's power signature
-// (thermalest.BlockPowerUW reads the rails and the CEff table, both of which
-// move with the sizing corner and with Kit.AtVdd), so with the thermal term
-// enabled the signature joins the key — without it, a build at one corner
-// could be served a stale placement annealed against another corner's power
-// distribution.
+// schedule. The thermally-oblivious flow reads neither the primary-input
+// density (PIDensity) nor the device's corner to choose tiles and wires, so
+// both stay out of its key and activity is recomputed on a hit. Thermal-aware
+// placement reads both: thermalest.BlockPowerUW prices each block from the
+// activity PIDensity sets and from the device's rails and CEff table, which
+// move with the sizing corner and with Kit.AtVdd. With the thermal term
+// enabled, PIDensity and that power signature join the key — without them,
+// a build could be served a stale placement annealed against another
+// activity's or another corner's power distribution.
 func cacheKey(nl *netlist.Netlist, dev *coffe.Device, params coffe.Params, opts Options) (string, error) {
 	h := sha256.New()
 	if err := nl.WriteBLIF(h); err != nil {
@@ -95,12 +95,13 @@ func cacheKey(nl *netlist.Netlist, dev *coffe.Device, params coffe.Params, opts 
 	if opts.ThermalPlace.enabled() {
 		fmt.Fprintf(h, "|thermal:w=%g,r=%d",
 			opts.ThermalPlace.Weight, opts.ThermalPlace.effectiveRadius())
-		// The power-relevant device-corner signature: exactly the inputs
-		// BlockPowerUW folds into the per-block power proxy the annealer
-		// optimizes against. Keyed only inside the enabled branch so
-		// weight-0 and legacy keys stay byte-identical.
-		fmt.Fprintf(h, "|corner:vdd=%g,vddl=%g,ceff=",
-			dev.Kit.Buf.Vdd, dev.Kit.SRAM.Vdd)
+		// The power-relevant inputs: exactly what BlockPowerUW folds into
+		// the per-block power proxy the annealer optimizes against — the
+		// activity's primary-input density and the device-corner signature.
+		// Keyed only inside the enabled branch so weight-0 and legacy keys
+		// stay byte-identical.
+		fmt.Fprintf(h, "|pi:%g|corner:vdd=%g,vddl=%g,ceff=",
+			opts.PIDensity, dev.Kit.Buf.Vdd, dev.Kit.SRAM.Vdd)
 		for _, k := range coffe.Kinds() {
 			fmt.Fprintf(h, "%g,", dev.CEff(k))
 		}

@@ -141,7 +141,8 @@ func Implement(nl *netlist.Netlist, dev *coffe.Device, opts Options) (*Implement
 			key = k
 			if pay, ok := opts.Cache.lookup(key); ok {
 				if placed, routed, ok := pay.restore(nl, grid, packed); ok {
-					return assemble(nl, dev, grid, packed, placed, routed, act)
+					return assemble(Implementation{Netlist: nl, Grid: grid, Packed: packed,
+						Placed: placed, Routed: routed, Activity: act}, dev)
 				}
 			}
 		}
@@ -177,7 +178,8 @@ func Implement(nl *netlist.Netlist, dev *coffe.Device, opts Options) (*Implement
 		opts.Cache.store(key, snapshot(placed, routed))
 	}
 
-	return assemble(nl, dev, grid, packed, placed, routed, act)
+	return assemble(Implementation{Netlist: nl, Grid: grid, Packed: packed,
+		Placed: placed, Routed: routed, Activity: act}, dev)
 }
 
 // thermalCost prepares thermal-aware placement inputs. The annealer needs
@@ -206,22 +208,21 @@ func thermalCost(nl *netlist.Netlist, dev *coffe.Device, grid *arch.Grid,
 	}, nil
 }
 
-// assemble builds the downstream analysis models over a placement and
-// routing — freshly built or restored from the cache — and bundles the
-// Implementation.
-func assemble(nl *netlist.Netlist, dev *coffe.Device, grid *arch.Grid, packed *pack.Result,
-	placed *place.Placement, routed *route.Result, act []activity.Stats) (*Implementation, error) {
-	an := sta.New(nl, dev, placed, routed)
-	pm := power.New(dev, nl, placed, routed, act)
-	th, err := hotspot.NewModel(grid.W, grid.H, pm.BasePowerUW(25))
+// assemble puts im on dev and builds its three analysis models (STA,
+// power, and the thermal model calibrated to the base leakage power) over
+// its placement and routing, which may be fresh, restored from the cache or
+// shared with another implementation. Implement, WithDevice and AtVdd all
+// build their models here.
+func assemble(im Implementation, dev *coffe.Device) (*Implementation, error) {
+	im.Device = dev
+	im.Timing = sta.New(im.Netlist, dev, im.Placed, im.Routed)
+	im.Power = power.New(dev, im.Netlist, im.Placed, im.Routed, im.Activity)
+	th, err := hotspot.NewModel(im.Grid.W, im.Grid.H, im.Power.BasePowerUW(25))
 	if err != nil {
 		return nil, fmt.Errorf("flow: thermal: %w", err)
 	}
-
-	return &Implementation{
-		Netlist: nl, Device: dev, Grid: grid, Packed: packed, Placed: placed,
-		Routed: routed, Activity: act, Timing: an, Power: pm, Thermal: th,
-	}, nil
+	im.Thermal = th
+	return &im, nil
 }
 
 // BuildGraph exposes RRG construction so callers can reuse a graph across
@@ -250,16 +251,5 @@ func (im *Implementation) WithDevice(dev *coffe.Device) (*Implementation, error)
 	if dev.Arch != im.Device.Arch {
 		return nil, fmt.Errorf("flow: device architecture mismatch")
 	}
-	an := sta.New(im.Netlist, dev, im.Placed, im.Routed)
-	pm := power.New(dev, im.Netlist, im.Placed, im.Routed, im.Activity)
-	th, err := hotspot.NewModel(im.Grid.W, im.Grid.H, pm.BasePowerUW(25))
-	if err != nil {
-		return nil, err
-	}
-	out := *im
-	out.Device = dev
-	out.Timing = an
-	out.Power = pm
-	out.Thermal = th
-	return &out, nil
+	return assemble(*im, dev)
 }

@@ -12,8 +12,9 @@ import (
 
 // TestCacheKeyThermalPlace pins the thermal knobs' cache-key rules: a
 // disabled thermal term must not touch the key at all (existing on-disk
-// entries stay warm), an enabled one must discriminate by weight and by
-// *resolved* radius — radius 0 and the explicit default are one entry.
+// entries stay warm), an enabled one must discriminate by weight, by
+// *resolved* radius — radius 0 and the explicit default are one entry — by
+// device corner and by PIDensity.
 func TestCacheKeyThermalPlace(t *testing.T) {
 	prof, err := bench.ByName("sha")
 	if err != nil {
@@ -98,6 +99,25 @@ func TestCacheKeyThermalPlace(t *testing.T) {
 	}
 	if keyDev(low, ThermalPlace{Weight: 0.5}) == on {
 		t.Fatal("core rail change did not change the thermal cache key")
+	}
+
+	// Thermal placement prices blocks by the activity PIDensity sets, so the
+	// density splits an enabled key; disabled, it stays out of the key.
+	keyPI := func(pi float64, tp ThermalPlace) string {
+		o := opts
+		o.PIDensity = pi
+		o.ThermalPlace = tp
+		k, err := cacheKey(nl, d25, params, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	if keyPI(0.15, ThermalPlace{}) != base {
+		t.Fatal("PIDensity changed a thermally-oblivious cache key")
+	}
+	if keyPI(0.15, ThermalPlace{Weight: 0.5}) == on {
+		t.Fatal("PIDensity 0.12 and 0.15 share a thermal-placement cache key")
 	}
 }
 

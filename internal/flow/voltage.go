@@ -13,9 +13,6 @@ import (
 	"sync"
 
 	"tafpga/internal/guardband"
-	"tafpga/internal/hotspot"
-	"tafpga/internal/power"
-	"tafpga/internal/sta"
 )
 
 // AtVdd re-characterizes the implementation at another core supply on the
@@ -29,18 +26,7 @@ func (im *Implementation) AtVdd(vdd float64) (*Implementation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flow: rail %.3f V: %w", vdd, err)
 	}
-	an := sta.New(im.Netlist, dev, im.Placed, im.Routed)
-	pm := power.New(dev, im.Netlist, im.Placed, im.Routed, im.Activity)
-	th, err := hotspot.NewModel(im.Grid.W, im.Grid.H, pm.BasePowerUW(25))
-	if err != nil {
-		return nil, err
-	}
-	out := *im
-	out.Device = dev
-	out.Timing = an
-	out.Power = pm
-	out.Thermal = th
-	return &out, nil
+	return assemble(*im, dev)
 }
 
 // VddLab memoizes per-rail re-derivations of one implementation, so a

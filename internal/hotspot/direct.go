@@ -5,8 +5,9 @@ package hotspot
 // resistances — never on the power vector or the ambient — so NewModel
 // factors it once (banded Cholesky, the structure DiffChip-style repeated
 // thermal solves exploit) and every Solve afterwards is one forward/backward
-// substitution of O(n·bandwidth) work instead of up to MaxSweeps
-// Gauss-Seidel sweeps over the die (SolveReference, the seed solver).
+// substitution of O(n·bandwidth) work instead of up to 20,000 Gauss-Seidel
+// sweeps over the die (the seed solver, SolveReference in the package's
+// tests).
 
 import (
 	"math"

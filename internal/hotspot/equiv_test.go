@@ -99,7 +99,7 @@ func TestDirectMatchesConvergedGaussSeidel(t *testing.T) {
 			t.Fatalf("%dx%d: %v", w, h, err)
 		}
 
-		prod, err := m.SolveReference(p, 25)
+		prod, err := m.SolveReference(p, 25, ReferenceTolerance, ReferenceMaxSweeps)
 		if err != nil {
 			t.Fatalf("%dx%d: %v", w, h, err)
 		}
@@ -107,11 +107,7 @@ func TestDirectMatchesConvergedGaussSeidel(t *testing.T) {
 			t.Fatalf("%dx%d: production-tolerance GS is %g °C from the direct solution", w, h, d)
 		}
 
-		tight := *m
-		tight.fact = nil // copy runs iteratively without copying the pool
-		tight.Tolerance = 1e-12
-		tight.MaxSweeps = 2000000
-		ref, err := tight.SolveReference(p, 25)
+		ref, err := m.SolveReference(p, 25, 1e-12, 2000000)
 		if err != nil {
 			t.Fatalf("%dx%d tight: %v", w, h, err)
 		}
@@ -127,8 +123,7 @@ func TestDirectMatchesConvergedGaussSeidel(t *testing.T) {
 // the seed relaxation, which needs no factorization, still solves it.
 func TestLiteralModelSolveErrors(t *testing.T) {
 	t.Parallel()
-	m := &Model{W: 4, H: 3, RSinkKPerW: 2, RVertKPerW: 1800, RLatKPerW: 450,
-		Tolerance: 1e-6, MaxSweeps: 50000}
+	m := &Model{W: 4, H: 3, RSinkKPerW: 2, RVertKPerW: 1800, RLatKPerW: 450}
 	p := make([]float64, 12)
 	p[5] = 4000
 	if _, err := m.Solve(p, 25); err == nil || !strings.Contains(err.Error(), "no factorization") {
@@ -137,7 +132,7 @@ func TestLiteralModelSolveErrors(t *testing.T) {
 	if err := m.Influence(0, make([]float64, 12)); err == nil {
 		t.Fatal("Influence on a literal model must error")
 	}
-	if _, err := m.SolveReference(p, 25); err != nil {
+	if _, err := m.SolveReference(p, 25, 1e-6, 50000); err != nil {
 		t.Fatalf("SolveReference needs no factorization: %v", err)
 	}
 }

@@ -14,10 +14,7 @@
 // variation as attainable on FPGAs).
 package hotspot
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Model is a steady-state RC-network thermal model of one die.
 type Model struct {
@@ -29,11 +26,6 @@ type Model struct {
 	RVertKPerW float64
 	// RLatKPerW couples laterally adjacent tiles, in K/W.
 	RLatKPerW float64
-
-	// Tolerance terminates the Gauss-Seidel relaxation of SolveReference.
-	Tolerance float64
-	// MaxSweeps bounds that relaxation.
-	MaxSweeps int
 
 	// fact is the banded Cholesky factorization of the conductance matrix,
 	// built once at NewModel time (see direct.go). Nil on models assembled
@@ -73,8 +65,6 @@ func NewModel(w, h int, basePowerUW float64) (*Model, error) {
 		RSinkKPerW: rSink,
 		RVertKPerW: rVert,
 		RLatKPerW:  rLat,
-		Tolerance:  1e-5,
-		MaxSweeps:  20000,
 	}
 	m.fact = factorize(w, h, 1/rVert, 1/rLat)
 	if m.fact == nil {
@@ -121,61 +111,6 @@ func (m *Model) factorized() error {
 		return fmt.Errorf("hotspot: %dx%d model has no factorization (build it with NewModel)", m.W, m.H)
 	}
 	return nil
-}
-
-// SolveReference is the seed Gauss-Seidel implementation, kept verbatim as
-// the golden reference for the direct solve and the "before" half of the
-// perf harness. It needs no factorization, so it also solves struct-literal
-// models.
-func (m *Model) SolveReference(powerUW []float64, ambientC float64) ([]float64, error) {
-	tSpread, err := m.validate(powerUW, ambientC)
-	if err != nil {
-		return nil, err
-	}
-	return m.referenceSweeps(powerUW, tSpread)
-}
-
-// referenceSweeps is the original relaxation inner loop: neighbor offsets
-// and denominators rebuilt at every node visit, cold start from the
-// spreader temperature.
-func (m *Model) referenceSweeps(powerUW []float64, tSpread float64) ([]float64, error) {
-	n := m.W * m.H
-	// Gauss-Seidel with successive over-relaxation on the die layer.
-	temps := make([]float64, n)
-	for i := range temps {
-		temps[i] = tSpread
-	}
-	gVert := 1 / m.RVertKPerW
-	gLat := 1 / m.RLatKPerW
-	const omega = 1.6
-	for sweep := 0; sweep < m.MaxSweeps; sweep++ {
-		maxDelta := 0.0
-		for y := 0; y < m.H; y++ {
-			for x := 0; x < m.W; x++ {
-				i := y*m.W + x
-				num := powerUW[i]*1e-6 + gVert*tSpread
-				den := gVert
-				for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-					nx, ny := x+d[0], y+d[1]
-					if nx < 0 || ny < 0 || nx >= m.W || ny >= m.H {
-						continue
-					}
-					num += gLat * temps[ny*m.W+nx]
-					den += gLat
-				}
-				next := num / den
-				next = temps[i] + omega*(next-temps[i])
-				if d := math.Abs(next - temps[i]); d > maxDelta {
-					maxDelta = d
-				}
-				temps[i] = next
-			}
-		}
-		if maxDelta < m.Tolerance {
-			return temps, nil
-		}
-	}
-	return nil, fmt.Errorf("hotspot: Gauss-Seidel did not converge in %d sweeps", m.MaxSweeps)
 }
 
 // Spread returns max(T) − min(T) of a temperature map, the paper's on-chip

@@ -13,8 +13,8 @@
 // coordinate table, and a touched-net list merged from two ascending
 // per-entity net lists. It consumes the exact RNG stream of the seed annealer
 // and reproduces its accept/reject decisions, so TileOf and Cost are
-// byte-identical to PlaceReference (see reference.go and the equivalence
-// tests).
+// byte-identical to the seed annealer PlaceReference, which lives in the
+// package's tests (reference_test.go) next to the equivalence tests.
 package place
 
 import (
@@ -166,7 +166,8 @@ type annealer struct {
 
 // Place anneals the packed design. effort scales the move budget (1.0 is
 // the default VPR-like schedule); seed fixes the random stream. The result
-// is byte-identical to PlaceReference for the same inputs.
+// is byte-identical to the seed annealer (PlaceReference in the tests) for
+// the same inputs.
 func Place(p *pack.Result, grid *arch.Grid, seed int64, effort float64) (*Placement, error) {
 	return placeAnneal(p, grid, seed, effort, nil)
 }

@@ -114,18 +114,13 @@ func (m *Model) buildDynamic() {
 	}
 }
 
-// Vector returns the per-tile power in µW at clock fMHz and per-tile
+// VectorInto returns the per-tile power in µW at clock fMHz and per-tile
 // temperatures temps (leakage is temperature-dependent; dynamic power
 // scales linearly with frequency, as the paper scales the COFFE numbers).
-func (m *Model) Vector(fMHz float64, temps []float64) []float64 {
-	return m.VectorInto(fMHz, temps, nil)
-}
-
-// VectorInto is Vector with a caller-owned destination: when dst has the
-// tile count it is overwritten and returned, otherwise a fresh vector is
-// allocated. Every entry is the same expression Vector computes, so reusing
-// a buffer (the guardband loop re-evaluates power every iteration) cannot
-// change a single bit of the result.
+// When dst has the tile count it is overwritten and returned, otherwise a
+// fresh vector is allocated. Every entry is the same expression either way,
+// so reusing a buffer (the guardband loop re-evaluates power every
+// iteration) cannot change a single bit of the result.
 func (m *Model) VectorInto(fMHz float64, temps, dst []float64) []float64 {
 	grid := m.PL.Grid
 	if len(dst) != grid.NumTiles() {
@@ -174,7 +169,7 @@ func (b Breakdown) TotalUW() float64 {
 }
 
 // Report recomputes the per-category power at the given frequency and
-// temperatures. Unlike Vector it walks the netlist again, so it is meant
+// temperatures. Unlike VectorInto it walks the netlist again, so it is meant
 // for reporting, not for the guardbanding inner loop.
 func (m *Model) Report(fMHz float64, temps []float64) Breakdown {
 	var b Breakdown

@@ -57,7 +57,7 @@ func testModel(t *testing.T) *Model {
 func TestVectorShapeAndPositivity(t *testing.T) {
 	m := testModel(t)
 	n := m.PL.Grid.NumTiles()
-	p := m.Vector(100, sta.UniformTemps(n, 25))
+	p := m.VectorInto(100, sta.UniformTemps(n, 25), nil)
 	if len(p) != n {
 		t.Fatalf("vector length %d, want %d", len(p), n)
 	}
@@ -72,8 +72,8 @@ func TestDynamicScalesWithFrequency(t *testing.T) {
 	m := testModel(t)
 	n := m.PL.Grid.NumTiles()
 	temps := sta.UniformTemps(n, 25)
-	p100 := TotalUW(m.Vector(100, temps))
-	p200 := TotalUW(m.Vector(200, temps))
+	p100 := TotalUW(m.VectorInto(100, temps, nil))
+	p200 := TotalUW(m.VectorInto(200, temps, nil))
 	leak := m.BasePowerUW(25)
 	dyn100 := p100 - leak
 	dyn200 := p200 - leak
@@ -88,8 +88,8 @@ func TestDynamicScalesWithFrequency(t *testing.T) {
 func TestLeakageGrowsWithTemperature(t *testing.T) {
 	m := testModel(t)
 	n := m.PL.Grid.NumTiles()
-	cold := TotalUW(m.Vector(0.001, sta.UniformTemps(n, 25)))
-	hot := TotalUW(m.Vector(0.001, sta.UniformTemps(n, 100)))
+	cold := TotalUW(m.VectorInto(0.001, sta.UniformTemps(n, 25), nil))
+	hot := TotalUW(m.VectorInto(0.001, sta.UniformTemps(n, 100), nil))
 	if hot <= cold {
 		t.Fatal("leakage-dominated power must grow with temperature")
 	}
@@ -103,7 +103,7 @@ func TestLeakageGrowsWithTemperature(t *testing.T) {
 func TestActiveTilesOutConsumeEmptyOnes(t *testing.T) {
 	m := testModel(t)
 	n := m.PL.Grid.NumTiles()
-	p := m.Vector(200, sta.UniformTemps(n, 25))
+	p := m.VectorInto(200, sta.UniformTemps(n, 25), nil)
 	// The busiest tile must dissipate more than the idle minimum.
 	lo, hi := p[0], p[0]
 	for _, v := range p {
@@ -122,7 +122,7 @@ func TestActiveTilesOutConsumeEmptyOnes(t *testing.T) {
 func TestBasePowerMatchesIdleVector(t *testing.T) {
 	m := testModel(t)
 	n := m.PL.Grid.NumTiles()
-	idle := TotalUW(m.Vector(0, sta.UniformTemps(n, 25)))
+	idle := TotalUW(m.VectorInto(0, sta.UniformTemps(n, 25), nil))
 	base := m.BasePowerUW(25)
 	if diff := idle - base; diff < -1e-6 || diff > 1e-6 {
 		t.Fatalf("zero-frequency vector (%g) must equal base leakage (%g)", idle, base)
@@ -141,7 +141,7 @@ func TestReportMatchesVector(t *testing.T) {
 	temps := sta.UniformTemps(n, 40)
 	const f = 150.0
 	rep := m.Report(f, temps)
-	total := TotalUW(m.Vector(f, temps))
+	total := TotalUW(m.VectorInto(f, temps, nil))
 	if d := rep.TotalUW() - total; d > 1e-6 || d < -1e-6 {
 		t.Fatalf("report total %g disagrees with vector total %g", rep.TotalUW(), total)
 	}

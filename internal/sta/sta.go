@@ -9,7 +9,6 @@
 package sta
 
 import (
-	"fmt"
 	"sync"
 
 	"tafpga/internal/coffe"
@@ -28,6 +27,8 @@ type Analyzer struct {
 	PL  *place.Placement
 	RT  *route.Result
 
+	// order is the combinational topological order the graph is compiled
+	// in; the seed probe of the equivalence tests walks it directly.
 	order []int
 	// comp is the flattened timing graph (see compile.go): device-free, so
 	// SetDevice keeps it. scratch pools the per-probe working vectors
@@ -79,74 +80,11 @@ type Report struct {
 	Sequential float64
 }
 
-// netDelay returns the routed interconnect delay in ps from driver d to
-// sink s under temperature vector temps, plus the resource kinds traversed
-// (appended to hops for breakdown tracing when trace is non-nil).
-func (a *Analyzer) netDelay(d, s int, temps []float64, trace *[]route.Hop) float64 {
-	dev := a.Dev
-	dTile := a.PL.TileOf[d]
-	sTile := a.PL.TileOf[s]
-
-	if nr, ok := a.RT.Nets[d]; ok {
-		if hops, ok := nr.Paths[s]; ok {
-			// Inter-tile: output mux at the driver, the routed hops, then
-			// the local crossbar at the sink.
-			delay := dev.Delay(coffe.OutputMux, temps[dTile])
-			if trace != nil {
-				*trace = append(*trace, route.Hop{Tile: dTile, Kind: coffe.OutputMux})
-			}
-			for _, h := range hops {
-				delay += dev.Delay(h.Kind, temps[h.Tile])
-				if trace != nil {
-					*trace = append(*trace, h)
-				}
-			}
-			if a.NL.Blocks[s].Type != netlist.Output {
-				delay += dev.Delay(coffe.LocalMux, temps[sTile])
-				if trace != nil {
-					*trace = append(*trace, route.Hop{Tile: sTile, Kind: coffe.LocalMux})
-				}
-			}
-			return delay
-		}
-	}
-	// Cluster-internal: BLE feedback mux plus the local crossbar.
-	delay := dev.Delay(coffe.FeedbackMux, temps[dTile])
-	if trace != nil {
-		*trace = append(*trace, route.Hop{Tile: dTile, Kind: coffe.FeedbackMux})
-	}
-	if a.NL.Blocks[s].Type != netlist.Output {
-		delay += dev.Delay(coffe.LocalMux, temps[sTile])
-		if trace != nil {
-			*trace = append(*trace, route.Hop{Tile: sTile, Kind: coffe.LocalMux})
-		}
-	}
-	return delay
-}
-
-// sourceLaunch returns the clk-to-output arrival of a path-launching block.
-func (a *Analyzer) sourceLaunch(id int, temps []float64) float64 {
-	b := &a.NL.Blocks[id]
-	tile := a.PL.TileOf[id]
-	switch b.Type {
-	case netlist.Input:
-		return 0
-	case netlist.FF:
-		return a.Dev.FFClkToQ(temps[tile])
-	case netlist.BRAM:
-		// Synchronous read: clock to data out is the access time.
-		return a.Dev.Delay(coffe.BRAM, temps[tile])
-	case netlist.DSP:
-		// Fully registered block: its output launches from a register.
-		return a.Dev.FFClkToQ(temps[tile])
-	}
-	panic(fmt.Sprintf("sta: block %d (%s) is not a path source", id, b.Type))
-}
-
 // Analyze runs the full-netlist probe at the given per-tile temperatures.
 // It sweeps the compiled edge arrays (see compile.go) — no map lookups, no
 // allocation beyond the returned report — and is numerically identical to
-// AnalyzeReference, the seed implementation it replaced.
+// the seed implementation it replaced (AnalyzeReference, kept in the
+// package's tests).
 func (a *Analyzer) Analyze(temps []float64) Report {
 	sc := a.getScratch()
 	defer a.scratch.Put(sc)
