@@ -19,16 +19,30 @@
 //
 // Flags:
 //
+//	-csv dir    also write machine-readable CSVs into dir
+//	-thermal-weight f  thermal objective weight for thermalcompare (default 0.25)
+//	-thermal-radius n  thermal kernel truncation radius in tiles for
+//	            thermalcompare (0 = the estimator default)
+//	-thermal-ambient f  guardbanding ambient °C for thermalcompare (default 25)
+//	-energy-ambients spec  ambient axis for energysweep: "lo:hi:step" or a
+//	            comma list, at most 256 points (default 25,70)
+//	-target f   iso-frequency target in MHz for energysweep (0 = each
+//	            benchmark's conventional worst-case clock)
+//
+// Every ambient is checked before the first experiment runs.
+//
+// Flags defined once in internal/cli, meaning the same in tafpga and (the
+// first six) tafpgad:
+//
 //	-scale f    benchmark scale relative to the published sizes (default 1/16)
 //	-w n        router channel-width override (default: Table I's 320)
 //	-effort f   placement effort (default 1.0)
 //	-bench csv  restrict Fig. 6/7/8 to a comma-separated benchmark list
-//	-csv dir    also write machine-readable CSVs into dir
 //	-parallel n benchmark fan-out workers (0 = GOMAXPROCS, 1 = serial)
-//	-timeout d  abort after this duration (0 = none); benchmark-suite
-//	            experiments still print and write the CSV rows that finished
 //	-flowcache d   cache place-and-route results in directory d so repeated
 //	               invocations skip the implementation front-end
+//	-timeout d  abort after this duration (0 = none); benchmark-suite
+//	            experiments still print and write the CSV rows that finished
 //	-cpuprofile f  write a CPU profile of the run to f (go tool pprof)
 //	-memprofile f  write a heap profile at exit to f
 //
@@ -39,98 +53,58 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"tafpga/internal/cli"
 	"tafpga/internal/experiments"
 	"tafpga/internal/flow"
 	"tafpga/internal/guardband"
+	"tafpga/internal/jobs"
 )
 
 func main() {
-	scale := flag.Float64("scale", 1.0/16, "benchmark scale")
-	width := flag.Int("w", 0, "router channel-width override (0 = Table I)")
-	effort := flag.Float64("effort", 1.0, "placement effort")
-	benchCSV := flag.String("bench", "", "comma-separated benchmark subset")
 	csvDir := flag.String("csv", "", "also write machine-readable CSVs into this directory")
-	parallel := flag.Int("parallel", 0, "benchmark fan-out workers (0 = GOMAXPROCS, 1 = serial)")
-	flowcache := flag.String("flowcache", "", "directory for the on-disk place-and-route cache (reused across runs)")
 	thermalWeight := flag.Float64("thermal-weight", 0.25, "thermal objective weight for the thermalcompare experiment")
 	thermalRadius := flag.Int("thermal-radius", 0, "thermal kernel truncation radius in tiles (0 = default)")
 	thermalAmbient := flag.Float64("thermal-ambient", 25, "guardbanding ambient °C for the thermalcompare experiment")
-	energyAmbients := flag.String("energy-ambients", "25,70", "comma-separated ambient °C axis for the energysweep experiment")
+	energyAmbients := flag.String("energy-ambients", "25,70", `ambient axis for the energysweep experiment: "lo:hi:step" or comma list of °C`)
 	targetMHz := flag.Float64("target", 0, "iso-frequency target in MHz for the energysweep experiment (0 = each benchmark's worst-case baseline)")
-	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = none)")
-	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to file")
-	memprofile := flag.String("memprofile", "", "write heap profile to file at exit")
+	cfg := cli.RunFlags(true)
+	proc := cli.ProcessFlags("taexp")
 	flag.Parse()
 
 	// SIGINT/SIGTERM (and -timeout) cancel benchmark runs at the next flow
 	// stage or Algorithm-1 iteration; suite experiments still flush the
 	// benchmarks that finished before exiting non-zero.
-	runCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(runCtx, *timeout)
-		defer cancel()
+	runCtx, stop := proc.Start()
+	defer stop()
+
+	// Every ambient is checked before the first experiment: a bad axis
+	// must not cost the experiments named before the one that reads it.
+	ambients, err := guardband.ParseAmbients(*energyAmbients)
+	if err == nil {
+		err = guardband.CheckAmbient(*thermalAmbient)
+	}
+	if err == nil && *csvDir != "" {
+		err = os.MkdirAll(*csvDir, 0o755)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "taexp:", err)
+		os.Exit(1)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "taexp:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "taexp:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "taexp:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "taexp:", err)
-			}
-		}()
-	}
-
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "taexp:", err)
-			os.Exit(1)
-		}
-	}
-
-	ctx := experiments.NewContext(*scale)
-	ctx.Ctx = runCtx
-	ctx.ChannelTracks = *width
-	ctx.PlaceEffort = *effort
-	ctx.Workers = *parallel
-	if *flowcache != "" {
-		ctx.FlowCache = flow.NewCache(*flowcache)
-	}
-	if *benchCSV != "" {
-		ctx.Benchmarks = strings.Split(*benchCSV, ",")
+	ctx := jobs.NewRunner(*cfg).Context(runCtx, nil)
+	// Without -flowcache there is nothing to reuse: the context already
+	// builds each variant once, so a memory-only cache would only hold a
+	// second copy of every route.
+	if cfg.FlowCacheDir == "" {
+		ctx.FlowCache = nil
 	}
 
 	// Per-benchmark wall times, drained after each experiment. The pool
@@ -147,11 +121,6 @@ func main() {
 	wanted := flag.Args()
 	if len(wanted) == 0 {
 		wanted = []string{"fig1", "fig2", "fig3", "table1", "table2", "fig6", "fig7", "fig8", "ablations", "scorecard"}
-	}
-	ambients, err := parseAmbients(*energyAmbients)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "taexp:", err)
-		os.Exit(1)
 	}
 	tp := flow.ThermalPlace{Weight: *thermalWeight, KernelRadius: *thermalRadius}
 	for _, name := range wanted {
@@ -175,19 +144,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, wall.Round(time.Millisecond))
 		fmt.Println()
 	}
-}
-
-// parseAmbients parses the -energy-ambients axis.
-func parseAmbients(csv string) ([]float64, error) {
-	var out []float64
-	for _, s := range strings.Split(csv, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ambient %q in -energy-ambients", s)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func run(ctx *experiments.Context, name, csvDir string, tp flow.ThermalPlace, thermalAmbient float64, energyAmbients []float64, targetMHz float64) error {

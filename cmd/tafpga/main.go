@@ -12,73 +12,68 @@
 // Flags:
 //
 //	-list         list the available benchmarks and their profiles
-//	-scale f      benchmark scale (default 1/16 of the published size)
 //	-corner f     device sizing corner in °C (default 25)
-//	-ambient f    ambient temperature for guardbanding, in [-55, 150] (default 25)
-//	-w n          router channel-width override (0 = Table I's 320)
-//	-route-workers n  deprecated: ignored, routing is serial
-//	-effort f     placement effort (default 1.0)
+//	-vdd v        core supply override in volts (0 = Table I's 0.8 V)
+//	-ambient f    guardbanding ambient in [-55, 150] °C (default 25)
+//	-sweep spec   guardband an ambient axis instead: "lo:hi:step" or a
+//	              comma list, at most 256 points
+//	-objective s  "fmax" (default), or "min-energy": hold the clock at
+//	              -target and bisect the minimum safe core rail instead
+//	-target f     min-energy target in MHz (0 = the Tworst=100°C clock)
 //	-seed n       random seed override (default: derived from the name)
+//	-in path      implement this BLIF file (flow defaults, seeded from the
+//	              name "external") instead of a named benchmark
 //	-blif path    write the generated netlist as BLIF to path
-//	-sweep spec   guardband an ambient sweep instead of one point:
-//	              "lo:hi:step" (e.g. 0:100:10) or a comma list (e.g. 25,45,70),
-//	              at most 256 points
-//	-objective s  guardband objective (default "fmax"): "min-energy" keeps
-//	              the clock at -target and instead bisects the minimum safe
-//	              core rail on the same routed implementation, converting the
-//	              recovered thermal margin into supply/energy savings
-//	-target f     min-energy iso-frequency target in MHz (0 = the
-//	              conventional Tworst=100°C baseline clock, i.e. the
-//	              frequency a thermally-oblivious flow would have shipped)
+//	-paths n      also report the n worst timing endpoints
+//	-power        also report the power breakdown at the converged point
+//	-thermal-weight f  thermal term of the placement objective (0 = off)
+//	-thermal-radius n  thermal kernel truncation radius in tiles
+//	              (0 = the estimator default)
+//	-route-workers n  deprecated: ignored, routing is serial
+//
+// Flags defined once in internal/cli, meaning the same in taexp (all of
+// them) and tafpgad (the first five):
+//
+//	-scale f      benchmark scale (default 1/16 of the published size)
+//	-w n          router channel-width override (0 = Table I's 320)
+//	-effort f     placement effort (default 1.0)
 //	-parallel n   sweep workers (0 = GOMAXPROCS, 1 = serial)
+//	-flowcache d  reuse place-and-route results across runs from directory d
 //	-timeout d    abort after this duration (0 = none); a sweep still prints
 //	              the rows that finished
-//	-thermal-weight f  weight of the thermal term in the placement objective
-//	              (0 = off, today's thermally-oblivious placer); with a
-//	              positive weight the annealer trades wirelength for a
-//	              flatter on-die temperature profile
-//	-thermal-radius n  thermal influence kernel truncation radius in tiles
-//	              (0 = the estimator default)
-//	-flowcache d  cache place-and-route results in directory d, keyed by
-//	              netlist/arch/seed/effort/router content (and the thermal
-//	              placement knobs when enabled), so repeated invocations
-//	              skip the implementation front-end
 //	-cpuprofile f write a CPU profile of the run to f (go tool pprof)
 //	-memprofile f write a heap profile at exit to f
+//
+// A named benchmark is built with the flow options taexp and tafpgad use
+// for it (experiments.BenchOptions), so the three report the same numbers.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"syscall"
 
 	"tafpga"
 	"tafpga/internal/bench"
+	"tafpga/internal/cli"
 	"tafpga/internal/coffe"
+	"tafpga/internal/experiments"
 	"tafpga/internal/flow"
 	"tafpga/internal/guardband"
+	"tafpga/internal/jobs"
 	"tafpga/internal/netlist"
 	"tafpga/internal/sta"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list benchmarks")
-	scale := flag.Float64("scale", bench.DefaultScale, "benchmark scale")
 	corner := flag.Float64("corner", 25, "device sizing corner °C")
 	ambient := flag.Float64("ambient", 25, "ambient temperature °C")
-	width := flag.Int("w", 0, "router channel-width override")
 	flag.Int("route-workers", 0, "deprecated: ignored, routing is serial")
-	effort := flag.Float64("effort", 1.0, "placement effort")
 	seed := flag.Int64("seed", 0, "seed override")
 	blifOut := flag.String("blif", "", "write generated netlist as BLIF")
 	blifIn := flag.String("in", "", "implement this BLIF file instead of a generated benchmark")
@@ -90,44 +85,15 @@ func main() {
 	sweep := flag.String("sweep", "", `ambient sweep: "lo:hi:step" or comma list of °C`)
 	objective := flag.String("objective", "fmax", `guardband objective: "fmax" or "min-energy"`)
 	target := flag.Float64("target", 0, "min-energy iso-frequency target in MHz (0 = worst-case baseline clock)")
-	flowcache := flag.String("flowcache", "", "directory for the on-disk place-and-route cache (reused across runs)")
-	parallel := flag.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = serial)")
-	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = none)")
-	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to file")
-	memprofile := flag.String("memprofile", "", "write heap profile to file at exit")
+	cfg := cli.RunFlags(false)
+	proc := cli.ProcessFlags("tafpga")
 	flag.Parse()
 
 	// SIGINT/SIGTERM (and -timeout) cancel the flow and Algorithm 1 at
 	// their next stage or iteration boundary; a sweep still prints the
 	// ambients that finished.
-	runCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(runCtx, *timeout)
-		defer cancel()
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		die(err)
-		die(pprof.StartCPUProfile(f))
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tafpga:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "tafpga:", err)
-			}
-		}()
-	}
+	runCtx, stop := proc.Start()
+	defer stop()
 
 	if *list {
 		fmt.Println("benchmark           LUTs    FFs  BRAMs  DSPs  depth")
@@ -145,31 +111,32 @@ func main() {
 		name = flag.Arg(0)
 	}
 
-	// Validate the sweep spec, its ambients and the objective up front: a
-	// typo must not cost a sizing run.
+	// Validate the sweep spec, its ambients, the objective and the
+	// benchmark name up front: a typo must not cost a sizing run.
 	ambients := []float64{*ambient}
+	var err error
 	if *sweep != "" {
-		var err error
-		ambients, err = parseSweep(*sweep)
-		die(err)
+		ambients, err = guardband.ParseAmbients(*sweep)
+	} else {
+		err = guardband.CheckAmbient(*ambient)
 	}
-	for _, a := range ambients {
-		die(guardband.CheckAmbient(a))
-	}
+	die(err)
 	if *objective != "fmax" && *objective != "min-energy" {
 		fmt.Fprintf(os.Stderr, "tafpga: unknown objective %q (want fmax or min-energy)\n", *objective)
 		os.Exit(2)
 	}
+	opts, err := flowOptions(name, *blifIn == "", cfg, *seed, flow.ThermalPlace{Weight: *thermalWeight, KernelRadius: *thermalRadius})
+	die(err)
+	opts.Ctx = runCtx
 
-	cfg := tafpga.NewConfig()
+	dcfg := tafpga.NewConfig()
 	if *vdd > 0 {
-		var err error
-		cfg, err = cfg.AtVdd(*vdd)
+		dcfg, err = dcfg.AtVdd(*vdd)
 		die(err)
 		fmt.Printf("core rail set to %.2f V\n", *vdd)
 	}
 	fmt.Printf("sizing device for %.0f°C…\n", *corner)
-	dev, err := cfg.SizeDevice(*corner)
+	dev, err := dcfg.SizeDevice(*corner)
 	die(err)
 
 	var nl *tafpga.Netlist
@@ -181,9 +148,9 @@ func main() {
 		die(f.Close())
 		fmt.Printf("%s (from %s): %v\n", nl.Name, *blifIn, nl.Stats())
 	} else {
-		nl, err = tafpga.GenerateBenchmark(name, *scale)
+		nl, err = tafpga.GenerateBenchmark(name, cfg.Scale)
 		die(err)
-		fmt.Printf("%s @ scale %.4g: %v\n", name, *scale, nl.Stats())
+		fmt.Printf("%s @ scale %.4g: %v\n", name, cfg.Scale, nl.Stats())
 	}
 
 	if *blifOut != "" {
@@ -194,19 +161,6 @@ func main() {
 		fmt.Println("wrote", *blifOut)
 	}
 
-	opts := flow.DefaultOptions()
-	opts.ChannelTracks = *width
-	opts.PlaceEffort = *effort
-	opts.ThermalPlace = flow.ThermalPlace{Weight: *thermalWeight, KernelRadius: *thermalRadius}
-	if *seed != 0 {
-		opts.Seed = *seed
-	} else {
-		opts.Seed = bench.SeedFor(name)
-	}
-	if *flowcache != "" {
-		opts.Cache = flow.NewCache(*flowcache)
-	}
-	opts.Ctx = runCtx
 	im, err := tafpga.Implement(nl, dev, opts)
 	die(err)
 	if im.Routed.Graph != nil {
@@ -222,7 +176,7 @@ func main() {
 	}
 
 	if *sweep != "" {
-		runSweep(runCtx, im, ambients, *parallel)
+		runSweep(runCtx, im, ambients, cfg.BenchWorkers)
 		return
 	}
 
@@ -270,55 +224,36 @@ func main() {
 	}
 }
 
-// maxSweepPoints caps a sweep at the per-job ambient limit that
-// jobs.Spec.Validate applies.
-const maxSweepPoints = 256
-
-// parseSweep parses "lo:hi:step" or a comma-separated list of ambients.
-// Range points are lo + i·step, so a step below the float spacing at lo
-// cannot stall the sweep; non-finite values and sweeps of more than
-// maxSweepPoints points are errors.
-func parseSweep(spec string) ([]float64, error) {
-	isRange := strings.Contains(spec, ":")
-	sep := ","
-	if isRange {
-		sep = ":"
-	}
-	parts := strings.Split(spec, sep)
-	if isRange && len(parts) != 3 {
-		return nil, fmt.Errorf("sweep spec %q: want lo:hi:step", spec)
-	}
-	var out []float64
-	for _, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+// flowOptions is the flow recipe of a tafpga run. A named benchmark starts
+// from the one taexp and tafpgad build it with (experiments.BenchOptions),
+// an -in netlist from the flow defaults; -seed, -w, -effort, -flowcache and
+// the thermal placement flags override either.
+func flowOptions(name string, named bool, cfg *jobs.RunnerConfig, seed int64, tp flow.ThermalPlace) (flow.Options, error) {
+	opts := flow.DefaultOptions()
+	opts.Seed = bench.SeedFor(name)
+	if named {
+		p, err := bench.ByName(name)
 		if err != nil {
-			return nil, fmt.Errorf("sweep spec %q: %w", spec, err)
+			return opts, err
 		}
-		if math.IsInf(f, 0) || math.IsNaN(f) {
-			return nil, fmt.Errorf("sweep spec %q: %q is not finite", spec, p)
-		}
-		out = append(out, f)
+		opts = experiments.BenchOptions(p)
 	}
-	if isRange {
-		lo, hi, step := out[0], out[1], out[2]
-		if step <= 0 || hi < lo {
-			return nil, fmt.Errorf("sweep spec %q: need hi >= lo and step > 0", spec)
-		}
-		out = nil
-		for i := 0; lo+float64(i)*step <= hi+1e-9 && len(out) <= maxSweepPoints; i++ {
-			out = append(out, lo+float64(i)*step)
-		}
+	if seed != 0 {
+		opts.Seed = seed
 	}
-	if len(out) > maxSweepPoints {
-		return nil, fmt.Errorf("sweep spec %q: more than %d points", spec, maxSweepPoints)
+	opts.ChannelTracks = cfg.ChannelTracks
+	opts.PlaceEffort = cfg.PlaceEffort
+	opts.ThermalPlace = tp
+	if cfg.FlowCacheDir != "" {
+		opts.Cache = flow.NewCache(cfg.FlowCacheDir)
 	}
-	return out, nil
+	return opts, nil
 }
 
-// runSweep guardbands the implementation at every ambient on a bounded
-// worker pool (Algorithm 1 only reads the implementation, so the runs are
-// independent) and prints the table in sweep order. Cancellation stops the
-// claim loop; finished rows still print, unfinished ones report the error.
+// runSweep guardbands the implementation at every ambient, at most workers
+// at a time (Algorithm 1 only reads the implementation, so the runs are
+// independent), and prints the table in sweep order. Cancellation stops
+// the launches; finished rows still print, unfinished ones report the error.
 func runSweep(ctx context.Context, im *flow.Implementation, ambients []float64, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -328,27 +263,19 @@ func runSweep(ctx context.Context, im *flow.Implementation, ambients []float64, 
 	}
 	results := make([]*guardband.Result, len(ambients))
 	errs := make([]error, len(ambients))
-	var (
-		mu   sync.Mutex
-		next int
-		wg   sync.WaitGroup
-	)
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
+	slots := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, amb := range ambients {
+		slots <- struct{}{}
+		if ctx.Err() != nil {
+			break
+		}
+		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(ambients) || ctx.Err() != nil {
-					return
-				}
-				o := tafpga.GuardbandOptions(ambients[i])
-				o.Ctx = ctx
-				results[i], errs[i] = im.Guardband(o)
-			}
+			defer func() { <-slots; wg.Done() }()
+			o := tafpga.GuardbandOptions(amb)
+			o.Ctx = ctx
+			results[i], errs[i] = im.Guardband(o)
 		}()
 	}
 	wg.Wait()

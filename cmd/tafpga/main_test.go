@@ -1,64 +1,54 @@
 package main
 
 import (
-	"fmt"
 	"reflect"
-	"strings"
 	"testing"
+
+	"tafpga/internal/bench"
+	"tafpga/internal/flow"
+	"tafpga/internal/jobs"
 )
 
-func TestParseSweep(t *testing.T) {
-	for _, tc := range []struct {
-		spec string
-		want []float64
-		err  string // substring of the expected error; empty = success
-	}{
-		{spec: "0:100:25", want: []float64{0, 25, 50, 75, 100}},
-		{spec: "25:25:5", want: []float64{25}},
-		{spec: "-40:-30:5", want: []float64{-40, -35, -30}},
-		{spec: "0:10:4", want: []float64{0, 4, 8}},
-		{spec: "25,45,70", want: []float64{25, 45, 70}},
-		{spec: " 25 , 70 ", want: []float64{25, 70}},
-		{spec: "0:inf:1", err: "not finite"},
-		{spec: "-Inf:0:1", err: "not finite"},
-		{spec: "0:1:+Inf", err: "not finite"},
-		{spec: "NaN,25", err: "not finite"},
-		{spec: "1e6:2e6:1e-12", err: "more than 256 points"},
-		{spec: "0:256:1", err: "more than 256 points"},
-		{spec: strings.TrimSuffix(strings.Repeat("25,", 257), ","), err: "more than 256 points"},
-		{spec: "0:10", err: "want lo:hi:step"},
-		{spec: "0:10:1:1", err: "want lo:hi:step"},
-		{spec: "10:0:1", err: "need hi >= lo"},
-		{spec: "0:10:0", err: "step > 0"},
-		{spec: "0:10:-1", err: "step > 0"},
-		{spec: "25,hot", err: "invalid syntax"},
+// TestNamedBenchmarkOptionsMatchDaemon pins tafpga's flow options for every
+// named benchmark to the ones taexp and a tafpgad job build it with, under
+// default and overridden run flags: one design gives one answer whichever
+// command prints it.
+func TestNamedBenchmarkOptionsMatchDaemon(t *testing.T) {
+	for _, cfg := range []jobs.RunnerConfig{
+		{PlaceEffort: 1},
+		{ChannelTracks: 104, PlaceEffort: 0.3},
 	} {
-		got, err := parseSweep(tc.spec)
-		if tc.err != "" {
-			if err == nil || !strings.Contains(err.Error(), tc.err) {
-				t.Errorf("parseSweep(%.40q) = %v, %v; want error containing %q", tc.spec, got, err, tc.err)
+		c := jobs.NewRunner(cfg).Context(nil, nil)
+		for _, tp := range []flow.ThermalPlace{{}, {Weight: 0.25, KernelRadius: 3}} {
+			for _, p := range bench.VTR {
+				want := c.FlowOptions(p, tp)
+				want.Cache = nil // tafpga caches only with -flowcache
+				got, err := flowOptions(p.Name, true, &cfg, 0, tp)
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s (%+v, %+v): tafpga builds with %+v, %v; taexp and tafpgad with %+v",
+						p.Name, cfg, tp, got, err, want)
+				}
 			}
-			continue
-		}
-		if err != nil || !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("parseSweep(%q) = %v, %v; want %v", tc.spec, got, err, tc.want)
 		}
 	}
 }
 
-// TestParseSweepIntegerStepsUnchanged pins integer-step ranges to the
-// values of the accumulating loop lo, lo+step, … that the range form has
-// always produced, up to the 256-point cap.
-func TestParseSweepIntegerStepsUnchanged(t *testing.T) {
-	for _, r := range [][3]float64{{0, 255, 1}, {-40, 125, 5}, {0, 100, 10}, {20, 85, 7}} {
-		var want []float64
-		for x := r[0]; x <= r[1]+1e-9; x += r[2] {
-			want = append(want, x)
-		}
-		spec := fmt.Sprintf("%g:%g:%g", r[0], r[1], r[2])
-		got, err := parseSweep(spec)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("parseSweep(%q) = %v, %v; want %v", spec, got, err, want)
-		}
+// TestFlowOptionsOverrides: -seed and -flowcache override the recipe, and
+// an -in netlist keeps the flow defaults seeded from its name.
+func TestFlowOptionsOverrides(t *testing.T) {
+	cfg := jobs.RunnerConfig{PlaceEffort: 1, FlowCacheDir: t.TempDir()}
+	got, err := flowOptions("sha", true, &cfg, 7, flow.ThermalPlace{})
+	if err != nil || got.Seed != 7 || got.Cache == nil || got.PIDensity != 0.15 {
+		t.Errorf("sha -seed 7 -flowcache: seed %d, cache %v, PIDensity %g, %v; want 7, a cache, 0.15",
+			got.Seed, got.Cache, got.PIDensity, err)
+	}
+	want := flow.DefaultOptions()
+	want.Seed = bench.SeedFor("external")
+	cfg.FlowCacheDir = ""
+	if got, err := flowOptions("external", false, &cfg, 0, flow.ThermalPlace{}); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("-in: %+v, %v; want the flow defaults %+v", got, err, want)
+	}
+	if _, err := flowOptions("no-such-design", true, &cfg, 0, flow.ThermalPlace{}); err == nil {
+		t.Error("an unknown benchmark name built options")
 	}
 }

@@ -8,25 +8,29 @@
 // Flags:
 //
 //	-addr a        listen address (default :8080)
-//	-scale f       benchmark scale relative to the published sizes (default 1/16)
-//	-w n           router channel-width override (default: Table I's 320)
-//	-effort f      placement effort (default 1.0)
-//	-bench csv     restrict figure jobs to a comma-separated benchmark list
-//	-parallel n    per-job benchmark fan-out workers (0 = GOMAXPROCS)
-//	-route-workers n  deprecated: ignored, routing is serial
-//	-sweep-batch n deprecated: ignored, Algorithm 1 runs one ambient at a time
 //	-workers n     concurrent jobs (default 1)
 //	-queue n       queued-job bound before 429s (default 64)
 //	-ttl d         how long finished jobs stay retrievable (default 15m,
 //	               at least 1s)
-//	-flowcache d   on-disk place-and-route cache shared across jobs and runs
 //	-drain d       graceful-shutdown budget before running jobs are
 //	               hard-cancelled (default 10m)
 //	-state-dir d   durable job state: job specs and finished views are kept
 //	               in d and restored after a crash or restart (default:
 //	               none, jobs are in-memory only); a d holding an older
 //	               daemon's journal.ndjson is refused
+//	-route-workers n  deprecated: ignored, routing is serial
+//	-sweep-batch n deprecated: ignored, Algorithm 1 runs one ambient at a time
 //	-retries n     deprecated: ignored, jobs are never retried
+//
+// Flags defined once in internal/cli, meaning the same in tafpga and taexp:
+//
+//	-scale f       benchmark scale relative to the published sizes (default 1/16)
+//	-w n           router channel-width override (default: Table I's 320)
+//	-effort f      placement effort (default 1.0)
+//	-bench csv     restrict figure jobs to a comma-separated benchmark list
+//	-parallel n    per-job benchmark fan-out workers (0 = GOMAXPROCS)
+//	-flowcache d   on-disk place-and-route cache shared across jobs and runs
+//	               (default: a memory-only cache shared across jobs)
 //
 // Submit, watch, and cancel:
 //
@@ -47,10 +51,10 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
+	"tafpga/internal/cli"
 	"tafpga/internal/jobs"
 	"tafpga/internal/obs"
 	"tafpga/internal/server"
@@ -58,20 +62,15 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	scale := flag.Float64("scale", 1.0/16, "benchmark scale")
-	width := flag.Int("w", 0, "router channel-width override (0 = Table I)")
-	effort := flag.Float64("effort", 1.0, "placement effort")
-	benchCSV := flag.String("bench", "", "comma-separated benchmark subset for figure jobs")
-	parallel := flag.Int("parallel", 0, "per-job benchmark fan-out workers (0 = GOMAXPROCS)")
 	flag.Int("route-workers", 0, "deprecated: ignored, routing is serial")
 	flag.Int("sweep-batch", 0, "deprecated: ignored, Algorithm 1 runs one ambient at a time")
 	workers := flag.Int("workers", 1, "concurrent jobs")
 	queue := flag.Int("queue", 64, "queued-job bound")
 	ttl := flag.Duration("ttl", 15*time.Minute, "finished-job retention")
-	flowcache := flag.String("flowcache", "", "directory for the on-disk place-and-route cache")
 	drain := flag.Duration("drain", 10*time.Minute, "graceful-shutdown budget for running jobs")
 	stateDir := flag.String("state-dir", "", "directory for durable job state files (empty = in-memory only)")
 	flag.Int("retries", 1, "deprecated: ignored, jobs are never retried")
+	cfg := cli.RunFlags(true)
 	flag.Parse()
 	// The TTL janitor ticks at half the TTL, so a TTL under a second would
 	// spin it (and a non-positive one would panic NewTicker).
@@ -89,17 +88,7 @@ func main() {
 		"Process identity; the value is always 1 — the information rides in the labels.",
 		fmt.Sprintf("addr=%q,go=%q", *addr, runtime.Version())).Set(1)
 
-	cfg := jobs.RunnerConfig{
-		Scale:         *scale,
-		ChannelTracks: *width,
-		PlaceEffort:   *effort,
-		BenchWorkers:  *parallel,
-		FlowCacheDir:  *flowcache,
-	}
-	if *benchCSV != "" {
-		cfg.Benchmarks = strings.Split(*benchCSV, ",")
-	}
-	runner := jobs.NewRunner(cfg)
+	runner := jobs.NewRunner(*cfg)
 
 	// Durable state: with -state-dir, a restart restores every job —
 	// finished results come back without recompute, interrupted jobs
@@ -161,7 +150,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	logf("listening on %s (scale %g, %d worker(s), queue %d)", *addr, *scale, *workers, *queue)
+	logf("listening on %s (scale %g, %d worker(s), queue %d)", *addr, cfg.Scale, *workers, *queue)
 
 	select {
 	case err := <-errCh:

@@ -6,7 +6,6 @@ import (
 
 	"tafpga/internal/flow"
 	"tafpga/internal/guardband"
-	"tafpga/internal/route"
 
 	"tafpga/internal/bench"
 )
@@ -140,7 +139,6 @@ func (c *Context) AblationPlacement(ambientC float64) ([]AblationRow, error) {
 			opts.Seed = bench.SeedFor(name)
 			opts.PlaceEffort = effort
 			opts.ChannelTracks = c.ChannelTracks
-			opts.Router = route.DefaultOptions()
 			opts.Ctx = c.Ctx
 			im, err := flow.Implement(nl, dev, opts)
 			if err != nil {

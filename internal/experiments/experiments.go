@@ -19,7 +19,6 @@ import (
 	"tafpga/internal/coffe"
 	"tafpga/internal/flow"
 	"tafpga/internal/guardband"
-	"tafpga/internal/route"
 	"tafpga/internal/techmodel"
 	"tafpga/internal/thermalest"
 	"tafpga/internal/thermarch"
@@ -91,16 +90,13 @@ type implEntry struct {
 
 // NewContext returns a context at the given benchmark scale.
 func NewContext(scale float64) *Context {
+	if scale <= 0 {
+		scale = bench.DefaultScale
+	}
 	return &Context{
-		Kit:  techmodel.Default22nm(),
-		Arch: coffe.DefaultParams(),
-		Lib:  nil,
-		Scale: func() float64 {
-			if scale <= 0 {
-				return bench.DefaultScale
-			}
-			return scale
-		}(),
+		Kit:         techmodel.Default22nm(),
+		Arch:        coffe.DefaultParams(),
+		Scale:       scale,
 		PlaceEffort: 1.0,
 		impls:       map[string]*implEntry{},
 	}
@@ -142,10 +138,7 @@ func (c *Context) Device(cornerC float64) (*coffe.Device, error) {
 
 // Suite returns the benchmark names the figure drivers will run, in Fig. 6
 // order (the Benchmarks restriction applied).
-func (c *Context) Suite() []string { return c.suite() }
-
-// suite returns the benchmark names in Fig. 6 order.
-func (c *Context) suite() []string {
+func (c *Context) Suite() []string {
 	if len(c.Benchmarks) > 0 {
 		return c.Benchmarks
 	}
@@ -226,6 +219,30 @@ func (c *Context) implementationAt(name string, cornerC float64) (*flow.Implemen
 	})
 }
 
+// BenchOptions is the flow recipe for a named benchmark: the seed derived
+// from its name, its profile's primary-input density and the default
+// router. taexp, tafpgad and tafpga all build a named benchmark from it, so
+// a design's numbers do not depend on which command printed them.
+func BenchOptions(p bench.Profile) flow.Options {
+	opts := flow.DefaultOptions()
+	opts.Seed = bench.SeedFor(p.Name)
+	opts.PIDensity = p.PIDensity
+	return opts
+}
+
+// FlowOptions is what Implementation and ThermalImplementation build a
+// benchmark with: BenchOptions under the context's channel width, placement
+// effort, flow cache and cancellation.
+func (c *Context) FlowOptions(p bench.Profile, tp flow.ThermalPlace) flow.Options {
+	opts := BenchOptions(p)
+	opts.PlaceEffort = c.PlaceEffort
+	opts.ChannelTracks = c.ChannelTracks
+	opts.Cache = c.FlowCache
+	opts.Ctx = c.Ctx
+	opts.ThermalPlace = tp
+	return opts
+}
+
 // implement runs the CAD flow for one benchmark (the cache-miss path of
 // Implementation).
 func (c *Context) implement(name string, tp flow.ThermalPlace) (*flow.Implementation, error) {
@@ -237,19 +254,11 @@ func (c *Context) implement(name string, tp flow.ThermalPlace) (*flow.Implementa
 	if err != nil {
 		return nil, err
 	}
-	nl, err := bench.Generate(p.Scaled(c.Scale), bench.SeedFor(name))
+	opts := c.FlowOptions(p, tp)
+	nl, err := bench.Generate(p.Scaled(c.Scale), opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	opts := flow.DefaultOptions()
-	opts.Seed = bench.SeedFor(name)
-	opts.PlaceEffort = c.PlaceEffort
-	opts.ChannelTracks = c.ChannelTracks
-	opts.PIDensity = p.PIDensity
-	opts.Router = route.DefaultOptions()
-	opts.Cache = c.FlowCache
-	opts.Ctx = c.Ctx
-	opts.ThermalPlace = tp
 	im, err := flow.Implement(nl, dev, opts)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", name, err)
@@ -404,6 +413,17 @@ type BenchResult struct {
 	Stats guardband.Stats
 }
 
+// benchResult is the bar of one Algorithm-1 run on benchmark name.
+func benchResult(name string, res *guardband.Result) BenchResult {
+	return BenchResult{
+		Name: name, GainPct: res.GainPct,
+		FmaxMHz: res.FmaxMHz, BaselineMHz: res.BaselineMHz,
+		Iterations: res.Iterations, RiseC: res.RiseC, SpreadC: res.SpreadC,
+		Converged: res.Converged,
+		Stats:     res.Stats,
+	}
+}
+
 // SumStats aggregates the kernel accounting of a result set.
 func SumStats(rs []BenchResult) guardband.Stats {
 	var s guardband.Stats
@@ -442,7 +462,7 @@ func Average(rs []BenchResult) float64 {
 // cancellation via Ctx) it returns the completed benchmarks' results in
 // suite order alongside the error.
 func (c *Context) guardbandSuite(ambientC float64) ([]BenchResult, error) {
-	out, done, err := forEachBench(c, c.suite(), func(name string) (BenchResult, error) {
+	out, done, err := forEachBench(c, c.Suite(), func(name string) (BenchResult, error) {
 		im, err := c.Implementation(name)
 		if err != nil {
 			return BenchResult{}, err
@@ -451,13 +471,7 @@ func (c *Context) guardbandSuite(ambientC float64) ([]BenchResult, error) {
 		if err != nil {
 			return BenchResult{}, fmt.Errorf("experiments: %s: %w", name, err)
 		}
-		return BenchResult{
-			Name: name, GainPct: res.GainPct,
-			FmaxMHz: res.FmaxMHz, BaselineMHz: res.BaselineMHz,
-			Iterations: res.Iterations, RiseC: res.RiseC, SpreadC: res.SpreadC,
-			Converged: res.Converged,
-			Stats:     res.Stats,
-		}, nil
+		return benchResult(name, res), nil
 	})
 	if err != nil {
 		return completed(out, done), err
@@ -465,23 +479,11 @@ func (c *Context) guardbandSuite(ambientC float64) ([]BenchResult, error) {
 	return out, nil
 }
 
-// checkAmbients rejects an ambient outside guardband's accepted range
-// before a driver implements its first benchmark, so a bad axis fails at
-// once instead of after a place and route.
-func checkAmbients(ambients ...float64) error {
-	for _, a := range ambients {
-		if err := guardband.CheckAmbient(a); err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-	}
-	return nil
-}
-
 // GuardbandSweep runs Algorithm 1 on one benchmark at each ambient in order
 // (the Fig. 6 → Fig. 7 → Fig. 8 temperature axis): one Guardband call per
 // ambient, one result per ambient, in sweep order.
 func (c *Context) GuardbandSweep(name string, ambients []float64) ([]BenchResult, error) {
-	if err := checkAmbients(ambients...); err != nil {
+	if err := guardband.CheckAmbient(ambients...); err != nil {
 		return nil, err
 	}
 	im, err := c.Implementation(name)
@@ -491,13 +493,7 @@ func (c *Context) GuardbandSweep(name string, ambients []float64) ([]BenchResult
 	rs, err := c.sweepResults(im, name, ambients)
 	out := make([]BenchResult, 0, len(rs))
 	for _, res := range rs {
-		out = append(out, BenchResult{
-			Name: name, GainPct: res.GainPct,
-			FmaxMHz: res.FmaxMHz, BaselineMHz: res.BaselineMHz,
-			Iterations: res.Iterations, RiseC: res.RiseC, SpreadC: res.SpreadC,
-			Converged: res.Converged,
-			Stats:     res.Stats,
-		})
+		out = append(out, benchResult(name, res))
 	}
 	return out, err
 }
@@ -531,7 +527,7 @@ func (c *Context) Fig7() ([]BenchResult, error) { return c.guardbandSuite(70) }
 // guardbanding)" — the 70 °C-sized fabric vs the typical 25 °C fabric,
 // paper average: 6.7 %.
 func (c *Context) Fig8() ([]BenchResult, error) {
-	out, done, err := forEachBench(c, c.suite(), func(name string) (BenchResult, error) {
+	out, done, err := forEachBench(c, c.Suite(), func(name string) (BenchResult, error) {
 		im25, err := c.Implementation(name)
 		if err != nil {
 			return BenchResult{}, err
@@ -548,24 +544,26 @@ func (c *Context) Fig8() ([]BenchResult, error) {
 		if err != nil {
 			return BenchResult{}, err
 		}
-		gain := 0.0
-		if r25.FmaxMHz > 0 {
-			gain = (r70.FmaxMHz/r25.FmaxMHz - 1) * 100
-		}
-		stats := r25.Stats
-		stats.Add(r70.Stats)
-		return BenchResult{
-			Name: name, GainPct: gain,
-			FmaxMHz: r70.FmaxMHz, BaselineMHz: r25.FmaxMHz,
-			Iterations: r70.Iterations, RiseC: r70.RiseC, SpreadC: r70.SpreadC,
-			Converged: r25.Converged && r70.Converged,
-			Stats:     stats,
-		}, nil
+		return fig8Result(name, r25, r70), nil
 	})
 	if err != nil {
 		return completed(out, done), err
 	}
 	return out, nil
+}
+
+// fig8Result is the Fig. 8 bar of one benchmark at one ambient: the D70
+// fabric's guardbanded clock over the D25 fabric's.
+func fig8Result(name string, r25, r70 *guardband.Result) BenchResult {
+	r := benchResult(name, r70)
+	r.GainPct, r.BaselineMHz = 0, r25.FmaxMHz
+	if r25.FmaxMHz > 0 {
+		r.GainPct = (r70.FmaxMHz/r25.FmaxMHz - 1) * 100
+	}
+	r.Converged = r25.Converged && r70.Converged
+	r.Stats = r25.Stats
+	r.Stats.Add(r70.Stats)
+	return r
 }
 
 // Fig8Sweep extends Fig. 8 along an ambient axis for one benchmark: both
@@ -574,7 +572,7 @@ func (c *Context) Fig8() ([]BenchResult, error) {
 // row per ambient, in sweep order; on error the completed prefix is
 // returned alongside it.
 func (c *Context) Fig8Sweep(name string, ambients []float64) ([]BenchResult, error) {
-	if err := checkAmbients(ambients...); err != nil {
+	if err := guardband.CheckAmbient(ambients...); err != nil {
 		return nil, err
 	}
 	im25, err := c.Implementation(name)
@@ -594,20 +592,7 @@ func (c *Context) Fig8Sweep(name string, ambients []float64) ([]BenchResult, err
 		}
 		out := make([]BenchResult, 0, len(rs25))
 		for i, r25 := range rs25 {
-			r70 := rs70[i]
-			gain := 0.0
-			if r25.FmaxMHz > 0 {
-				gain = (r70.FmaxMHz/r25.FmaxMHz - 1) * 100
-			}
-			stats := r25.Stats
-			stats.Add(r70.Stats)
-			out = append(out, BenchResult{
-				Name: fmt.Sprintf("%s@%g", name, ambients[i]), GainPct: gain,
-				FmaxMHz: r70.FmaxMHz, BaselineMHz: r25.FmaxMHz,
-				Iterations: r70.Iterations, RiseC: r70.RiseC, SpreadC: r70.SpreadC,
-				Converged: r25.Converged && r70.Converged,
-				Stats:     stats,
-			})
+			out = append(out, fig8Result(fmt.Sprintf("%s@%g", name, ambients[i]), r25, rs70[i]))
 		}
 		return out, err
 	}

@@ -41,10 +41,10 @@ type ThermalCompareResult struct {
 // "<bench>/baseline" and "<bench>/thermal" so a streaming consumer can
 // attribute iterations to their phase.
 func (c *Context) ThermalPlaceCompare(ambientC float64, tp flow.ThermalPlace) ([]ThermalCompareResult, error) {
-	if err := checkAmbients(ambientC); err != nil {
+	if err := guardband.CheckAmbient(ambientC); err != nil {
 		return nil, err
 	}
-	out, done, err := forEachBench(c, c.suite(), func(name string) (ThermalCompareResult, error) {
+	out, done, err := forEachBench(c, c.Suite(), func(name string) (ThermalCompareResult, error) {
 		imB, err := c.Implementation(name)
 		if err != nil {
 			return ThermalCompareResult{}, err

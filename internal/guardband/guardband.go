@@ -10,6 +10,9 @@ package guardband
 import (
 	"context"
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 
 	"tafpga/internal/coffe"
 	"tafpga/internal/hotspot"
@@ -84,13 +87,63 @@ const (
 )
 
 // CheckAmbient rejects a non-finite ambient or one outside [MinAmbientC,
-// MaxAmbientC]. Every entry point checks its ambients with it, and so does
-// the daemon's admission control.
-func CheckAmbient(c float64) error {
-	if !(c >= MinAmbientC && c <= MaxAmbientC) { // NaN fails both comparisons
-		return fmt.Errorf("guardband: ambient %g°C outside [%d, %d]", c, MinAmbientC, MaxAmbientC)
+// MaxAmbientC]. Every entry point checks its ambients with it, and so do
+// the daemon's admission control and the suite drivers, before any work.
+func CheckAmbient(cs ...float64) error {
+	for _, c := range cs {
+		if !(c >= MinAmbientC && c <= MaxAmbientC) { // NaN fails both comparisons
+			return fmt.Errorf("guardband: ambient %g°C outside [%d, %d]", c, MinAmbientC, MaxAmbientC)
+		}
 	}
 	return nil
+}
+
+// MaxAmbients caps one ambient axis: a tafpga -sweep, a taexp
+// -energy-ambients list or the ambients of one daemon job.
+const MaxAmbients = 256
+
+// ParseAmbients parses an ambient axis, "lo:hi:step" or a comma list, and
+// checks every point with CheckAmbient. Range points are lo + i·step, so a
+// step below the float spacing at lo cannot stall the expansion;
+// non-finite values and axes of more than MaxAmbients points are errors.
+func ParseAmbients(spec string) ([]float64, error) {
+	isRange := strings.Contains(spec, ":")
+	sep := ","
+	if isRange {
+		sep = ":"
+	}
+	parts := strings.Split(spec, sep)
+	if isRange && len(parts) != 3 {
+		return nil, fmt.Errorf("ambients %q: want lo:hi:step", spec)
+	}
+	var out []float64
+	for _, p := range parts {
+		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return nil, fmt.Errorf("ambients %q: %w", spec, err)
+		}
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return nil, fmt.Errorf("ambients %q: %q is not finite", spec, p)
+		}
+		out = append(out, f)
+	}
+	if isRange {
+		lo, hi, step := out[0], out[1], out[2]
+		if step <= 0 || hi < lo {
+			return nil, fmt.Errorf("ambients %q: need hi >= lo and step > 0", spec)
+		}
+		out = nil
+		for i := 0; lo+float64(i)*step <= hi+1e-9 && len(out) <= MaxAmbients; i++ {
+			out = append(out, lo+float64(i)*step)
+		}
+	}
+	if len(out) > MaxAmbients {
+		return nil, fmt.Errorf("ambients %q: more than %d points", spec, MaxAmbients)
+	}
+	if err := CheckAmbient(out...); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // DefaultOptions returns the paper's experimental settings.
@@ -164,10 +217,8 @@ func Run(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, opts Options) (*R
 // returns (nil, nil); an out-of-range ambient fails the call before any
 // run. New code loops over Run; RunBatch stays for the benchmark harness.
 func RunBatch(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, ambients []float64, opts Options) ([]*Result, error) {
-	for _, amb := range ambients {
-		if err := CheckAmbient(amb); err != nil {
-			return nil, err
-		}
+	if err := CheckAmbient(ambients...); err != nil {
+		return nil, err
 	}
 	if len(ambients) == 0 {
 		return nil, nil

@@ -159,7 +159,7 @@ func TestMinEnergyServedMatchesCLI(t *testing.T) {
 func TestMinEnergyProbeEvents(t *testing.T) {
 	r := NewRunner(RunnerConfig{})
 	var events []Event
-	c := r.context(context.Background(), func(e Event) { events = append(events, e) })
+	c := r.Context(context.Background(), func(e Event) { events = append(events, e) })
 
 	c.OnProgress("sha", guardband.Progress{Iteration: 2, AmbientC: 25, FmaxMHz: 300, VddV: 0.625})
 	c.OnProgress("sha", progressAt(3))

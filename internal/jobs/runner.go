@@ -13,9 +13,10 @@ import (
 	"tafpga/internal/thermarch"
 )
 
-// RunnerConfig is the daemon-wide implementation setup shared by every job.
-// It is deliberately not part of Spec (and therefore of the dedup key):
-// one server serves one configuration.
+// RunnerConfig is the run setup shared by every job of a daemon, and by a
+// whole taexp or tafpga run; the cli package fills it from the flags the
+// three commands share. It is deliberately not part of Spec (and therefore
+// of the dedup key): one server serves one configuration.
 type RunnerConfig struct {
 	// Scale is the benchmark scale (0 = the harness default).
 	Scale float64
@@ -23,8 +24,8 @@ type RunnerConfig struct {
 	ChannelTracks int
 	// PlaceEffort scales the annealing budget (0 = 1.0).
 	PlaceEffort float64
-	// BenchWorkers bounds the per-job benchmark fan-out of figure suites
-	// (0 = GOMAXPROCS).
+	// BenchWorkers bounds the fan-out of a suite's benchmarks, or of the
+	// ambients of a tafpga sweep (0 = GOMAXPROCS).
 	BenchWorkers int
 	// Deprecated: ignored; routing is serial (parallel speculation lost to one worker).
 	RouteWorkers int
@@ -45,21 +46,15 @@ type RunnerConfig struct {
 // use, so a multi-worker Manager can run jobs in parallel.
 type Runner struct {
 	cfg   RunnerConfig
-	kit   *techmodel.Kit
-	arch  coffe.Params
 	lib   *thermarch.Library
 	cache *flow.Cache
 }
 
 // NewRunner builds the shared state once.
 func NewRunner(cfg RunnerConfig) *Runner {
-	kit := techmodel.Default22nm()
-	arch := coffe.DefaultParams()
 	return &Runner{
 		cfg:   cfg,
-		kit:   kit,
-		arch:  arch,
-		lib:   thermarch.NewLibrary(kit, arch),
+		lib:   thermarch.NewLibrary(techmodel.Default22nm(), coffe.DefaultParams()),
 		cache: flow.NewCache(cfg.FlowCacheDir),
 	}
 }
@@ -71,12 +66,12 @@ func (r *Runner) Warm() error {
 	return err
 }
 
-// context builds the per-job experiments context over the shared state.
-func (r *Runner) context(ctx context.Context, emit func(Event)) *experiments.Context {
+// Context builds an experiments context over the shared state: a job's,
+// with its cancellation and its progress events (emit may be nil), or a
+// whole taexp run's.
+func (r *Runner) Context(ctx context.Context, emit func(Event)) *experiments.Context {
 	c := experiments.NewContext(r.cfg.Scale)
-	c.Kit = r.kit
-	c.Arch = r.arch
-	c.Lib = r.lib
+	c.Kit, c.Arch, c.Lib = r.lib.Kit, r.lib.Arch, r.lib
 	c.FlowCache = r.cache
 	c.ChannelTracks = r.cfg.ChannelTracks
 	if r.cfg.PlaceEffort > 0 {
@@ -107,7 +102,7 @@ func (r *Runner) context(ctx context.Context, emit func(Event)) *experiments.Con
 // experiments types the CLIs print, so the server path is bit-identical to
 // the batch path by construction.
 func (r *Runner) Run(ctx context.Context, spec Spec, emit func(Event)) (any, error) {
-	c := r.context(ctx, emit)
+	c := r.Context(ctx, emit)
 	switch spec.Kind {
 	case KindGuardband:
 		rs, err := c.GuardbandSweep(spec.Benchmark, []float64{spec.AmbientC})

@@ -75,8 +75,8 @@ type Spec struct {
 // are all rejected before anything is queued. Ambients are bounded by
 // guardband.CheckAmbient, the same check every guardband entry point runs.
 func (s Spec) Validate() error {
-	checkAmbient := func(a float64) error {
-		if err := guardband.CheckAmbient(a); err != nil {
+	checkAmbient := func(as ...float64) error {
+		if err := guardband.CheckAmbient(as...); err != nil {
 			return fmt.Errorf("jobs: %w", err)
 		}
 		return nil
@@ -87,38 +87,17 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("jobs: %w", err)
 		}
 		return checkAmbient(s.AmbientC)
-	case KindSweep:
+	case KindSweep, KindMinEnergy:
 		if _, err := bench.ByName(s.Benchmark); err != nil {
 			return fmt.Errorf("jobs: %w", err)
 		}
-		if len(s.Ambients) == 0 {
-			return fmt.Errorf("jobs: sweep needs at least one ambient")
+		if len(s.Ambients) == 0 || len(s.Ambients) > guardband.MaxAmbients {
+			return fmt.Errorf("jobs: %s of %d ambients: want 1 to %d", s.Kind, len(s.Ambients), guardband.MaxAmbients)
 		}
-		if len(s.Ambients) > 256 {
-			return fmt.Errorf("jobs: sweep of %d ambients exceeds the 256-point limit", len(s.Ambients))
+		if err := checkAmbient(s.Ambients...); err != nil {
+			return err
 		}
-		for _, a := range s.Ambients {
-			if err := checkAmbient(a); err != nil {
-				return err
-			}
-		}
-		return nil
-	case KindMinEnergy:
-		if _, err := bench.ByName(s.Benchmark); err != nil {
-			return fmt.Errorf("jobs: %w", err)
-		}
-		if len(s.Ambients) == 0 {
-			return fmt.Errorf("jobs: min-energy needs at least one ambient")
-		}
-		if len(s.Ambients) > 256 {
-			return fmt.Errorf("jobs: min-energy sweep of %d ambients exceeds the 256-point limit", len(s.Ambients))
-		}
-		for _, a := range s.Ambients {
-			if err := checkAmbient(a); err != nil {
-				return err
-			}
-		}
-		if s.TargetMHz < 0 || s.TargetMHz > 1e5 {
+		if s.Kind == KindMinEnergy && (s.TargetMHz < 0 || s.TargetMHz > 1e5) {
 			return fmt.Errorf("jobs: target %g MHz outside [0, 1e5]", s.TargetMHz)
 		}
 		return nil

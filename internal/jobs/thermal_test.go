@@ -110,7 +110,7 @@ func TestJobsTotalPerKind(t *testing.T) {
 func TestProgressPhaseSplit(t *testing.T) {
 	r := NewRunner(RunnerConfig{})
 	var events []Event
-	c := r.context(context.Background(), func(e Event) { events = append(events, e) })
+	c := r.Context(context.Background(), func(e Event) { events = append(events, e) })
 
 	c.OnProgress("sha/thermal", progressAt(3))
 	c.OnProgress("sha", progressAt(4))

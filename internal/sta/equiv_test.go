@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"tafpga/internal/netlist"
 )
 
 // testTempMaps builds a set of temperature maps that move the critical path
@@ -61,6 +63,37 @@ func TestAnalyzeBitIdenticalToReference(t *testing.T) {
 				t.Fatalf("map %d: breakdown[%v] = %v, reference %v", mi, k, got.Breakdown[k], v)
 			}
 		}
+	}
+}
+
+// TestArrivalsBitIdenticalToReference compares every block's arrival and
+// critical fan-in after the forward pass, not only the critical path's. On
+// the raygentop fixture every critical path launches from an input pad, so
+// the report alone would pass an error in an FF, BRAM or DSP launch.
+func TestArrivalsBitIdenticalToReference(t *testing.T) {
+	an := analyzer(t)
+	launches := map[netlist.BlockType]int{}
+	for _, id := range an.comp.srcID {
+		launches[an.NL.Blocks[id].Type]++
+	}
+	for _, typ := range []netlist.BlockType{netlist.FF, netlist.BRAM, netlist.DSP} {
+		if launches[typ] == 0 {
+			t.Fatalf("fixture has no %s launch (launches %v)", typ, launches)
+		}
+	}
+	for mi, temps := range testTempMaps(an) {
+		sc := an.getScratch()
+		an.fillTermVals(temps, sc.termVal)
+		an.seedArrivals(temps, sc.arrival)
+		an.propagate(temps, sc.arrival, sc.termVal, sc.worstIn, sc.worstEdge)
+		want, wantIn := an.arrivalsReference(temps)
+		for id := range want {
+			if sc.arrival[id] != want[id] || int(sc.worstIn[id]) != wantIn[id] {
+				t.Fatalf("map %d: block %d (%s): arrival %v, fan-in %d; reference %v, %d",
+					mi, id, an.NL.Blocks[id].Type, sc.arrival[id], sc.worstIn[id], want[id], wantIn[id])
+			}
+		}
+		an.scratch.Put(sc)
 	}
 }
 

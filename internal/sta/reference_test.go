@@ -17,37 +17,7 @@ import (
 // seed implementation. Analyze must match it bit for bit.
 func (a *Analyzer) AnalyzeReference(temps []float64) Report {
 	nl := a.NL
-	arrival := make([]float64, len(nl.Blocks))
-	worstIn := make([]int, len(nl.Blocks)) // critical fan-in per block
-	for i := range worstIn {
-		worstIn[i] = -1
-	}
-
-	// Source arrivals.
-	for i := range nl.Blocks {
-		switch nl.Blocks[i].Type {
-		case netlist.Input, netlist.FF, netlist.BRAM, netlist.DSP:
-			arrival[i] = a.sourceLaunch(i, temps)
-		}
-	}
-
-	// Combinational propagation in topological order.
-	for _, id := range a.order {
-		b := &nl.Blocks[id]
-		in, inIdx := 0.0, -1
-		for _, src := range b.Inputs {
-			t := arrival[src] + a.netDelay(src, id, temps, nil)
-			if t > in {
-				in, inIdx = t, src
-			}
-		}
-		worstIn[id] = inIdx
-		if b.Type == netlist.LUT {
-			arrival[id] = in + a.Dev.Delay(coffe.LUTA, temps[a.PL.TileOf[id]])
-		} else {
-			arrival[id] = in // output pad
-		}
-	}
+	arrival, worstIn := a.arrivalsReference(temps)
 
 	// Endpoint requirements.
 	rep := Report{Breakdown: map[coffe.ResourceKind]float64{}, CriticalEnd: -1}
@@ -95,6 +65,44 @@ func (a *Analyzer) AnalyzeReference(temps []float64) Report {
 	}
 	a.traceCriticalReference(&rep, arrival, worstIn, temps)
 	return rep
+}
+
+// arrivalsReference is the seed's source launch and combinational
+// propagation: every block's arrival time and critical fan-in.
+func (a *Analyzer) arrivalsReference(temps []float64) ([]float64, []int) {
+	nl := a.NL
+	arrival := make([]float64, len(nl.Blocks))
+	worstIn := make([]int, len(nl.Blocks)) // critical fan-in per block
+	for i := range worstIn {
+		worstIn[i] = -1
+	}
+
+	// Source arrivals.
+	for i := range nl.Blocks {
+		switch nl.Blocks[i].Type {
+		case netlist.Input, netlist.FF, netlist.BRAM, netlist.DSP:
+			arrival[i] = a.sourceLaunch(i, temps)
+		}
+	}
+
+	// Combinational propagation in topological order.
+	for _, id := range a.order {
+		b := &nl.Blocks[id]
+		in, inIdx := 0.0, -1
+		for _, src := range b.Inputs {
+			t := arrival[src] + a.netDelay(src, id, temps, nil)
+			if t > in {
+				in, inIdx = t, src
+			}
+		}
+		worstIn[id] = inIdx
+		if b.Type == netlist.LUT {
+			arrival[id] = in + a.Dev.Delay(coffe.LUTA, temps[a.PL.TileOf[id]])
+		} else {
+			arrival[id] = in // output pad
+		}
+	}
+	return arrival, worstIn
 }
 
 // traceCriticalReference reconstructs the critical path the seed way,
