@@ -97,7 +97,8 @@ func frontendSetup(b *testing.B) frontendFixture {
 	return front
 }
 
-// BenchmarkPlace measures the incremental-cost annealer.
+// BenchmarkPlace measures the annealer, which reprices every touched net with
+// the branch-free span kernel.
 func BenchmarkPlace(b *testing.B) {
 	f := frontendSetup(b)
 	b.ResetTimer()

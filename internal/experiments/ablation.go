@@ -126,17 +126,18 @@ func (c *Context) AblationPlacement(ambientC float64) ([]AblationRow, error) {
 	for _, effort := range []float64{0.1, 1.0} {
 		label := fmt.Sprintf("place effort %.1f", effort)
 		results, _, err := forEachBench(c, ablationBenchmarks, func(name string) (*guardband.Result, error) {
-			// Fresh implementation at this effort (not cached).
+			// Fresh implementation at this effort (not cached), built with
+			// the benchmark's own recipe so only the effort differs from
+			// Implementation's build.
 			p, err := bench.ByName(name)
 			if err != nil {
 				return nil, err
 			}
-			nl, err := bench.Generate(p.Scaled(c.Scale), bench.SeedFor(name))
+			opts := BenchOptions(p)
+			nl, err := bench.Generate(p.Scaled(c.Scale), opts.Seed)
 			if err != nil {
 				return nil, err
 			}
-			opts := flow.DefaultOptions()
-			opts.Seed = bench.SeedFor(name)
 			opts.PlaceEffort = effort
 			opts.ChannelTracks = c.ChannelTracks
 			opts.Ctx = c.Ctx

@@ -232,6 +232,39 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestAblationPlacementMatchesImplementation pins the placement ablation's
+// build recipe: its "place effort 1.0" row, under a context whose own effort
+// is 1.0, is the mean gain of the same benchmarks built through
+// Implementation, bit for bit.
+func TestAblationPlacementMatchesImplementation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-flow experiment")
+	}
+	c := NewContext(1.0 / 64)
+	c.ChannelTracks = 104
+	c.PlaceEffort = 1.0
+	rows, err := c.AblationPlacement(25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := c.ablationMean(25, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, res := range results {
+		sum += res.GainPct
+	}
+	want := sum / float64(len(results))
+	row := rows[len(rows)-1]
+	if row.Label != "place effort 1.0" {
+		t.Fatalf("last row is %q, want the effort-1.0 row", row.Label)
+	}
+	if row.GainPct != want {
+		t.Fatalf("place effort 1.0 row gains %v%%, Implementation builds gain %v%%", row.GainPct, want)
+	}
+}
+
 // TestGuardbandSweepInvariance: the ambient sweep must be bit-identical to
 // independent Guardband runs at each ambient.
 func TestGuardbandSweepInvariance(t *testing.T) {

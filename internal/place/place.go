@@ -6,15 +6,14 @@
 // timing-driven placement the paper's flow relies on for realistic critical
 // paths.
 //
-// Place is the optimized annealer: per-net cached bounding boxes with
-// boundary counts (VPR's incremental bbox cost update) priced in O(moved
-// endpoints) per move instead of a full HPWL recompute of every touched
-// net, flat slice-backed occupancy and site tables, a dense per-entity
-// coordinate table, and a touched-net list merged from two ascending
-// per-entity net lists. It consumes the exact RNG stream of the seed annealer
-// and reproduces its accept/reject decisions, so TileOf and Cost are
-// byte-identical to the seed annealer PlaceReference, which lives in the
-// package's tests (reference_test.go) next to the equivalence tests.
+// Place is the optimized annealer: flat slice-backed occupancy and site
+// tables, a dense per-entity coordinate table, a touched-net list merged from
+// two ascending per-entity net lists, and one branch-free span kernel that
+// reprices every touched net's weight × HPWL from the coordinate table. It
+// consumes the exact RNG stream of the seed annealer and reproduces its
+// accept/reject decisions, so TileOf and Cost are byte-identical to the seed
+// annealer PlaceReference, which lives in the package's tests
+// (reference_test.go) next to the equivalence tests.
 package place
 
 import (
@@ -45,12 +44,6 @@ type Placement struct {
 	// Cost is the final annealing cost (criticality-weighted HPWL in tile
 	// units), for reporting and regression tests.
 	Cost float64
-}
-
-// netRec is one net in the placement cost function.
-type netRec struct {
-	ends   []int // entity indices (driver first)
-	weight float64
 }
 
 // entity is one placeable object: a cluster, a macro block, or an IO pad.
@@ -100,35 +93,18 @@ func sitesFor(grid *arch.Grid) *gridSites {
 	return s
 }
 
-// bbox is one net's cached bounding box with VPR-style boundary
-// multiplicities: cMinX counts how many endpoints sit exactly on minX, so a
-// move off the boundary knows whether the box may shrink. A count of zero
-// marks the edge stale; the net is then rescanned.
-type bbox struct {
-	minX, maxX, minY, maxY     int32
-	cMinX, cMaxX, cMinY, cMaxY int32
-}
-
 // point is one tile's grid coordinates.
 type point struct{ x, y int32 }
 
-// touch is one net a move touches; flag bit 0 marks a net holding the moved
-// entity, bit 1 a net holding the displaced one.
-type touch struct {
-	net  int32
-	flag uint8
-}
-
 // annealer bundles the flat working state of one Place call.
 type annealer struct {
-	grid  *arch.Grid
 	ents  []entity
 	sites *gridSites
 	// occupant[tile*ioPadsPerTile+slot] is the entity index or -1.
 	occupant []int32
 	// tileXY decomposes flat tile indices once; pos[ei] is tileXY of
 	// ents[ei].tile, kept in step with every applied or reverted move so
-	// rescan reads one record per endpoint.
+	// netSpanCost reads one record per endpoint.
 	tileXY []point
 	pos    []point
 
@@ -138,7 +114,6 @@ type annealer struct {
 	endsList  []int32
 	weight    []float64
 	netCost   []float64
-	bb        []bbox
 	// netsAt in CSR form: entity ei touches nets
 	// netsAtList[netsAtStart[ei]:netsAtStart[ei+1]], in strictly ascending
 	// net order (the list is filled net by net), which tryMove's merge
@@ -147,8 +122,7 @@ type annealer struct {
 	netsAtList  []int32
 
 	// Per-move scratch, reused across every move.
-	touched  []touch
-	savedBB  []bbox
+	touched  []int32
 	newCosts []float64
 
 	total float64
@@ -256,7 +230,7 @@ func placeAnneal(p *pack.Result, grid *arch.Grid, seed int64, effort float64, tc
 }
 
 // newAnnealer enumerates the entities, makes the seed's deterministic
-// initial placement, and builds the net, coordinate, bounding-box and
+// initial placement, and builds the net, coordinate, cost and
 // (with tc) thermal state the anneal works on. It draws no random numbers.
 // entOf maps every netlist block to its entity, or -1.
 func newAnnealer(p *pack.Result, grid *arch.Grid, tc *ThermalCost) (*annealer, []int, error) {
@@ -356,7 +330,7 @@ func newAnnealer(p *pack.Result, grid *arch.Grid, tc *ThermalCost) (*annealer, [
 	// skipping cluster-internal nets. Endpoint order matches the seed
 	// (driver first, sinks in netlist order, first occurrence kept).
 	crit := netCriticality(nl)
-	a := &annealer{grid: grid, ents: ents, sites: sites, occupant: occupant}
+	a := &annealer{ents: ents, sites: sites, occupant: occupant}
 	a.endsStart = append(a.endsStart, 0)
 	seenStamp := make([]int32, len(ents))
 	for i := range seenStamp {
@@ -381,7 +355,7 @@ func newAnnealer(p *pack.Result, grid *arch.Grid, tc *ThermalCost) (*annealer, [
 			a.endsList = a.endsList[:lo]
 			continue
 		}
-		a.weight = append(a.weight, (1+3*crit[d])*qFactor(len(nl.Sinks[d])))
+		a.weight = append(a.weight, (1+float64(3*crit[d]))*qFactor(len(nl.Sinks[d])))
 		a.endsStart = append(a.endsStart, int32(len(a.endsList)))
 		for _, e := range a.endsList[lo:] {
 			netsAtCount[e]++
@@ -415,13 +389,11 @@ func newAnnealer(p *pack.Result, grid *arch.Grid, tc *ThermalCost) (*annealer, [
 		a.pos[ei] = a.tileXY[ents[ei].tile]
 	}
 
-	// Initial bounding boxes and costs (same accumulation order as the
-	// seed: net by net, in net-index order).
+	// Initial costs (same accumulation order as the seed: net by net, in
+	// net-index order).
 	a.netCost = make([]float64, numNets)
-	a.bb = make([]bbox, numNets)
-	for ni := 0; ni < numNets; ni++ {
-		a.rescan(ni)
-		a.netCost[ni] = a.cost(ni)
+	for ni := range a.netCost {
+		a.netCost[ni] = a.netSpanCost(int32(ni))
 		a.total += a.netCost[ni]
 	}
 
@@ -472,90 +444,22 @@ func newAnnealer(p *pack.Result, grid *arch.Grid, tc *ThermalCost) (*annealer, [
 	return a, entOf, nil
 }
 
-// cost prices a net from its cached bounding box: exactly the seed's
-// weight × integer-HPWL product (the box is integral, so the float64
-// conversion is exact and the value is bit-identical to a full recompute).
-func (a *annealer) cost(ni int) float64 {
-	b := &a.bb[ni]
-	return a.weight[ni] * float64(int(b.maxX-b.minX)+int(b.maxY-b.minY))
-}
-
-// rescan rebuilds one net's bounding box and boundary counts from the
-// current entity positions.
-func (a *annealer) rescan(ni int) {
-	b := bbox{minX: math.MaxInt32, minY: math.MaxInt32, maxX: -1, maxY: -1}
-	for _, ei := range a.endsList[a.endsStart[ni]:a.endsStart[ni+1]] {
-		x, y := a.pos[ei].x, a.pos[ei].y
-		switch {
-		case x < b.minX:
-			b.minX, b.cMinX = x, 1
-		case x == b.minX:
-			b.cMinX++
-		}
-		switch {
-		case x > b.maxX:
-			b.maxX, b.cMaxX = x, 1
-		case x == b.maxX:
-			b.cMaxX++
-		}
-		switch {
-		case y < b.minY:
-			b.minY, b.cMinY = y, 1
-		case y == b.minY:
-			b.cMinY++
-		}
-		switch {
-		case y > b.maxY:
-			b.maxY, b.cMaxY = y, 1
-		case y == b.maxY:
-			b.cMaxY++
-		}
+// netSpanCost prices net ni from the current entity positions: the seed's
+// weight × integer-HPWL product, recomputed over every endpoint with the
+// min/max builtins so the loop has no data-dependent branches. The span is
+// integral, so the float64 conversion is exact and the value is bit-identical
+// to the seed's full recompute; the outer conversion keeps a caller's
+// running sum from fusing with the product.
+func (a *annealer) netSpanCost(ni int32) float64 {
+	ends := a.endsList[a.endsStart[ni]:a.endsStart[ni+1]]
+	p := a.pos[ends[0]]
+	minX, maxX, minY, maxY := p.x, p.x, p.y, p.y
+	for _, ei := range ends[1:] {
+		q := a.pos[ei]
+		minX, maxX = min(minX, q.x), max(maxX, q.x)
+		minY, maxY = min(minY, q.y), max(maxY, q.y)
 	}
-	a.bb[ni] = b
-}
-
-// movePoint slides one endpoint of net ni from (ox,oy) to (nx,ny),
-// updating the cached box and counts. It returns false when a boundary
-// count dropped to zero and the box must be rescanned.
-func (a *annealer) movePoint(ni int, ox, oy, nx, ny int32) bool {
-	b := &a.bb[ni]
-	if ox == b.minX {
-		b.cMinX--
-	}
-	if ox == b.maxX {
-		b.cMaxX--
-	}
-	if oy == b.minY {
-		b.cMinY--
-	}
-	if oy == b.maxY {
-		b.cMaxY--
-	}
-	switch {
-	case nx < b.minX:
-		b.minX, b.cMinX = nx, 1
-	case nx == b.minX:
-		b.cMinX++
-	}
-	switch {
-	case nx > b.maxX:
-		b.maxX, b.cMaxX = nx, 1
-	case nx == b.maxX:
-		b.cMaxX++
-	}
-	switch {
-	case ny < b.minY:
-		b.minY, b.cMinY = ny, 1
-	case ny == b.minY:
-		b.cMinY++
-	}
-	switch {
-	case ny > b.maxY:
-		b.maxY, b.cMaxY = ny, 1
-	case ny == b.maxY:
-		b.cMaxY++
-	}
-	return b.cMinX > 0 && b.cMaxX > 0 && b.cMinY > 0 && b.cMaxY > 0
+	return float64(a.weight[ni] * float64((maxX-minX)+(maxY-minY)))
 }
 
 // tryMove proposes one swap/move and applies it with Metropolis acceptance.
@@ -588,10 +492,6 @@ func (a *annealer) tryMove(rng *rand.Rand, temp float64) bool {
 		displaced = a.netsAtList[a.netsAtStart[oi]:a.netsAtStart[oi+1]]
 	}
 	a.touched = mergeTouched(a.touched[:0], a.netsAtList[a.netsAtStart[ei]:a.netsAtStart[ei+1]], displaced)
-	oldSum := 0.0
-	for _, t := range a.touched {
-		oldSum += a.netCost[t.net]
-	}
 
 	// Apply tentatively.
 	oldTile, oldSlot := e.tile, e.slot
@@ -607,36 +507,15 @@ func (a *annealer) tryMove(rng *rand.Rand, temp float64) bool {
 	a.pos[ei] = p1
 	a.occupant[target*ioPadsPerTile+slot] = int32(ei)
 
-	// Incremental bbox update per touched net: O(moved endpoints), with a
-	// targeted rescan only when a boundary count collapses. The new cost is
-	// the same weight × integer-span product the seed recomputed from
-	// scratch, so newSum (accumulated in the same ascending order) is
-	// bit-identical.
-	if cap(a.savedBB) < len(a.touched) {
-		a.savedBB = make([]bbox, len(a.touched), 2*len(a.touched)+8)
-		a.newCosts = make([]float64, len(a.touched), 2*len(a.touched)+8)
-	}
-	a.savedBB = a.savedBB[:len(a.touched)]
-	a.newCosts = a.newCosts[:len(a.touched)]
-	newSum := 0.0
-	for i, t := range a.touched {
-		ni, f := int(t.net), t.flag
-		a.savedBB[i] = a.bb[ni]
-		ok := true
-		if f&1 != 0 && p0 != p1 {
-			ok = a.movePoint(ni, p0.x, p0.y, p1.x, p1.y)
-		}
-		if f&2 != 0 && p0 != p1 {
-			// The displaced entity moved the opposite way.
-			if !a.movePoint(ni, p1.x, p1.y, p0.x, p0.y) {
-				ok = false
-			}
-		}
-		if !ok {
-			a.rescan(ni)
-		}
-		c := a.cost(ni)
-		a.newCosts[i] = c
+	// Reprice every touched net from the new positions, as the seed did.
+	// Both sums run in the same ascending order as the seed's, so they and
+	// their difference are bit-identical.
+	a.newCosts = a.newCosts[:0]
+	oldSum, newSum := 0.0, 0.0
+	for _, ni := range a.touched {
+		oldSum += a.netCost[ni]
+		c := a.netSpanCost(ni)
+		a.newCosts = append(a.newCosts, c)
 		newSum += c
 	}
 
@@ -651,12 +530,12 @@ func (a *annealer) tryMove(rng *rand.Rand, temp float64) bool {
 			thermQ -= a.entPowerUW[oi]
 		}
 		if thermQ != 0 {
-			delta += a.thermW * a.est.MoveDelta(thermQ, oldTile, target)
+			delta += float64(a.thermW * a.est.MoveDelta(thermQ, oldTile, target))
 		}
 	}
 	if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
-		for i, t := range a.touched {
-			a.netCost[t.net] = a.newCosts[i]
+		for i, ni := range a.touched {
+			a.netCost[ni] = a.newCosts[i]
 		}
 		a.total += delta
 		if thermQ != 0 {
@@ -671,7 +550,7 @@ func (a *annealer) tryMove(rng *rand.Rand, temp float64) bool {
 		}
 		return true
 	}
-	// Revert positions, occupancy, and cached boxes.
+	// Revert positions and occupancy.
 	a.occupant[target*ioPadsPerTile+slot] = -1
 	if hasOcc {
 		o := &ents[oi]
@@ -682,38 +561,30 @@ func (a *annealer) tryMove(rng *rand.Rand, temp float64) bool {
 	e.tile, e.slot = oldTile, oldSlot
 	a.pos[ei] = p0
 	a.occupant[oldTile*ioPadsPerTile+oldSlot] = int32(ei)
-	for i, t := range a.touched {
-		a.bb[t.net] = a.savedBB[i]
-	}
 	return false
 }
 
 // mergeTouched appends to dst the union of two strictly ascending net lists,
-// moved (the moved entity's nets, flag 1) and displaced (the displaced
-// entity's, flag 2), in ascending order; a net on both lists gets flag 3.
-func mergeTouched(dst []touch, moved, displaced []int32) []touch {
+// the moved entity's nets and the displaced entity's, in ascending order
+// with no net twice.
+func mergeTouched(dst, moved, displaced []int32) []int32 {
 	i, j := 0, 0
 	for i < len(moved) && j < len(displaced) {
 		switch m, d := moved[i], displaced[j]; {
 		case m < d:
-			dst = append(dst, touch{m, 1})
+			dst = append(dst, m)
 			i++
 		case m > d:
-			dst = append(dst, touch{d, 2})
+			dst = append(dst, d)
 			j++
 		default:
-			dst = append(dst, touch{m, 3})
+			dst = append(dst, m)
 			i++
 			j++
 		}
 	}
-	for ; i < len(moved); i++ {
-		dst = append(dst, touch{moved[i], 1})
-	}
-	for ; j < len(displaced); j++ {
-		dst = append(dst, touch{displaced[j], 2})
-	}
-	return dst
+	dst = append(dst, moved[i:]...)
+	return append(dst, displaced[j:]...)
 }
 
 // initialTemp estimates the starting temperature: T0 ≈ 20 × the average
@@ -731,9 +602,9 @@ func qFactor(fanout int) float64 {
 	case fanout <= 3:
 		return 1.0
 	case fanout <= 10:
-		return 1.0 + 0.06*float64(fanout-3)
+		return 1.0 + float64(0.06*float64(fanout-3))
 	default:
-		return 1.42 + 0.02*float64(fanout-10)
+		return 1.42 + float64(0.02*float64(fanout-10))
 	}
 }
 

@@ -4,7 +4,9 @@ package place
 // golden implementation the optimized Place is equivalence-tested against
 // (identical RNG stream, identical accept/reject decisions, byte-identical
 // TileOf and bit-identical Cost), here and in the flow-level oracle of
-// oracle_test.go. It is test code only. Do not optimize this file.
+// oracle_test.go. It is test code only. Do not optimize this file. Its
+// float64(x*y) conversions only forbid fused multiply-add, so the seed's
+// arithmetic rounds the same on every target.
 
 import (
 	"fmt"
@@ -17,6 +19,12 @@ import (
 
 	"tafpga/internal/arch"
 )
+
+// netRec is one net in the seed's cost function.
+type netRec struct {
+	ends   []int // entity indices (driver first)
+	weight float64
+}
 
 // PlaceReference anneals the packed design with the seed implementation:
 // per-move full-net HPWL recomputes over map-backed occupancy and site
@@ -128,7 +136,7 @@ func PlaceReference(p *pack.Result, grid *arch.Grid, seed int64, effort float64)
 		if len(nl.Sinks[d]) == 0 || entOf[d] < 0 {
 			continue
 		}
-		rec := netRec{weight: (1 + 3*crit[d]) * qFactor(len(nl.Sinks[d]))}
+		rec := netRec{weight: (1 + float64(3*crit[d])) * qFactor(len(nl.Sinks[d]))}
 		seen := map[int]bool{}
 		rec.ends = append(rec.ends, entOf[d])
 		seen[entOf[d]] = true
@@ -166,7 +174,7 @@ func PlaceReference(p *pack.Result, grid *arch.Grid, seed int64, effort float64)
 				maxY = y
 			}
 		}
-		return nets[ni].weight * float64((maxX-minX)+(maxY-minY))
+		return float64(nets[ni].weight * float64((maxX-minX)+(maxY-minY)))
 	}
 	netCost := make([]float64, len(nets))
 	total := 0.0
