@@ -45,7 +45,8 @@
 //	-memprofile f write a heap profile at exit to f
 //
 // A named benchmark is built with the flow options taexp and tafpgad use
-// for it (experiments.BenchOptions), so the three report the same numbers.
+// for it (tafpga.BenchmarkFlowOptions), so the three report the same
+// numbers.
 package main
 
 import (
@@ -61,7 +62,6 @@ import (
 	"tafpga/internal/bench"
 	"tafpga/internal/cli"
 	"tafpga/internal/coffe"
-	"tafpga/internal/experiments"
 	"tafpga/internal/flow"
 	"tafpga/internal/guardband"
 	"tafpga/internal/jobs"
@@ -225,18 +225,17 @@ func main() {
 }
 
 // flowOptions is the flow recipe of a tafpga run. A named benchmark starts
-// from the one taexp and tafpgad build it with (experiments.BenchOptions),
+// from the one taexp and tafpgad build it with (tafpga.BenchmarkFlowOptions),
 // an -in netlist from the flow defaults; -seed, -w, -effort, -flowcache and
 // the thermal placement flags override either.
 func flowOptions(name string, named bool, cfg *jobs.RunnerConfig, seed int64, tp flow.ThermalPlace) (flow.Options, error) {
 	opts := flow.DefaultOptions()
 	opts.Seed = bench.SeedFor(name)
 	if named {
-		p, err := bench.ByName(name)
-		if err != nil {
+		var err error
+		if opts, err = tafpga.BenchmarkFlowOptions(name); err != nil {
 			return opts, err
 		}
-		opts = experiments.BenchOptions(p)
 	}
 	if seed != 0 {
 		opts.Seed = seed

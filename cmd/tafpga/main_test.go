@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tafpga"
 	"tafpga/internal/bench"
 	"tafpga/internal/flow"
 	"tafpga/internal/jobs"
@@ -12,7 +13,8 @@ import (
 // TestNamedBenchmarkOptionsMatchDaemon pins tafpga's flow options for every
 // named benchmark to the ones taexp and a tafpgad job build it with, under
 // default and overridden run flags: one design gives one answer whichever
-// command prints it.
+// command prints it. Under the default flags they are the public recipe,
+// tafpga.BenchmarkFlowOptions.
 func TestNamedBenchmarkOptionsMatchDaemon(t *testing.T) {
 	for _, cfg := range []jobs.RunnerConfig{
 		{PlaceEffort: 1},
@@ -28,6 +30,11 @@ func TestNamedBenchmarkOptionsMatchDaemon(t *testing.T) {
 					t.Errorf("%s (%+v, %+v): tafpga builds with %+v, %v; taexp and tafpgad with %+v",
 						p.Name, cfg, tp, got, err, want)
 				}
+				if cfg.ChannelTracks == 0 && tp == (flow.ThermalPlace{}) {
+					if pub, err := tafpga.BenchmarkFlowOptions(p.Name); err != nil || !reflect.DeepEqual(got, pub) {
+						t.Errorf("%s: tafpga builds with %+v; the public recipe is %+v, %v", p.Name, got, pub, err)
+					}
+				}
 			}
 		}
 	}
@@ -38,11 +45,12 @@ func TestNamedBenchmarkOptionsMatchDaemon(t *testing.T) {
 func TestFlowOptionsOverrides(t *testing.T) {
 	cfg := jobs.RunnerConfig{PlaceEffort: 1, FlowCacheDir: t.TempDir()}
 	got, err := flowOptions("sha", true, &cfg, 7, flow.ThermalPlace{})
-	if err != nil || got.Seed != 7 || got.Cache == nil || got.PIDensity != 0.15 {
-		t.Errorf("sha -seed 7 -flowcache: seed %d, cache %v, PIDensity %g, %v; want 7, a cache, 0.15",
-			got.Seed, got.Cache, got.PIDensity, err)
+	want, _ := tafpga.BenchmarkFlowOptions("sha")
+	want.Seed, want.Cache = 7, got.Cache
+	if err != nil || got.Cache == nil || got.PIDensity != 0.15 || !reflect.DeepEqual(got, want) {
+		t.Errorf("sha -seed 7 -flowcache: %+v, %v; want the recipe (PIDensity 0.15) with seed 7 and a cache", got, err)
 	}
-	want := flow.DefaultOptions()
+	want = flow.DefaultOptions()
 	want.Seed = bench.SeedFor("external")
 	cfg.FlowCacheDir = ""
 	if got, err := flowOptions("external", false, &cfg, 0, flow.ThermalPlace{}); err != nil || !reflect.DeepEqual(got, want) {

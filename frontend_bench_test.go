@@ -44,8 +44,8 @@ var (
 
 // frontendSetup prepares the mcml front-end inputs once: the generated
 // netlist, the packed design, the grid and routing graph, and one placement
-// to route. The flow options mirror the shared harness context (effort 0.5,
-// Table I channel width).
+// to route. The flow options are the shared harness context's (effort 0.5,
+// Table I channel width, no flow cache).
 func frontendSetup(b *testing.B) frontendFixture {
 	b.Helper()
 	frontOnce.Do(func() {
@@ -59,7 +59,8 @@ func frontendSetup(b *testing.B) frontendFixture {
 			if err != nil {
 				return err
 			}
-			nl, err := bench.Generate(prof.Scaled(benchScale), bench.SeedFor("mcml"))
+			opts := ctx.FlowOptions(prof, flow.ThermalPlace{})
+			nl, err := bench.Generate(prof.Scaled(benchScale), opts.Seed)
 			if err != nil {
 				return err
 			}
@@ -75,15 +76,10 @@ func frontendSetup(b *testing.B) frontendFixture {
 			if err != nil {
 				return err
 			}
-			placed, err := place.Place(packed, grid, bench.SeedFor("mcml"), 0.5)
+			placed, err := place.Place(packed, grid, opts.Seed, opts.PlaceEffort)
 			if err != nil {
 				return err
 			}
-			opts := flow.DefaultOptions()
-			opts.Seed = bench.SeedFor("mcml")
-			opts.PlaceEffort = 0.5
-			opts.ChannelTracks = benchWidth
-			opts.PIDensity = prof.PIDensity
 			front = frontendFixture{
 				nl: nl, dev: dev, packed: packed, grid: grid,
 				graph: route.BuildGraph(grid), placed: placed, opts: opts,
@@ -103,7 +99,7 @@ func BenchmarkPlace(b *testing.B) {
 	f := frontendSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := place.Place(f.packed, f.grid, bench.SeedFor("mcml"), 0.5); err != nil {
+		if _, err := place.Place(f.packed, f.grid, f.opts.Seed, f.opts.PlaceEffort); err != nil {
 			b.Fatal(err)
 		}
 	}

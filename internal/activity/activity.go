@@ -137,7 +137,7 @@ func lutStats(b *netlist.Block, act []Stats) Stats {
 			sens += pm
 		}
 		// Each minterm pair is visited twice (m and m^bit).
-		density += act[b.Inputs[i]].Density * sens / 2
+		density += float64(act[b.Inputs[i]].Density * sens / 2)
 	}
 	return Stats{P1: clamp01(p1), Density: math.Min(density, 2)}
 }

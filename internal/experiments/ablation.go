@@ -126,21 +126,18 @@ func (c *Context) AblationPlacement(ambientC float64) ([]AblationRow, error) {
 	for _, effort := range []float64{0.1, 1.0} {
 		label := fmt.Sprintf("place effort %.1f", effort)
 		results, _, err := forEachBench(c, ablationBenchmarks, func(name string) (*guardband.Result, error) {
-			// Fresh implementation at this effort (not cached), built with
-			// the benchmark's own recipe so only the effort differs from
-			// Implementation's build.
+			// A fresh implementation at this effort, built with
+			// Implementation's recipe so only the effort differs.
 			p, err := bench.ByName(name)
 			if err != nil {
 				return nil, err
 			}
-			opts := BenchOptions(p)
+			opts := c.FlowOptions(p, flow.ThermalPlace{})
+			opts.PlaceEffort = effort
 			nl, err := bench.Generate(p.Scaled(c.Scale), opts.Seed)
 			if err != nil {
 				return nil, err
 			}
-			opts.PlaceEffort = effort
-			opts.ChannelTracks = c.ChannelTracks
-			opts.Ctx = c.Ctx
 			im, err := flow.Implement(nl, dev, opts)
 			if err != nil {
 				return nil, err

@@ -219,22 +219,11 @@ func (c *Context) implementationAt(name string, cornerC float64) (*flow.Implemen
 	})
 }
 
-// BenchOptions is the flow recipe for a named benchmark: the seed derived
-// from its name, its profile's primary-input density and the default
-// router. taexp, tafpgad and tafpga all build a named benchmark from it, so
-// a design's numbers do not depend on which command printed them.
-func BenchOptions(p bench.Profile) flow.Options {
-	opts := flow.DefaultOptions()
-	opts.Seed = bench.SeedFor(p.Name)
-	opts.PIDensity = p.PIDensity
-	return opts
-}
-
 // FlowOptions is what Implementation and ThermalImplementation build a
-// benchmark with: BenchOptions under the context's channel width, placement
-// effort, flow cache and cancellation.
+// benchmark with: flow.BenchOptions under the context's channel width,
+// placement effort, flow cache and cancellation.
 func (c *Context) FlowOptions(p bench.Profile, tp flow.ThermalPlace) flow.Options {
-	opts := BenchOptions(p)
+	opts := flow.BenchOptions(p)
 	opts.PlaceEffort = c.PlaceEffort
 	opts.ChannelTracks = c.ChannelTracks
 	opts.Cache = c.FlowCache

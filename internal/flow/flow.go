@@ -11,6 +11,7 @@ import (
 
 	"tafpga/internal/activity"
 	"tafpga/internal/arch"
+	"tafpga/internal/bench"
 	"tafpga/internal/coffe"
 	"tafpga/internal/guardband"
 	"tafpga/internal/hotspot"
@@ -94,6 +95,18 @@ func (o Options) checkCtx(stage string) error {
 // DefaultOptions returns the standard flow settings.
 func DefaultOptions() Options {
 	return Options{Seed: 1, PlaceEffort: 1.0, PIDensity: 0.12, Router: route.DefaultOptions()}
+}
+
+// BenchOptions is the flow recipe for a named benchmark: the placement
+// seed derived from its name (the one bench.Generate builds its netlist
+// with), its profile's primary-input density and the default router. Every
+// command and the public API build a named benchmark from it, so a
+// design's numbers do not depend on which of them printed them.
+func BenchOptions(p bench.Profile) Options {
+	opts := DefaultOptions()
+	opts.Seed = bench.SeedFor(p.Name)
+	opts.PIDensity = p.PIDensity
+	return opts
 }
 
 // Implementation bundles everything the guardbanding loop needs about one

@@ -133,8 +133,8 @@ func ParseAmbients(spec string) ([]float64, error) {
 			return nil, fmt.Errorf("ambients %q: need hi >= lo and step > 0", spec)
 		}
 		out = nil
-		for i := 0; lo+float64(i)*step <= hi+1e-9 && len(out) <= MaxAmbients; i++ {
-			out = append(out, lo+float64(i)*step)
+		for i := 0; lo+float64(float64(i)*step) <= hi+1e-9 && len(out) <= MaxAmbients; i++ {
+			out = append(out, lo+float64(float64(i)*step))
 		}
 	}
 	if len(out) > MaxAmbients {

@@ -80,86 +80,95 @@ func netName(n *Netlist, id int) string {
 	return fmt.Sprintf("n%d", id)
 }
 
-// ParseBLIF reads the dialect WriteBLIF emits (plus tolerant whitespace and
-// comment handling) back into a Netlist. It supports single-output .names
-// with "1"-terminated cubes, .latch, and .subckt bram/dsp.
+// maxLUTInputs is the widest .names ParseBLIF accepts: Block.Truth holds
+// the 2^6 minterms of a 6-input LUT.
+const maxLUTInputs = 6
+
+// ParseBLIF reads the dialect WriteBLIF emits (plus tolerant whitespace,
+// comment and line-continuation handling) back into a Netlist. It supports
+// single-output .names of at most six inputs with "1"-terminated cubes,
+// .latch, and .subckt bram/dsp. Malformed input is an error, never a panic.
 func ParseBLIF(r io.Reader) (*Netlist, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // grows from bufio.Scanner's default up to 16 MiB lines
 
-	// First pass: gather logical statements (with continuation lines).
+	// First pass: gather logical statements, joining a line that ends in a
+	// backslash with the next.
 	var stmts []string
 	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			stmts = append(stmts, cur.String())
-			cur.Reset()
-		}
-	}
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+		line := sc.Text()
 		if i := strings.Index(line, "#"); i >= 0 {
-			line = strings.TrimSpace(line[:i])
+			line = line[:i]
 		}
-		if line == "" {
-			continue
-		}
+		line = strings.TrimSpace(line)
 		if strings.HasSuffix(line, "\\") {
 			cur.WriteString(strings.TrimSuffix(line, "\\"))
 			cur.WriteString(" ")
 			continue
 		}
-		if strings.HasPrefix(line, ".") {
-			flush()
+		if cur.Len() > 0 {
 			cur.WriteString(line)
-			flush()
-		} else {
+			line = strings.TrimSpace(cur.String())
+			cur.Reset()
+		}
+		switch {
+		case line == "": // blank or comment-only
+		case strings.HasPrefix(line, "."):
+			stmts = append(stmts, line)
+		case len(stmts) == 0 || !strings.HasPrefix(stmts[len(stmts)-1], ".names"):
+			return nil, fmt.Errorf("blif: cube %q outside .names", line)
+		default:
 			// Truth-table cube: attach to the previous .names statement.
-			if len(stmts) == 0 || !strings.HasPrefix(stmts[len(stmts)-1], ".names") {
-				return nil, fmt.Errorf("blif: cube %q outside .names", line)
-			}
 			stmts[len(stmts)-1] += "\n" + line
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	flush()
+	if cur.Len() > 0 {
+		return nil, fmt.Errorf("blif: line continuation at end of input")
+	}
 
 	n := New("parsed")
 	ids := map[string]int{}
 	// ensure returns the block ID driving the named net, creating a
 	// placeholder that a later definition may overwrite.
 	pending := map[string]bool{}
-	ensure := func(name string) int {
+	ensure := func(name string) (int, error) {
+		if err := checkNetName(name); err != nil {
+			return 0, err
+		}
 		if id, ok := ids[name]; ok {
-			return id
+			return id, nil
 		}
 		id := n.Add(Input, name, nil, 0)
 		ids[name] = id
 		pending[name] = true
-		return id
+		return id, nil
 	}
-	define := func(name string, t BlockType, inputs []int, truth uint64) int {
+	define := func(name string, t BlockType, inputs []int, truth uint64) error {
+		if err := checkNetName(name); err != nil {
+			return err
+		}
 		if id, ok := ids[name]; ok && pending[name] {
 			n.Blocks[id].Type = t
 			n.Blocks[id].Inputs = inputs
 			n.Blocks[id].Truth = truth
 			delete(pending, name)
-			return id
+			return nil
 		} else if ok {
-			// Re-definition of a declared input or a duplicate driver.
+			// A re-declared input is harmless; any other second
+			// definition gives the net two drivers.
 			if t == Input {
-				return id
+				return nil
 			}
-			panic(fmt.Sprintf("blif: net %s has two drivers", name))
+			return fmt.Errorf("blif: net %s has two drivers", name)
 		}
-		id := n.Add(t, name, inputs, truth)
-		ids[name] = id
-		return id
+		ids[name] = n.Add(t, name, inputs, truth)
+		return nil
 	}
 
-	var perr error
 	for _, st := range stmts {
 		lines := strings.Split(st, "\n")
 		fields := strings.Fields(lines[0])
@@ -170,7 +179,9 @@ func ParseBLIF(r io.Reader) (*Netlist, error) {
 			}
 		case ".inputs":
 			for _, f := range fields[1:] {
-				define(f, Input, nil, 0)
+				if err := define(f, Input, nil, 0); err != nil {
+					return nil, err
+				}
 				delete(pending, f)
 			}
 		case ".outputs":
@@ -183,9 +194,15 @@ func ParseBLIF(r io.Reader) (*Netlist, error) {
 			}
 			outName := args[len(args)-1]
 			inNames := args[:len(args)-1]
+			if len(inNames) > maxLUTInputs {
+				return nil, fmt.Errorf("blif: .names %s has %d inputs, at most %d supported", outName, len(inNames), maxLUTInputs)
+			}
 			inIDs := make([]int, len(inNames))
 			for i, in := range inNames {
-				inIDs[i] = ensure(in)
+				var err error
+				if inIDs[i], err = ensure(in); err != nil {
+					return nil, err
+				}
 			}
 			var truth uint64
 			for _, cube := range lines[1:] {
@@ -196,21 +213,36 @@ func ParseBLIF(r io.Reader) (*Netlist, error) {
 				if len(cf[0]) != len(inNames) {
 					return nil, fmt.Errorf("blif: cube width %d != %d inputs", len(cf[0]), len(inNames))
 				}
+				if strings.Trim(cf[0], "01-") != "" {
+					return nil, fmt.Errorf("blif: cube %q has a character other than 0, 1 or -", cf[0])
+				}
 				// Expand cubes with don't-cares into minterms.
 				expandCube(cf[0], 0, 0, &truth)
 			}
+			t := LUT
 			if strings.HasPrefix(outName, "out_") {
-				define(outName, Output, inIDs[:1], 0)
+				if len(inIDs) == 0 {
+					return nil, fmt.Errorf("blif: output %s has no driver", outName)
+				}
+				t, inIDs, truth = Output, inIDs[:1], 0
+			}
+			if err := define(outName, t, inIDs, truth); err != nil {
+				return nil, err
+			}
+			if t == Output {
 				n.Blocks[ids[outName]].Name = strings.TrimPrefix(outName, "out_")
-			} else {
-				define(outName, LUT, inIDs, truth)
 			}
 		case ".latch":
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("blif: malformed .latch %q", lines[0])
 			}
-			d := ensure(fields[1])
-			define(fields[2], FF, []int{d}, 0)
+			d, err := ensure(fields[1])
+			if err != nil {
+				return nil, err
+			}
+			if err := define(fields[2], FF, []int{d}, 0); err != nil {
+				return nil, err
+			}
 		case ".subckt":
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("blif: malformed .subckt %q", lines[0])
@@ -236,26 +268,38 @@ func ParseBLIF(r io.Reader) (*Netlist, error) {
 				}
 				if eq[0] == "out" {
 					outName = eq[1]
-				} else {
-					inIDs = append(inIDs, ensure(eq[1]))
+					continue
 				}
+				id, err := ensure(eq[1])
+				if err != nil {
+					return nil, err
+				}
+				inIDs = append(inIDs, id)
 			}
 			if outName == "" {
 				return nil, fmt.Errorf("blif: subckt without out pin")
 			}
-			define(outName, t, inIDs, 0)
+			if err := define(outName, t, inIDs, 0); err != nil {
+				return nil, err
+			}
 		case ".end":
 		default:
 			return nil, fmt.Errorf("blif: unsupported directive %q", fields[0])
 		}
 	}
-	if perr != nil {
-		return nil, perr
-	}
 	if err := n.Freeze(); err != nil {
 		return nil, err
 	}
 	return n, nil
+}
+
+// checkNetName rejects a net name WriteBLIF could not write back: an empty
+// one, or one ending in the backslash that continues a line.
+func checkNetName(name string) error {
+	if name == "" || strings.HasSuffix(name, "\\") {
+		return fmt.Errorf("blif: bad net name %q", name)
+	}
+	return nil
 }
 
 // pinKey orders in0 < in1 < … < in10 numerically, out last.

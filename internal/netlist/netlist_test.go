@@ -234,11 +234,31 @@ func TestParseBLIFRejectsGarbage(t *testing.T) {
 		".subckt unknown in0=a out=b", // unknown macro
 		".latch a",                    // malformed latch
 		".frobnicate x",
+		".names a b\n1 1\n.names a b\n1 1",  // b driven twice
+		".latch a a re clk 0",               // a is already a primary input
+		".names out_x",                      // output pad without a driver
+		".names a a a a a a a b\n------- 1", // wider than a 6-LUT
+		".names a b\n2 1",                   // cube character
+		".subckt dsp in0= out=b",            // empty net name
 	}
 	for i, s := range bad {
 		if _, err := ParseBLIF(bytes.NewBufferString(".model m\n.inputs a\n.outputs o\n" + s + "\n.end\n")); err == nil {
 			t.Fatalf("case %d: expected parse error", i)
 		}
+	}
+	if _, err := ParseBLIF(bytes.NewBufferString(".inputs a \\\n")); err == nil {
+		t.Fatal("a line continuation at the end of input parsed")
+	}
+}
+
+// A line ending in a backslash continues on the next line.
+func TestParseBLIFLineContinuation(t *testing.T) {
+	n, err := ParseBLIF(bytes.NewBufferString(".inputs a b\n.subckt dsp in0=a \\\n  in1=b out=m # product\n.names m \\\nout_y\n1 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := n.Stats(); s.DSPs != 1 || s.Inputs != 2 || s.Outputs != 1 || len(n.Blocks[2].Inputs) != 2 {
+		t.Fatalf("got %+v, blocks %+v; want a two-input DSP driving one output", s, n.Blocks)
 	}
 }
 

@@ -126,11 +126,11 @@ func CharacterizeScaled(kit *techmodel.Kit, tempC, scale, pnSkew float64) *Libra
 		r := math.Max(rUp, rDn) * p.stack
 		lib.cells[k] = Timing{
 			Kind:         k,
-			IntrinsicPs:  rcLn2 * r * (p.internalFF*scale + kit.Cell.Cj(w)),
+			IntrinsicPs:  rcLn2 * r * (float64(p.internalFF*scale) + float64(kit.Cell.Cj(w))),
 			SlopePsPerFF: rcLn2 * r,
 			InputCapFF:   kit.Cell.Cg(w) * p.inputLoads,
 			LeakUW:       kit.Cell.Leak(p.leakUm*scale, tempC),
-			AreaUm2:      p.areaUm2 * (0.55 + 0.45*scale),
+			AreaUm2:      p.areaUm2 * (0.55 + float64(0.45*scale)),
 			Inputs:       p.inputs,
 		}
 	}
@@ -154,7 +154,7 @@ func (l *Library) Cell(k Kind) Timing {
 // Delay returns the propagation delay in ps of cell k driving loadFF.
 func (l *Library) Delay(k Kind, loadFF float64) float64 {
 	c := l.Cell(k)
-	return c.IntrinsicPs + c.SlopePsPerFF*loadFF
+	return c.IntrinsicPs + float64(c.SlopePsPerFF*loadFF)
 }
 
 // ClkToQ returns the flip-flop clock-to-output delay in ps at this corner.

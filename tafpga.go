@@ -24,9 +24,13 @@
 //	cfg := tafpga.NewConfig()
 //	dev, _ := cfg.SizeDevice(25)                       // a D25 fabric
 //	nl, _ := tafpga.GenerateBenchmark("sha", 1.0/16)   // a workload
-//	im, _ := tafpga.Implement(nl, dev, tafpga.DefaultFlowOptions())
+//	opts, _ := tafpga.BenchmarkFlowOptions("sha")      // its flow recipe
+//	im, _ := tafpga.Implement(nl, dev, opts)
 //	res, _ := im.Guardband(tafpga.GuardbandOptions(25))
 //	fmt.Printf("+%.1f%% over worst-case\n", res.GainPct)
+//
+// The package examples (go test -run Example -v .) walk the same path and
+// the paper's corner, grade and voltage studies, with their output.
 package tafpga
 
 import (
@@ -128,8 +132,18 @@ func GenerateBenchmark(name string, scale float64) (*Netlist, error) {
 	return bench.Generate(p.Scaled(scale), bench.SeedFor(name))
 }
 
-// DefaultFlowOptions returns the standard implementation settings.
-func DefaultFlowOptions() FlowOptions { return flow.DefaultOptions() }
+// BenchmarkFlowOptions returns the implementation settings the named
+// benchmark is built with: the placement seed derived from its name and
+// its profile's primary-input activity. The command-line tools start from
+// the same recipe, so at the same scale, channel width and placement effort
+// Implement reproduces their numbers for the design.
+func BenchmarkFlowOptions(name string) (FlowOptions, error) {
+	p, err := bench.ByName(name)
+	if err != nil {
+		return FlowOptions{}, err
+	}
+	return flow.BenchOptions(p), nil
+}
 
 // Implement runs activity estimation, packing, placement, routing, and
 // model assembly for a netlist on a device.

@@ -24,7 +24,10 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := tafpga.DefaultFlowOptions()
+	opts, err := tafpga.BenchmarkFlowOptions("sha")
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts.ChannelTracks = 104
 	opts.PlaceEffort = 0.3
 	im, err := tafpga.Implement(nl, dev, opts)
@@ -50,6 +53,9 @@ func TestBenchmarkCatalog(t *testing.T) {
 	}
 	if _, err := tafpga.GenerateBenchmark("nonesuch", 1); err == nil {
 		t.Fatal("expected error for unknown benchmark")
+	}
+	if _, err := tafpga.BenchmarkFlowOptions("nonesuch"); err == nil {
+		t.Fatal("expected error for the recipe of an unknown benchmark")
 	}
 }
 
