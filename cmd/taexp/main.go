@@ -38,7 +38,8 @@
 //	-w n        router channel-width override (default: Table I's 320)
 //	-effort f   placement effort (default 1.0)
 //	-bench csv  restrict Fig. 6/7/8 to a comma-separated benchmark list
-//	-parallel n benchmark fan-out workers (0 = GOMAXPROCS, 1 = serial)
+//	-parallel n fan-out workers over the benchmarks, or over fig8sweep's
+//	            ambients (0 = GOMAXPROCS, 1 = serial)
 //	-flowcache d   cache place-and-route results in directory d so repeated
 //	               invocations skip the implementation front-end
 //	-timeout d  abort after this duration (0 = none); benchmark-suite

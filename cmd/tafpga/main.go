@@ -16,9 +16,12 @@
 //	-vdd v        core supply override in volts (0 = Table I's 0.8 V)
 //	-ambient f    guardbanding ambient in [-55, 150] °C (default 25)
 //	-sweep spec   guardband an ambient axis instead: "lo:hi:step" or a
-//	              comma list, at most 256 points
+//	              comma list, at most 256 points; one table row per
+//	              ambient, the same at any -parallel
 //	-objective s  "fmax" (default), or "min-energy": hold the clock at
 //	              -target and bisect the minimum safe core rail instead
+//	              (with -sweep: taexp's energysweep table for this design,
+//	              ambients in sequence)
 //	-target f     min-energy target in MHz (0 = the Tworst=100°C clock)
 //	-seed n       random seed override (default: derived from the name)
 //	-in path      implement this BLIF file (flow defaults, seeded from the
@@ -37,10 +40,12 @@
 //	-scale f      benchmark scale (default 1/16 of the published size)
 //	-w n          router channel-width override (0 = Table I's 320)
 //	-effort f     placement effort (default 1.0)
-//	-parallel n   sweep workers (0 = GOMAXPROCS, 1 = serial)
+//	-parallel n   workers over the ambients of an fmax -sweep
+//	              (0 = GOMAXPROCS, 1 = serial)
 //	-flowcache d  reuse place-and-route results across runs from directory d
 //	-timeout d    abort after this duration (0 = none); a sweep still prints
-//	              the rows that finished
+//	              the rows that finished before the first unfinished one,
+//	              then exits 1
 //	-cpuprofile f write a CPU profile of the run to f (go tool pprof)
 //	-memprofile f write a heap profile at exit to f
 //
@@ -54,14 +59,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
-	"sync"
 
 	"tafpga"
 	"tafpga/internal/bench"
 	"tafpga/internal/cli"
 	"tafpga/internal/coffe"
+	"tafpga/internal/experiments"
 	"tafpga/internal/flow"
 	"tafpga/internal/guardband"
 	"tafpga/internal/jobs"
@@ -91,7 +95,7 @@ func main() {
 
 	// SIGINT/SIGTERM (and -timeout) cancel the flow and Algorithm 1 at
 	// their next stage or iteration boundary; a sweep still prints the
-	// ambients that finished.
+	// ambients that finished before the first unfinished one.
 	runCtx, stop := proc.Start()
 	defer stop()
 
@@ -170,13 +174,37 @@ func main() {
 		fmt.Printf("implemented on %s (router: %d iterations, from flow cache)\n", im.Grid, im.Routed.Iters)
 	}
 
-	if *objective == "min-energy" {
-		runMinEnergy(runCtx, im, ambients, *target)
+	if *sweep != "" {
+		c := &experiments.Context{Workers: cfg.BenchWorkers, Ctx: runCtx}
+		if *objective == "min-energy" {
+			rows, err := c.EnergyOn(im, name, ambients, *target)
+			label := "per-ambient worst-case baseline"
+			if *target > 0 {
+				label = fmt.Sprintf("%.1f MHz", *target)
+			}
+			fmt.Print("\n" + experiments.FormatEnergySweep(fmt.Sprintf("Min-energy guardbanding ambient sweep (target %s):", label), rows))
+			var agg guardband.Stats
+			for _, r := range rows {
+				agg.Add(r.Stats)
+			}
+			fmt.Printf("kernels: %s\n", agg)
+			die(err)
+			return
+		}
+		rs, err := c.SweepOn(im, name, ambients)
+		fmt.Println("\nThermal-aware guardbanding ambient sweep:")
+		fmt.Printf("%10s %12s %12s %8s %7s %8s %9s\n", "Tamb(C)", "fmax(MHz)", "worst(MHz)", "gain(%)", "iters", "rise(C)", "converged")
+		for i, r := range rs {
+			fmt.Printf("%10.1f %12.1f %12.1f %8.1f %7d %8.2f %9t\n",
+				ambients[i], r.FmaxMHz, r.BaselineMHz, r.GainPct, r.Iterations, r.RiseC, r.Converged)
+		}
+		fmt.Printf("kernels: %s\n", experiments.SumStats(rs))
+		die(err)
 		return
 	}
 
-	if *sweep != "" {
-		runSweep(runCtx, im, ambients, cfg.BenchWorkers)
+	if *objective == "min-energy" {
+		runMinEnergy(runCtx, im, *ambient, *target)
 		return
 	}
 
@@ -249,139 +277,51 @@ func flowOptions(name string, named bool, cfg *jobs.RunnerConfig, seed int64, tp
 	return opts, nil
 }
 
-// runSweep guardbands the implementation at every ambient, at most workers
-// at a time (Algorithm 1 only reads the implementation, so the runs are
-// independent), and prints the table in sweep order. Cancellation stops
-// the launches; finished rows still print, unfinished ones report the error.
-func runSweep(ctx context.Context, im *flow.Implementation, ambients []float64, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// runMinEnergy runs the min-energy guardband objective at one ambient:
+// bisect the minimum safe core rail that still meets the iso-frequency
+// target (0 = the conventional worst-case clock) on the routed
+// implementation, streaming the search probe by probe.
+func runMinEnergy(ctx context.Context, im *flow.Implementation, ambientC, targetMHz float64) {
+	opts := guardband.DefaultEnergyOptions(ambientC)
+	opts.Ctx = ctx
+	opts.TargetMHz = targetMHz
+	fmt.Printf("\nMin-energy guardbanding at Tamb = %.0f°C (bisecting the core rail):\n", ambientC)
+	opts.OnProbe = func(p guardband.EnergyProbe) {
+		if p.NonConducting {
+			fmt.Printf("  probe %2d  %.3f V  non-conducting at this corner (cold search bound)\n", p.Probe, p.VddV)
+			return
+		}
+		verdict := "infeasible"
+		if p.Feasible {
+			verdict = "feasible"
+		}
+		fmt.Printf("  probe %2d  %.3f V  fmax %8.1f MHz  %10.1f µW  %-10s (%d iters)\n",
+			p.Probe, p.VddV, p.FmaxMHz, p.PowerUW, verdict, p.Iterations)
 	}
-	if workers > len(ambients) {
-		workers = len(ambients)
+	res, err := flow.NewVddLab(im).MinEnergy(opts)
+	die(err)
+	fmt.Printf("\n  target frequency      %8.1f MHz", res.TargetMHz)
+	if targetMHz <= 0 {
+		fmt.Print("   (= conventional Tworst=100°C clock)")
 	}
-	results := make([]*guardband.Result, len(ambients))
-	errs := make([]error, len(ambients))
-	slots := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, amb := range ambients {
-		slots <- struct{}{}
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer func() { <-slots; wg.Done() }()
-			o := tafpga.GuardbandOptions(amb)
-			o.Ctx = ctx
-			results[i], errs[i] = im.Guardband(o)
-		}()
+	fmt.Println()
+	if !res.Feasible {
+		fmt.Printf("  INFEASIBLE: the nominal %.3f V rail clocks only %.1f MHz at this ambient;\n",
+			res.NominalVddV, res.FmaxMHz)
+		fmt.Println("              the figures below are the nominal operating point, not a savings")
 	}
-	wg.Wait()
-
-	fmt.Printf("\nThermal-aware guardbanding ambient sweep (%d workers):\n", workers)
-	fmt.Printf("%10s %12s %12s %8s %7s %8s %9s\n", "Tamb(C)", "fmax(MHz)", "worst(MHz)", "gain(%)", "iters", "rise(C)", "converged")
-	var agg guardband.Stats
-	for i, amb := range ambients {
-		if errs[i] != nil {
-			fmt.Printf("%10.1f  error: %v\n", amb, errs[i])
-			continue
-		}
-		if results[i] == nil { // claimed out by cancellation before running
-			fmt.Printf("%10.1f  not run: %v\n", amb, ctx.Err())
-			continue
-		}
-		r := results[i]
-		agg.Add(r.Stats)
-		fmt.Printf("%10.1f %12.1f %12.1f %8.1f %7d %8.2f %9t\n",
-			amb, r.FmaxMHz, r.BaselineMHz, r.GainPct, r.Iterations, r.RiseC, r.Converged)
+	fmt.Printf("  min safe Vdd          %8.3f V   (nominal %.3f V)\n", res.MinVddV, res.NominalVddV)
+	fmt.Printf("  power at target       %10.1f µW  (nominal %.1f µW)\n", res.PowerUW, res.NominalPowerUW)
+	fmt.Printf("  energy per cycle      %10.2f pJ  (nominal %.2f pJ)\n", res.EnergyPJ, res.NominalEnergyPJ)
+	fmt.Printf("  iso-frequency saving  %8.1f %%\n", res.SavingsPct)
+	fmt.Printf("  timing headroom       %8.1f MHz at the min rail\n", res.FmaxMHz)
+	fmt.Printf("  probes / iterations   %8d / %d\n", res.Probes, res.Iterations)
+	fmt.Printf("  mean rise             %8.2f °C\n", res.RiseC)
+	if !res.Converged {
+		fmt.Println("  WARNING: the winning probe exhausted its iteration budget before the")
+		fmt.Println("           temperature map settled; its figures are the last iterate")
 	}
-	fmt.Printf("kernels: %s\n", agg)
-}
-
-// runMinEnergy runs the min-energy guardband objective: per ambient, bisect
-// the minimum safe core rail that still meets the iso-frequency target
-// (0 = that run's conventional worst-case clock) on the same routed
-// implementation. One VddLab shares every per-rail model derivation across
-// ambients. A single ambient streams the probe-by-probe search; a -sweep
-// prints one row per ambient.
-func runMinEnergy(ctx context.Context, im *flow.Implementation, ambients []float64, targetMHz float64) {
-	lab := flow.NewVddLab(im)
-	single := len(ambients) == 1
-	if !single {
-		label := "per-ambient worst-case baseline"
-		if targetMHz > 0 {
-			label = fmt.Sprintf("%.1f MHz", targetMHz)
-		}
-		fmt.Printf("\nMin-energy guardbanding ambient sweep (target %s):\n", label)
-		fmt.Printf("%10s %12s %9s %9s %12s %12s %8s %8s %7s\n",
-			"Tamb(C)", "target(MHz)", "Vnom(V)", "Vmin(V)", "Pnom(uW)", "Pmin(uW)", "save(%)", "pJ/cyc", "probes")
-	}
-	var agg guardband.Stats
-	for _, amb := range ambients {
-		opts := guardband.DefaultEnergyOptions(amb)
-		opts.Ctx = ctx
-		opts.TargetMHz = targetMHz
-		if single {
-			fmt.Printf("\nMin-energy guardbanding at Tamb = %.0f°C (bisecting the core rail):\n", amb)
-			opts.OnProbe = func(p guardband.EnergyProbe) {
-				if p.NonConducting {
-					fmt.Printf("  probe %2d  %.3f V  non-conducting at this corner (cold search bound)\n", p.Probe, p.VddV)
-					return
-				}
-				verdict := "infeasible"
-				if p.Feasible {
-					verdict = "feasible"
-				}
-				fmt.Printf("  probe %2d  %.3f V  fmax %8.1f MHz  %10.1f µW  %-10s (%d iters)\n",
-					p.Probe, p.VddV, p.FmaxMHz, p.PowerUW, verdict, p.Iterations)
-			}
-		}
-		res, err := lab.MinEnergy(opts)
-		if err != nil {
-			if single {
-				die(err)
-			}
-			fmt.Printf("%10.1f  error: %v\n", amb, err)
-			continue
-		}
-		agg.Add(res.Stats)
-		if !single {
-			fmt.Printf("%10.1f %12.1f %9.3f %9.3f %12.1f %12.1f %8.1f %8.2f %7d",
-				amb, res.TargetMHz, res.NominalVddV, res.MinVddV,
-				res.NominalPowerUW, res.PowerUW, res.SavingsPct, res.EnergyPJ, res.Probes)
-			if !res.Feasible {
-				fmt.Print("  [INFEASIBLE]")
-			}
-			if !res.Converged {
-				fmt.Print("  [UNCONVERGED]")
-			}
-			fmt.Println()
-			continue
-		}
-		fmt.Printf("\n  target frequency      %8.1f MHz", res.TargetMHz)
-		if targetMHz <= 0 {
-			fmt.Print("   (= conventional Tworst=100°C clock)")
-		}
-		fmt.Println()
-		if !res.Feasible {
-			fmt.Printf("  INFEASIBLE: the nominal %.3f V rail clocks only %.1f MHz at this ambient;\n",
-				res.NominalVddV, res.FmaxMHz)
-			fmt.Println("              the figures below are the nominal operating point, not a savings")
-		}
-		fmt.Printf("  min safe Vdd          %8.3f V   (nominal %.3f V)\n", res.MinVddV, res.NominalVddV)
-		fmt.Printf("  power at target       %10.1f µW  (nominal %.1f µW)\n", res.PowerUW, res.NominalPowerUW)
-		fmt.Printf("  energy per cycle      %10.2f pJ  (nominal %.2f pJ)\n", res.EnergyPJ, res.NominalEnergyPJ)
-		fmt.Printf("  iso-frequency saving  %8.1f %%\n", res.SavingsPct)
-		fmt.Printf("  timing headroom       %8.1f MHz at the min rail\n", res.FmaxMHz)
-		fmt.Printf("  probes / iterations   %8d / %d\n", res.Probes, res.Iterations)
-		fmt.Printf("  mean rise             %8.2f °C\n", res.RiseC)
-		if !res.Converged {
-			fmt.Println("  WARNING: the winning probe exhausted its iteration budget before the")
-			fmt.Println("           temperature map settled; its figures are the last iterate")
-		}
-	}
-	fmt.Printf("kernels: %s\n", agg)
+	fmt.Printf("kernels: %s\n", res.Stats)
 }
 
 func die(err error) {

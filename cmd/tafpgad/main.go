@@ -28,7 +28,8 @@
 //	-w n           router channel-width override (default: Table I's 320)
 //	-effort f      placement effort (default 1.0)
 //	-bench csv     restrict figure jobs to a comma-separated benchmark list
-//	-parallel n    per-job benchmark fan-out workers (0 = GOMAXPROCS)
+//	-parallel n    per-job fan-out workers over a suite's benchmarks or a
+//	               sweep job's ambients (0 = GOMAXPROCS)
 //	-flowcache d   on-disk place-and-route cache shared across jobs and runs
 //	               (default: a memory-only cache shared across jobs)
 //

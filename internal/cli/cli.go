@@ -28,7 +28,7 @@ func RunFlags(withBench bool) *jobs.RunnerConfig {
 	flag.Float64Var(&cfg.Scale, "scale", bench.DefaultScale, "benchmark scale relative to the published sizes")
 	flag.IntVar(&cfg.ChannelTracks, "w", 0, "router channel-width override (0 = Table I's 320)")
 	flag.Float64Var(&cfg.PlaceEffort, "effort", 1.0, "placement effort")
-	flag.IntVar(&cfg.BenchWorkers, "parallel", 0, "workers over a suite's benchmarks or a sweep's ambients (0 = GOMAXPROCS, 1 = serial)")
+	flag.IntVar(&cfg.BenchWorkers, "parallel", 0, "workers over a suite's benchmarks or a sweep's ambients, sweep jobs included (0 = GOMAXPROCS, 1 = serial)")
 	flag.StringVar(&cfg.FlowCacheDir, "flowcache", "", "directory for the on-disk place-and-route cache (reused across runs)")
 	if withBench {
 		flag.Func("bench", "comma-separated benchmark subset for the suite experiments", func(s string) error {

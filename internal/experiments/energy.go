@@ -62,14 +62,13 @@ func (c *Context) energyOptions(name string, ambientC, targetMHz float64) guardb
 	return opts
 }
 
-// EnergySweep runs the min-energy objective over the suite: per benchmark,
-// one voltage bisection per ambient, all ambients of one benchmark sharing a
-// flow.VddLab so every probed rail pays its device re-characterization once.
-// targetMHz 0 holds each benchmark at its own conventional worst-case clock
-// (the iso-frequency comparison of the scorecard); a positive value pins
-// every run to that clock. Rows are benchmark-major in suite order, one row
-// per ambient; on error the completed benchmarks' rows are returned
-// alongside it.
+// EnergySweep runs the min-energy objective over the suite, one EnergyOn
+// cell per benchmark. targetMHz 0 holds each benchmark at its own
+// conventional worst-case clock (the iso-frequency comparison of the
+// scorecard); a positive value pins every run to that clock. Rows are
+// benchmark-major in suite order, one row per ambient; on error the rows
+// of the finished benchmarks are returned alongside it (the fan-out's
+// partial rule).
 func (c *Context) EnergySweep(ambients []float64, targetMHz float64) ([]EnergyRow, error) {
 	if len(ambients) == 0 {
 		return nil, fmt.Errorf("experiments: energy sweep needs at least one ambient")
@@ -77,44 +76,48 @@ func (c *Context) EnergySweep(ambients []float64, targetMHz float64) ([]EnergyRo
 	if err := guardband.CheckAmbient(ambients...); err != nil {
 		return nil, err
 	}
-	out, done, err := forEachBench(c, c.Suite(), func(name string) ([]EnergyRow, error) {
-		im, err := c.Implementation(name)
+	names := c.Suite()
+	groups, err := fanOut(c, names, func(i int) ([]EnergyRow, error) {
+		im, err := c.Implementation(names[i])
 		if err != nil {
 			return nil, err
 		}
-		lab := flow.NewVddLab(im)
-		rows := make([]EnergyRow, 0, len(ambients))
-		for _, amb := range ambients {
-			res, err := lab.MinEnergy(c.energyOptions(name, amb, targetMHz))
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s at %g°C: %w", name, amb, err)
-			}
-			rows = append(rows, EnergyRow{
-				Name: name, AmbientC: amb,
-				TargetMHz: res.TargetMHz, BaselineMHz: res.BaselineMHz,
-				NominalVddV: res.NominalVddV, MinVddV: res.MinVddV,
-				NominalPowerUW: res.NominalPowerUW, PowerUW: res.PowerUW,
-				SavingsPct: res.SavingsPct,
-				EnergyPJ:   res.EnergyPJ, NominalEnergyPJ: res.NominalEnergyPJ,
-				FmaxMHz: res.FmaxMHz, Feasible: res.Feasible,
-				Probes: res.Probes, Iterations: res.Iterations,
-				Converged: res.Converged, RiseC: res.RiseC,
-				Stats: res.Stats,
-			})
-		}
-		return rows, nil
+		return c.EnergyOn(im, names[i], ambients, targetMHz)
 	})
-	flat := func(groups [][]EnergyRow) []EnergyRow {
-		var rows []EnergyRow
-		for _, g := range groups {
-			rows = append(rows, g...)
+	var rows []EnergyRow
+	for _, g := range groups {
+		rows = append(rows, g...)
+	}
+	return rows, err
+}
+
+// EnergyOn runs the min-energy search on im at each ambient in order, one
+// voltage bisection per ambient. The ambients share one flow.VddLab, so
+// every probed rail pays its device re-characterization once; they run in
+// sequence, so a fan-out over benchmarks never nests another. On error the
+// rows of the finished ambients are returned alongside it.
+func (c *Context) EnergyOn(im *flow.Implementation, name string, ambients []float64, targetMHz float64) ([]EnergyRow, error) {
+	lab := flow.NewVddLab(im)
+	rows := make([]EnergyRow, 0, len(ambients))
+	for _, amb := range ambients {
+		res, err := lab.MinEnergy(c.energyOptions(name, amb, targetMHz))
+		if err != nil {
+			return rows, fmt.Errorf("experiments: %s at %g°C: %w", name, amb, err)
 		}
-		return rows
+		rows = append(rows, EnergyRow{
+			Name: name, AmbientC: amb,
+			TargetMHz: res.TargetMHz, BaselineMHz: res.BaselineMHz,
+			NominalVddV: res.NominalVddV, MinVddV: res.MinVddV,
+			NominalPowerUW: res.NominalPowerUW, PowerUW: res.PowerUW,
+			SavingsPct: res.SavingsPct,
+			EnergyPJ:   res.EnergyPJ, NominalEnergyPJ: res.NominalEnergyPJ,
+			FmaxMHz: res.FmaxMHz, Feasible: res.Feasible,
+			Probes: res.Probes, Iterations: res.Iterations,
+			Converged: res.Converged, RiseC: res.RiseC,
+			Stats: res.Stats,
+		})
 	}
-	if err != nil {
-		return flat(completed(out, done)), err
-	}
-	return flat(out), nil
+	return rows, nil
 }
 
 // AverageSavings returns the mean iso-frequency power saving of the rows at

@@ -25,8 +25,8 @@ import (
 )
 
 // Context carries the shared setup and caches (sized devices, implemented
-// benchmarks) across experiments. It is safe for concurrent use: the suite
-// drivers themselves fan benchmarks out over a bounded worker pool (see
+// benchmarks) across experiments. It is safe for concurrent use: the
+// drivers themselves fan their cells out over a bounded worker pool (see
 // Workers), and several drivers may run on one context at once.
 type Context struct {
 	Kit  *techmodel.Kit
@@ -42,19 +42,20 @@ type Context struct {
 	// Benchmarks restricts the suite (nil = all 19).
 	Benchmarks []string
 
-	// Workers bounds the per-benchmark fan-out of the suite drivers
-	// (Figs. 6–8 and the ablations): 0 means runtime.GOMAXPROCS(0) and 1
-	// reproduces the serial engine. Every benchmark carries its own seed
-	// and results are assembled in suite order, so any worker count
-	// produces bit-identical output.
+	// Workers bounds the one fan-out every driver runs its cells on — the
+	// benchmarks of a suite (Figs. 6–8, the ablations, the energy sweep)
+	// or the ambients of a sweep (SweepOn, Fig8Sweep): 0 means
+	// runtime.GOMAXPROCS(0) and 1 reproduces the serial engine. Every cell
+	// carries its own seed and results are assembled in axis order, so
+	// any worker count produces bit-identical output.
 	Workers int
 
-	// Ctx, when non-nil, cancels the suite drivers: the worker pool stops
-	// claiming new benchmarks, the flow stops between pipeline stages, and
-	// Algorithm 1 stops between iterations. Drivers then return the
-	// results of the benchmarks that completed (a partial, self-labelled
-	// subset in suite order) together with the context error, so callers
-	// can still flush what finished. A nil Ctx never cancels.
+	// Ctx, when non-nil, cancels the drivers: the fan-out stops claiming
+	// new cells, the flow stops between pipeline stages, and Algorithm 1
+	// stops between iterations. Drivers then return the cells that
+	// finished up to the first unfinished one, in axis order, together
+	// with the context error — what a serial run would have returned — so
+	// callers can still flush what finished. A nil Ctx never cancels.
 	Ctx context.Context
 
 	// OnProgress, when set, receives each Algorithm-1 iteration of every
@@ -63,8 +64,9 @@ type Context struct {
 	// observes runs and cannot alter any result.
 	OnProgress func(bench string, p guardband.Progress)
 
-	// OnBenchDone, when set, receives each benchmark run's wall time as
-	// the suite drivers finish it (calls are serialized, completion order).
+	// OnBenchDone, when set, receives each fan-out cell's label (the
+	// benchmark name, or "<bench>@<ambient>" on a sweep) and wall time as
+	// the drivers finish it (calls are serialized, completion order).
 	OnBenchDone func(name string, elapsed time.Duration)
 
 	// FlowCache, when set, memoizes place-and-route by content key (see
@@ -174,7 +176,7 @@ func (c *Context) implVariant(key string, build func() (*flow.Implementation, er
 // within one architecture, so Fig. 6/7/8 share it).
 func (c *Context) Implementation(name string) (*flow.Implementation, error) {
 	return c.implVariant(name, func() (*flow.Implementation, error) {
-		return c.implement(name, flow.ThermalPlace{})
+		return c.implement(name, flow.ThermalPlace{}, c.PlaceEffort)
 	})
 }
 
@@ -193,7 +195,7 @@ func (c *Context) ThermalImplementation(name string, tp flow.ThermalPlace) (*flo
 	}
 	key := fmt.Sprintf("%s|thermal:w=%g,r=%d", name, tp.Weight, r)
 	return c.implVariant(key, func() (*flow.Implementation, error) {
-		return c.implement(name, tp)
+		return c.implement(name, tp, c.PlaceEffort)
 	})
 }
 
@@ -232,9 +234,9 @@ func (c *Context) FlowOptions(p bench.Profile, tp flow.ThermalPlace) flow.Option
 	return opts
 }
 
-// implement runs the CAD flow for one benchmark (the cache-miss path of
-// Implementation).
-func (c *Context) implement(name string, tp flow.ThermalPlace) (*flow.Implementation, error) {
+// implement runs the CAD flow for one benchmark at a placement effort (the
+// cache-miss path of Implementation).
+func (c *Context) implement(name string, tp flow.ThermalPlace, effort float64) (*flow.Implementation, error) {
 	dev, err := c.Device(25)
 	if err != nil {
 		return nil, err
@@ -244,6 +246,7 @@ func (c *Context) implement(name string, tp flow.ThermalPlace) (*flow.Implementa
 		return nil, err
 	}
 	opts := c.FlowOptions(p, tp)
+	opts.PlaceEffort = effort
 	nl, err := bench.Generate(p.Scaled(c.Scale), opts.Seed)
 	if err != nil {
 		return nil, err
@@ -446,31 +449,31 @@ func Average(rs []BenchResult) float64 {
 	return s / float64(len(rs))
 }
 
-// guardbandSuite runs Algorithm 1 per benchmark at one ambient temperature,
-// fanned out over the context's worker pool. On error (including
-// cancellation via Ctx) it returns the completed benchmarks' results in
-// suite order alongside the error.
+// guardbandSuite runs Algorithm 1 per benchmark at one ambient
+// temperature, one cell per benchmark.
 func (c *Context) guardbandSuite(ambientC float64) ([]BenchResult, error) {
-	out, done, err := forEachBench(c, c.Suite(), func(name string) (BenchResult, error) {
-		im, err := c.Implementation(name)
+	names := c.Suite()
+	return fanOut(c, names, func(i int) (BenchResult, error) {
+		im, err := c.Implementation(names[i])
 		if err != nil {
 			return BenchResult{}, err
 		}
-		res, err := im.Guardband(c.gbOptions(name, ambientC))
-		if err != nil {
-			return BenchResult{}, fmt.Errorf("experiments: %s: %w", name, err)
-		}
-		return benchResult(name, res), nil
+		return c.guardbandAt(im, names[i], ambientC)
 	})
-	if err != nil {
-		return completed(out, done), err
-	}
-	return out, nil
 }
 
-// GuardbandSweep runs Algorithm 1 on one benchmark at each ambient in order
-// (the Fig. 6 → Fig. 7 → Fig. 8 temperature axis): one Guardband call per
-// ambient, one result per ambient, in sweep order.
+// guardbandAt is one Algorithm-1 cell: im guardbanded at ambientC.
+func (c *Context) guardbandAt(im *flow.Implementation, name string, ambientC float64) (BenchResult, error) {
+	res, err := im.Guardband(c.gbOptions(name, ambientC))
+	if err != nil {
+		return BenchResult{}, fmt.Errorf("experiments: %s at %g°C: %w", name, ambientC, err)
+	}
+	return benchResult(name, res), nil
+}
+
+// GuardbandSweep runs Algorithm 1 on one benchmark at each ambient (the
+// Fig. 6 → Fig. 7 → Fig. 8 temperature axis): SweepOn over the
+// benchmark's implementation.
 func (c *Context) GuardbandSweep(name string, ambients []float64) ([]BenchResult, error) {
 	if err := guardband.CheckAmbient(ambients...); err != nil {
 		return nil, err
@@ -479,29 +482,27 @@ func (c *Context) GuardbandSweep(name string, ambients []float64) ([]BenchResult
 	if err != nil {
 		return nil, err
 	}
-	rs, err := c.sweepResults(im, name, ambients)
-	out := make([]BenchResult, 0, len(rs))
-	for _, res := range rs {
-		out = append(out, benchResult(name, res))
-	}
-	return out, err
+	return c.SweepOn(im, name, ambients)
 }
 
-// sweepResults runs one benchmark's ambient axis, one Guardband call per
-// ambient. Results are in sweep order; on error the completed prefix is
-// returned alongside it.
-func (c *Context) sweepResults(im *flow.Implementation, name string, ambients []float64) ([]*guardband.Result, error) {
-	out := make([]*guardband.Result, 0, len(ambients))
-	for _, amb := range ambients {
-		res, err := im.Guardband(c.gbOptions(name, amb))
-		if err != nil {
-			// Partial flush: completed ambients stay valid (each is an
-			// independent run).
-			return out, fmt.Errorf("experiments: %s at %g°C: %w", name, amb, err)
-		}
-		out = append(out, res)
+// SweepOn guardbands im at each ambient, one cell per ambient, and returns
+// one result per ambient in sweep order (the fan-out's partial rule on
+// error). Algorithm 1 only reads the implementation, so the cells are
+// independent.
+func (c *Context) SweepOn(im *flow.Implementation, name string, ambients []float64) ([]BenchResult, error) {
+	return fanOut(c, ambientLabels(name, ambients), func(i int) (BenchResult, error) {
+		return c.guardbandAt(im, name, ambients[i])
+	})
+}
+
+// ambientLabels names the cells of one benchmark's ambient axis
+// "<bench>@<ambient>".
+func ambientLabels(name string, ambients []float64) []string {
+	labels := make([]string, len(ambients))
+	for i, amb := range ambients {
+		labels[i] = fmt.Sprintf("%s@%g", name, amb)
 	}
-	return out, nil
+	return labels
 }
 
 // Fig6 reproduces "Performance gain of thermal-aware guardbanding at
@@ -516,35 +517,47 @@ func (c *Context) Fig7() ([]BenchResult, error) { return c.guardbandSuite(70) }
 // guardbanding)" — the 70 °C-sized fabric vs the typical 25 °C fabric,
 // paper average: 6.7 %.
 func (c *Context) Fig8() ([]BenchResult, error) {
-	out, done, err := forEachBench(c, c.Suite(), func(name string) (BenchResult, error) {
-		im25, err := c.Implementation(name)
-		if err != nil {
-			return BenchResult{}, err
-		}
-		im70, err := c.implementationAt(name, 70)
-		if err != nil {
-			return BenchResult{}, err
-		}
-		r25, err := im25.Guardband(c.gbOptions(name, 70))
-		if err != nil {
-			return BenchResult{}, err
-		}
-		r70, err := im70.Guardband(c.gbOptions(name, 70))
-		if err != nil {
-			return BenchResult{}, err
-		}
-		return fig8Result(name, r25, r70), nil
+	names := c.Suite()
+	return fanOut(c, names, func(i int) (BenchResult, error) {
+		return c.fig8(names[i], names[i], 70)
 	})
-	if err != nil {
-		return completed(out, done), err
-	}
-	return out, nil
 }
 
-// fig8Result is the Fig. 8 bar of one benchmark at one ambient: the D70
-// fabric's guardbanded clock over the D25 fabric's.
-func fig8Result(name string, r25, r70 *guardband.Result) BenchResult {
-	r := benchResult(name, r70)
+// Fig8Sweep extends Fig. 8 along an ambient axis for one benchmark: one
+// row per ambient, in sweep order, each the D70 fabric's gain over D25
+// with both guardbanded at that ambient (the fan-out's partial rule on
+// error).
+func (c *Context) Fig8Sweep(name string, ambients []float64) ([]BenchResult, error) {
+	if err := guardband.CheckAmbient(ambients...); err != nil {
+		return nil, err
+	}
+	labels := ambientLabels(name, ambients)
+	return fanOut(c, labels, func(i int) (BenchResult, error) {
+		return c.fig8(name, labels[i], ambients[i])
+	})
+}
+
+// fig8 is one Fig. 8 cell: the benchmark guardbanded at ambientC on the
+// D25 and the D70 fabric, reported under label as the D70 fabric's
+// guardbanded clock over the D25 fabric's.
+func (c *Context) fig8(name, label string, ambientC float64) (BenchResult, error) {
+	im25, err := c.Implementation(name)
+	if err != nil {
+		return BenchResult{}, err
+	}
+	im70, err := c.implementationAt(name, 70)
+	if err != nil {
+		return BenchResult{}, err
+	}
+	r25, err := im25.Guardband(c.gbOptions(name, ambientC))
+	if err != nil {
+		return BenchResult{}, err
+	}
+	r70, err := im70.Guardband(c.gbOptions(name, ambientC))
+	if err != nil {
+		return BenchResult{}, err
+	}
+	r := benchResult(label, r70)
 	r.GainPct, r.BaselineMHz = 0, r25.FmaxMHz
 	if r25.FmaxMHz > 0 {
 		r.GainPct = (r70.FmaxMHz/r25.FmaxMHz - 1) * 100
@@ -552,40 +565,7 @@ func fig8Result(name string, r25, r70 *guardband.Result) BenchResult {
 	r.Converged = r25.Converged && r70.Converged
 	r.Stats = r25.Stats
 	r.Stats.Add(r70.Stats)
-	return r
-}
-
-// Fig8Sweep extends Fig. 8 along an ambient axis for one benchmark: both
-// the 25 °C-sized and 70 °C-sized fabrics are guardbanded at every ambient,
-// and each row reports the D70 fabric's gain over D25 at that ambient. One
-// row per ambient, in sweep order; on error the completed prefix is
-// returned alongside it.
-func (c *Context) Fig8Sweep(name string, ambients []float64) ([]BenchResult, error) {
-	if err := guardband.CheckAmbient(ambients...); err != nil {
-		return nil, err
-	}
-	im25, err := c.Implementation(name)
-	if err != nil {
-		return nil, err
-	}
-	im70, err := c.implementationAt(name, 70)
-	if err != nil {
-		return nil, err
-	}
-	rs25, err := c.sweepResults(im25, name, ambients)
-	if err == nil {
-		var rs70 []*guardband.Result
-		rs70, err = c.sweepResults(im70, name, ambients)
-		if len(rs70) < len(rs25) {
-			rs25 = rs25[:len(rs70)]
-		}
-		out := make([]BenchResult, 0, len(rs25))
-		for i, r25 := range rs25 {
-			out = append(out, fig8Result(fmt.Sprintf("%s@%g", name, ambients[i]), r25, rs70[i]))
-		}
-		return out, err
-	}
-	return nil, err
+	return r, nil
 }
 
 // FormatSeries renders plotted series as aligned columns. Empty input

@@ -247,15 +247,11 @@ func TestAblationPlacementMatchesImplementation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := c.ablationMean(25, nil)
+	shared, err := c.ablate(25, []ablationCase{{label: "Implementation"}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := 0.0
-	for _, res := range results {
-		sum += res.GainPct
-	}
-	want := sum / float64(len(results))
+	want := shared[0].GainPct
 	row := rows[len(rows)-1]
 	if row.Label != "place effort 1.0" {
 		t.Fatalf("last row is %q, want the effort-1.0 row", row.Label)

@@ -1,9 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"tafpga/internal/guardband"
 )
 
 // raceBenchmarks are the two smallest suite designs — enough to exercise
@@ -93,6 +99,90 @@ func TestPoolErrorMatchesSerial(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "nonesuch") {
 		t.Fatalf("expected the earliest failing benchmark in the error, got %v", err)
+	}
+}
+
+// TestPoolPartialRule: after a failing cell the fan-out returns that
+// cell's error and every cell before it, at any worker count — what a
+// serial loop returns — even when a later cell fails too.
+func TestPoolPartialRule(t *testing.T) {
+	labels := make([]string, 10)
+	for w := 1; w <= 4; w++ {
+		c := &Context{Workers: w}
+		rs, err := fanOut(c, labels, func(i int) (int, error) {
+			time.Sleep(time.Duration(10-i) * time.Millisecond)
+			if i == 4 || i == 6 {
+				return 0, fmt.Errorf("cell %d", i)
+			}
+			return i * i, nil
+		})
+		if err == nil || err.Error() != "cell 4" {
+			t.Fatalf("workers %d: err = %v, want cell 4's", w, err)
+		}
+		if want := []int{0, 1, 4, 9}; fmt.Sprint(rs) != fmt.Sprint(want) {
+			t.Fatalf("workers %d: results %v, want %v", w, rs, want)
+		}
+	}
+}
+
+// TestPartialSweepOnCancel: a sweep cancelled during its second ambient
+// returns the first ambient's row, the same row an uncancelled sweep
+// reports, with the context error.
+func TestPartialSweepOnCancel(t *testing.T) {
+	c := raceContext(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c.Ctx = ctx
+	c.OnProgress = func(_ string, p guardband.Progress) {
+		if p.AmbientC == 45 {
+			cancel()
+		}
+	}
+	rs, err := c.Fig8Sweep("sha", []float64{25, 45, 70})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(rs) != 1 || rs[0].Name != "sha@25" {
+		t.Fatalf("got %d rows (%v), want the 25°C row", len(rs), rs)
+	}
+	clean := raceContext(1)
+	clean.Lib = c.Lib
+	want, err := clean.Fig8Sweep("sha", []float64{25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := FormatBench("x", rs), FormatBench("x", want); got != want {
+		t.Fatalf("partial row diverged from an uncancelled sweep:\n%s---\n%s", got, want)
+	}
+}
+
+// TestPartialSuiteOnCancel: a suite cancelled when its first benchmark
+// finishes returns a prefix of the serial results in suite order with the
+// context error. The suite lists each design twice so cells are left
+// unclaimed at any interleaving.
+func TestPartialSuiteOnCancel(t *testing.T) {
+	serial, err := raceContext(1).Fig6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := raceContext(2)
+	c.Benchmarks = append(append([]string(nil), raceBenchmarks...), raceBenchmarks...)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c.Ctx = ctx
+	c.OnBenchDone = func(string, time.Duration) { cancel() }
+	rs, err := c.Fig6()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(rs) > 2 {
+		t.Fatalf("%d rows finished, but only two cells can start before the cancel", len(rs))
+	}
+	for i, r := range rs {
+		want := serial[i%len(serial)]
+		if got, want := FormatBench("x", []BenchResult{r}), FormatBench("x", []BenchResult{want}); got != want {
+			t.Fatalf("row %d is not the serial row:\n%s---\n%s", i, got, want)
+		}
 	}
 }
 

@@ -14,29 +14,19 @@ func (c *Context) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachBench fans fn out over names on a bounded worker pool and returns
-// the per-name results assembled in input order, so a parallel run is
-// bit-identical to a serial one (every benchmark already carries its own
-// seed). Names are claimed in order; after a failure (or once the context's
-// Ctx is cancelled) no new name starts, in-flight names finish, and the
-// error of the earliest-indexed failure — or the context error — is
-// returned, the same error a serial loop would have stopped on. done[i]
-// reports whether names[i] completed, so callers can salvage the partial
-// result set alongside a non-nil error.
-func forEachBench[T any](c *Context, names []string, fn func(name string) (T, error)) (out []T, done []bool, err error) {
-	n := len(names)
-	if n == 0 {
-		return nil, nil, nil
-	}
-	w := c.workers()
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	out = make([]T, n)
-	done = make([]bool, n)
+// fanOut is the one fan-out of every driver: it runs cell(i) for the
+// len(labels) cells of an axis — the benchmarks of a suite or the ambients
+// of a sweep — on at most Workers goroutines and returns the results in
+// axis order. Every cell carries its own seed, so the worker count never
+// changes a result. Cells are claimed in order; after a failure, or once
+// Ctx is cancelled, no new cell starts and the running ones finish. The
+// error is then the earliest-indexed failure, or the context error, and
+// the results are the finished cells up to the first unfinished one:
+// exactly what a serial loop (Workers 1) returns. OnBenchDone receives
+// each finished cell's label and wall time.
+func fanOut[T any](c *Context, labels []string, cell func(i int) (T, error)) ([]T, error) {
+	n := len(labels)
+	out := make([]T, n)
 	errs := make([]error, n)
 	var (
 		mu     sync.Mutex
@@ -50,62 +40,39 @@ func forEachBench[T any](c *Context, names []string, fn func(name string) (T, er
 		if failed || next >= n || c.ctx().Err() != nil {
 			return -1
 		}
-		i := next
 		next++
-		return i
+		return next - 1
 	}
-	wg.Add(w)
-	for k := 0; k < w; k++ {
+	for range min(c.workers(), n) {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := claim()
-				if i < 0 {
-					return
-				}
+			for i := claim(); i >= 0; i = claim() {
 				start := time.Now()
-				res, err := fn(names[i])
-				if err != nil {
-					mu.Lock()
-					errs[i] = err
-					failed = true
-					mu.Unlock()
-					continue
-				}
-				out[i] = res
+				res, err := cell(i)
 				mu.Lock()
-				done[i] = true
-				mu.Unlock()
-				if c.OnBenchDone != nil {
-					elapsed := time.Since(start)
-					mu.Lock()
-					c.OnBenchDone(names[i], elapsed)
-					mu.Unlock()
+				if err != nil {
+					errs[i], failed = err, true
+				} else {
+					out[i] = res
+					if c.OnBenchDone != nil {
+						c.OnBenchDone(labels[i], time.Since(start))
+					}
 				}
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return out, done, e
+	// Cells [0, next) ran; [next, n) never started, which only a failure
+	// among the ones that ran or a cancellation can cause.
+	for i, err := range errs[:next] {
+		if err != nil {
+			return out[:i], err
 		}
 	}
-	if e := c.ctx().Err(); e != nil {
-		return out, done, e
+	if next < n {
+		return out[:next], c.ctx().Err()
 	}
-	return out, done, nil
-}
-
-// completed compacts a forEachBench result set down to the entries that
-// finished, preserving input order — the partial view drivers hand back on
-// cancellation.
-func completed[T any](out []T, done []bool) []T {
-	var kept []T
-	for i, ok := range done {
-		if ok {
-			kept = append(kept, out[i])
-		}
-	}
-	return kept
+	return out, nil
 }

@@ -44,7 +44,9 @@ func (c *Context) ThermalPlaceCompare(ambientC float64, tp flow.ThermalPlace) ([
 	if err := guardband.CheckAmbient(ambientC); err != nil {
 		return nil, err
 	}
-	out, done, err := forEachBench(c, c.Suite(), func(name string) (ThermalCompareResult, error) {
+	names := c.Suite()
+	return fanOut(c, names, func(i int) (ThermalCompareResult, error) {
+		name := names[i]
 		imB, err := c.Implementation(name)
 		if err != nil {
 			return ThermalCompareResult{}, err
@@ -78,10 +80,6 @@ func (c *Context) ThermalPlaceCompare(ambientC float64, tp flow.ThermalPlace) ([
 			Stats:        stats,
 		}, nil
 	})
-	if err != nil {
-		return completed(out, done), err
-	}
-	return out, nil
 }
 
 // FormatThermalCompare renders the comparison as the ΔT_peak / Δf table.

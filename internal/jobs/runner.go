@@ -24,8 +24,10 @@ type RunnerConfig struct {
 	ChannelTracks int
 	// PlaceEffort scales the annealing budget (0 = 1.0).
 	PlaceEffort float64
-	// BenchWorkers bounds the fan-out of a suite's benchmarks, or of the
-	// ambients of a tafpga sweep (0 = GOMAXPROCS).
+	// BenchWorkers bounds the one experiments fan-out (Context.Workers):
+	// over a suite's benchmarks in figure, min-energy and thermal-compare
+	// jobs and taexp, and over the ambients of a sweep job, a
+	// tafpga -sweep or taexp fig8sweep (0 = GOMAXPROCS).
 	BenchWorkers int
 	// Deprecated: ignored; routing is serial (parallel speculation lost to one worker).
 	RouteWorkers int

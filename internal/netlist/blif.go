@@ -221,10 +221,13 @@ func ParseBLIF(r io.Reader) (*Netlist, error) {
 			}
 			t := LUT
 			if strings.HasPrefix(outName, "out_") {
-				if len(inIDs) == 0 {
-					return nil, fmt.Errorf("blif: output %s has no driver", outName)
+				// An output pad is written as a buffer of its driver (one
+				// input, the single cube "1 1"); any other function would
+				// be dropped with its truth table.
+				if len(inIDs) != 1 || len(lines) != 2 || truth != 1<<1 {
+					return nil, fmt.Errorf("blif: output %s must buffer one driver with the single cube \"1 1\"", outName)
 				}
-				t, inIDs, truth = Output, inIDs[:1], 0
+				t, truth = Output, 0
 			}
 			if err := define(outName, t, inIDs, truth); err != nil {
 				return nil, err

@@ -33,6 +33,8 @@ func FuzzParseBLIF(f *testing.F) {
 		".inputs a\n.latch a a re clk 0\n",
 		".inputs a\n.names out_x\n",
 		".inputs a\n.subckt dsp in0=a \\\nout=m\n.names m out_y\n1 1\n",
+		".inputs a b\n.names a b out_x\n11 1\n",
+		".inputs a\n.names a out_x\n0 1\n",
 	} {
 		f.Add([]byte(s))
 	}

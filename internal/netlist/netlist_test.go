@@ -240,6 +240,8 @@ func TestParseBLIFRejectsGarbage(t *testing.T) {
 		".names a a a a a a a b\n------- 1", // wider than a 6-LUT
 		".names a b\n2 1",                   // cube character
 		".subckt dsp in0= out=b",            // empty net name
+		".names a b out_x\n11 1",            // output pad fed by a two-input function
+		".names a out_x\n0 1",               // output pad fed by an inverter
 	}
 	for i, s := range bad {
 		if _, err := ParseBLIF(bytes.NewBufferString(".model m\n.inputs a\n.outputs o\n" + s + "\n.end\n")); err == nil {
