@@ -97,7 +97,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "taexp:", err)
-		os.Exit(1)
+		proc.Exit(1)
 	}
 
 	ctx := jobs.NewRunner(*cfg).Context(runCtx, nil)
@@ -128,7 +128,7 @@ func main() {
 		start := time.Now()
 		if err := run(ctx, name, *csvDir, tp, *thermalAmbient, ambients, *targetMHz); err != nil {
 			fmt.Fprintf(os.Stderr, "taexp: %s: %v\n", name, err)
-			os.Exit(1)
+			proc.Exit(1)
 		}
 		wall := time.Since(start)
 		if len(times) > 0 {

@@ -90,7 +90,7 @@ func main() {
 	objective := flag.String("objective", "fmax", `guardband objective: "fmax" or "min-energy"`)
 	target := flag.Float64("target", 0, "min-energy iso-frequency target in MHz (0 = worst-case baseline clock)")
 	cfg := cli.RunFlags(false)
-	proc := cli.ProcessFlags("tafpga")
+	proc = cli.ProcessFlags("tafpga")
 	flag.Parse()
 
 	// SIGINT/SIGTERM (and -timeout) cancel the flow and Algorithm 1 at
@@ -108,7 +108,7 @@ func main() {
 	}
 	if flag.NArg() != 1 && *blifIn == "" {
 		fmt.Fprintln(os.Stderr, "usage: tafpga [flags] <benchmark>   (see -list; or -in design.blif)")
-		os.Exit(2)
+		proc.Exit(2)
 	}
 	name := "external"
 	if *blifIn == "" {
@@ -127,7 +127,7 @@ func main() {
 	die(err)
 	if *objective != "fmax" && *objective != "min-energy" {
 		fmt.Fprintf(os.Stderr, "tafpga: unknown objective %q (want fmax or min-energy)\n", *objective)
-		os.Exit(2)
+		proc.Exit(2)
 	}
 	opts, err := flowOptions(name, *blifIn == "", cfg, *seed, flow.ThermalPlace{Weight: *thermalWeight, KernelRadius: *thermalRadius})
 	die(err)
@@ -324,9 +324,13 @@ func runMinEnergy(ctx context.Context, im *flow.Implementation, ambientC, target
 	fmt.Printf("kernels: %s\n", res.Stats)
 }
 
+// proc is the run's lifecycle; die exits through it so the profiles are
+// written on an error too.
+var proc *cli.Process
+
 func die(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tafpga:", err)
-		os.Exit(1)
+		proc.Exit(1)
 	}
 }

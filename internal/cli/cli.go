@@ -48,6 +48,7 @@ type Process struct {
 	name     string
 	timeout  time.Duration
 	cpu, mem string
+	stop     func() // set by Start
 }
 
 // ProcessFlags defines the lifecycle flags on the default flag set for the
@@ -64,7 +65,8 @@ func ProcessFlags(name string) *Process {
 // SIGTERM and -timeout cancel, with the -cpuprofile profile running; a
 // profile file that cannot be made ends the process with status 1. The
 // returned stop writes the -memprofile heap profile, ends the CPU profile
-// and releases the context, so a command defers it.
+// and releases the context, so a command defers it, and exits through Exit
+// rather than os.Exit.
 func (p *Process) Start() (context.Context, func()) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	cancel := context.CancelFunc(func() {})
@@ -81,7 +83,7 @@ func (p *Process) Start() (context.Context, func()) {
 			os.Exit(1)
 		}
 	}
-	return ctx, func() {
+	p.stop = func() {
 		if p.mem != "" {
 			if err := writeHeapProfile(p.mem); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: %v\n", p.name, err)
@@ -91,6 +93,16 @@ func (p *Process) Start() (context.Context, func()) {
 		cancel()
 		stopSignals()
 	}
+	return ctx, p.stop
+}
+
+// Exit ends the process with code after running the stop Start returned,
+// which os.Exit would skip, so a run that fails still writes its profiles.
+func (p *Process) Exit(code int) {
+	if p.stop != nil {
+		p.stop()
+	}
+	os.Exit(code)
 }
 
 func writeHeapProfile(path string) error {

@@ -41,7 +41,9 @@ type doneRecord struct {
 	Recovered bool            `json:"recovered,omitempty"`
 	Error     string          `json:"error,omitempty"`
 	Result    json.RawMessage `json:"result,omitempty"`
-	Events    []Event         `json:"events"`
+	// Events is the []Event history, marshaled once at finish; the job
+	// reads it back from here when a client asks for it.
+	Events json.RawMessage `json:"events"`
 }
 
 // Journal is a job state directory. It holds no open file between writes.
@@ -156,22 +158,46 @@ func (j *Journal) load() (jobs []*job, maxID, bad int) {
 			bad++
 			continue
 		}
-		jb := &job{id: id, spec: sr.Spec, key: sr.Spec.Key(), created: sr.Created, subs: map[chan Event]struct{}{}}
+		jb := &job{id: id, spec: sr.Spec, created: sr.Created}
 		var d doneRecord
 		switch {
 		case !present[id+doneSuffix]:
-		case readJSON(filepath.Join(j.dir, id+doneSuffix), &d) && d.ID == id && d.State.Terminal():
+		case readJSON(filepath.Join(j.dir, id+doneSuffix), &d) && d.ID == id && d.State.Terminal() && decodesEvents(d.Events):
 			jb.state, jb.started, jb.finished = d.State, d.Started, d.Finished
-			jb.recovered, jb.errMsg, jb.events = d.Recovered, d.Error, d.Events
+			jb.recovered, jb.errMsg = d.Recovered, d.Error
 			if d.Result != nil {
 				jb.result = d.Result
 			}
 		default:
 			bad++
 		}
+		if !jb.state.Terminal() {
+			jb.key = sr.Spec.Key()
+		}
 		jobs = append(jobs, jb)
 	}
 	return jobs, maxID, bad
+}
+
+// decodesEvents reports whether a finish file's events field is absent or
+// decodes as an event history.
+func decodesEvents(b json.RawMessage) bool {
+	var events []Event
+	return b == nil || json.Unmarshal(b, &events) == nil
+}
+
+// readEvents reads a finished job's event history back from its finish
+// file.
+func (j *Journal) readEvents(id string) ([]Event, error) {
+	b, err := os.ReadFile(filepath.Join(j.dir, id+doneSuffix))
+	if err != nil {
+		return nil, err
+	}
+	var d struct {
+		Events []Event `json:"events"`
+	}
+	err = json.Unmarshal(b, &d)
+	return d.Events, err
 }
 
 // readJSON decodes the file at path into v, reporting success.

@@ -49,7 +49,7 @@ func TestJournalAppendReadRoundTrip(t *testing.T) {
 	done := doneRecord{
 		ID: "j-000001", State: StateDone, Started: now, Finished: now.Add(time.Second),
 		Result: json.RawMessage(`{"x":1}`),
-		Events: []Event{{Seq: 1, Type: EventState, State: StateQueued}, {Seq: 2, Type: EventState, State: StateDone}},
+		Events: json.RawMessage(`[{"seq":1,"type":"state","state":"queued"},{"seq":2,"type":"state","state":"done"}]`),
 	}
 	if err := j.write("j-000001"+doneSuffix, done); err != nil {
 		t.Fatal(err)
@@ -61,12 +61,18 @@ func TestJournalAppendReadRoundTrip(t *testing.T) {
 	if len(got) != 2 || got[0].id != "j-000001" || got[1].id != "j-000002" {
 		t.Fatalf("loaded %+v, want j-000001 and j-000002 in order", got)
 	}
-	if got[0].key != spec.Key() || !got[0].created.Equal(now) {
+	// Only an unfinished job keeps its dedup key.
+	if got[0].key != "" || got[1].key != spec.Key() || !got[0].created.Equal(now) {
 		t.Fatalf("spec record did not round-trip: %+v", got[0])
 	}
 	d := got[0]
 	result, _ := d.result.(json.RawMessage)
-	if d.state != StateDone || !d.finished.Equal(now.Add(time.Second)) || string(result) != `{"x":1}` || len(d.events) != 2 {
+	// A finished job's history stays in its finish file.
+	events, err := j.readEvents(d.id)
+	if err != nil || d.history != nil || d.events != nil {
+		t.Fatalf("history in memory %q %v, from the finish file %v (%v)", d.history, d.events, events, err)
+	}
+	if d.state != StateDone || !d.finished.Equal(now.Add(time.Second)) || string(result) != `{"x":1}` || len(events) != 2 {
 		t.Fatalf("finish record did not round-trip: %+v", d)
 	}
 	if got[1].state != "" {

@@ -123,7 +123,9 @@ var (
 )
 
 // job is the manager-internal record. All fields are guarded by the
-// manager's mutex.
+// manager's mutex. The daemon keeps every finished job for the TTL, so a
+// finished job holds only its view: finishLocked drops what only an
+// unfinished job needs (key, cancel, subs) and its events (see history).
 type job struct {
 	id     string
 	spec   Spec
@@ -138,8 +140,14 @@ type job struct {
 	created, started, finished time.Time
 	result                     any
 	errMsg                     string
-	events                     []Event
-	subs                       map[chan Event]struct{}
+	// events is the history of an unfinished job. A finished job's history
+	// is in its finish file; without one (no state dir, a failed write) it
+	// stays in memory as history, the JSON the finish file would embed, or
+	// as events if it does not marshal.
+	events  []Event
+	history json.RawMessage
+	// subs are the live subscribers, created by the first Subscribe.
+	subs map[chan Event]struct{}
 }
 
 // View is the JSON representation of a job.
@@ -313,7 +321,6 @@ func (m *Manager) Submit(spec Spec) (View, bool, error) {
 		key:     key,
 		state:   StateQueued,
 		created: m.now(),
-		subs:    map[chan Event]struct{}{},
 	}
 	m.jobs[j.id] = j
 	m.byKey[key] = j
@@ -403,11 +410,14 @@ func (m *Manager) Subscribe(id string) ([]Event, <-chan Event, func(), error) {
 	if !ok {
 		return nil, nil, nil, ErrNotFound
 	}
-	history := append([]Event(nil), j.events...)
 	ch := make(chan Event, 64)
 	if j.state.Terminal() {
 		close(ch)
-		return history, ch, func() {}, nil
+		return m.finishedHistoryLocked(j), ch, func() {}, nil
+	}
+	history := append([]Event(nil), j.events...)
+	if j.subs == nil {
+		j.subs = map[chan Event]struct{}{}
 	}
 	j.subs[ch] = struct{}{}
 	cancel := func() {
@@ -520,9 +530,10 @@ func (m *Manager) worker() {
 }
 
 // finishLocked moves a job to a terminal state: records the outcome, drops
-// the dedup slot, updates metrics, emits the final event, writes the finish
-// file (with the marshaled result, so a restart serves it byte-identical
-// without recompute), and closes every subscriber. Caller holds m.mu.
+// the dedup slot, updates metrics, emits the final event, marshals the
+// event history once, writes the finish file (with the marshaled result,
+// so a restart serves it byte-identical without recompute), and closes
+// every subscriber. Caller holds m.mu.
 func (m *Manager) finishLocked(j *job, s State, result any, errMsg string) {
 	j.state = s
 	j.result = result
@@ -544,21 +555,33 @@ func (m *Manager) finishLocked(j *job, s State, result any, errMsg string) {
 	}
 	m.m.duration.Observe(j.finished.Sub(j.started).Seconds())
 	m.emitLocked(j, Event{Type: EventState, State: s, Error: errMsg})
-	if m.journal != nil {
+	j.key, j.cancel = "", nil
+	// A history that does not marshal (a non-finite float) stays events,
+	// and no finish file is written: that job re-runs after a restart.
+	if b, err := json.Marshal(j.events); err == nil {
+		j.history, j.events = b, nil
+	}
+	switch {
+	case m.journal == nil:
+	case j.history == nil:
+		m.m.journalErrors.Inc()
+	default:
 		rec := doneRecord{
 			ID: j.id, State: s, Started: j.started, Finished: j.finished,
-			Recovered: j.recovered, Error: errMsg, Events: j.events,
+			Recovered: j.recovered, Error: errMsg, Events: j.history,
 		}
 		if result != nil {
 			// A result that does not marshal is stored as none.
 			rec.Result, _ = json.Marshal(result)
 		}
-		m.persist(j.id+doneSuffix, rec)
+		if m.persist(j.id+doneSuffix, rec) {
+			j.history = nil // the finish file holds it
+		}
 	}
 	for ch := range j.subs {
 		close(ch)
-		delete(j.subs, ch)
 	}
+	j.subs = nil
 }
 
 // emitLocked appends an event to the job's history and fans it out to
@@ -578,16 +601,38 @@ func (m *Manager) emitLocked(j *job, e Event) {
 
 // persist writes one state file, counting failures instead of surfacing
 // them: the state dir is the durability layer, not the serving path, and a
-// full disk must degrade recovery, not take the API down.
-func (m *Manager) persist(name string, v any) {
+// full disk must degrade recovery, not take the API down. It reports
+// whether the file was written.
+func (m *Manager) persist(name string, v any) bool {
 	if m.journal == nil {
-		return
+		return false
 	}
 	if err := m.journal.write(name, v); err != nil {
 		m.m.journalErrors.Inc()
-		return
+		return false
 	}
 	m.m.journalRecords.Inc()
+	return true
+}
+
+// finishedHistoryLocked returns a finished job's event history: from
+// memory when the job holds it, otherwise from its finish file. A finish
+// file that can no longer be read counts as a journal error and yields no
+// history. Caller holds m.mu.
+func (m *Manager) finishedHistoryLocked(j *job) []Event {
+	var events []Event
+	switch {
+	case j.history != nil:
+		json.Unmarshal(j.history, &events) // marshaled from []Event at finish
+	case j.events != nil || m.journal == nil:
+		events = append(events, j.events...)
+	default:
+		var err error
+		if events, err = m.journal.readEvents(j.id); err != nil {
+			m.m.journalErrors.Inc()
+		}
+	}
+	return events
 }
 
 // evictExpiredLocked drops finished jobs older than the TTL, closing any

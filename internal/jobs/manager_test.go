@@ -396,7 +396,8 @@ func TestEvictionClosesSubscriberChannels(t *testing.T) {
 	ch := make(chan Event, 1)
 	m.mu.Lock()
 	j := m.jobs[v.ID]
-	j.subs[ch] = struct{}{}
+	j.subs = map[chan Event]struct{}{ch: {}} // a finished job holds no subscriber map
+
 	m.mu.Unlock()
 
 	clock = clock.Add(2 * time.Minute)

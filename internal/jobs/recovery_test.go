@@ -135,12 +135,9 @@ func TestRecoveryRequeuesInterruptedJobs(t *testing.T) {
 			t.Fatalf("job %s result = %v", id, v.Result)
 		}
 	}
-	// Unblock the abandoned first manager and wait for its goroutines, so
-	// its late finish files land before the state dir is removed.
-	close(block)
-	m1.Close()
-
-	// The recovered jobs' histories carry the recovery marker.
+	// The recovered jobs' histories carry the recovery marker. They are
+	// read from the finish files, so read them while the state dir holds
+	// only what m2 wrote, as after a real crash.
 	history, _, cancel, err := m2.Subscribe(vRun.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +152,11 @@ func TestRecoveryRequeuesInterruptedJobs(t *testing.T) {
 	if !sawRecovered {
 		t.Fatalf("no recovered event in history: %+v", history)
 	}
+
+	// Unblock the abandoned first manager and wait for its goroutines, so
+	// its late finish files land before the state dir is removed.
+	close(block)
+	m1.Close()
 }
 
 // TestRecoveryEvictsExpiredAndCompacts: terminal jobs past the TTL at

@@ -12,77 +12,105 @@ import (
 // WriteBLIF serializes the netlist in a BLIF dialect compatible with the
 // VTR-style flow the paper uses: .names for LUTs (with the truth table
 // emitted as minterm cubes), .latch for flip-flops, and .subckt bram/dsp for
-// the hard macros.
+// the hard macros. Its bytes are the flow cache's netlist key, so they must
+// not change.
 func (n *Netlist) WriteBLIF(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, ".model %s\n", n.Name)
+	bw.WriteString(".model ")
+	bw.WriteString(n.Name)
 
-	var ins, outs []string
+	bw.WriteString("\n.inputs ")
+	sep := false
 	for i := range n.Blocks {
-		switch n.Blocks[i].Type {
-		case Input:
-			ins = append(ins, netName(n, i))
-		case Output:
-			outs = append(outs, "out_"+n.Blocks[i].Name)
+		if n.Blocks[i].Type == Input {
+			if sep {
+				bw.WriteByte(' ')
+			}
+			n.writeNet(bw, i)
+			sep = true
 		}
 	}
-	fmt.Fprintf(bw, ".inputs %s\n", strings.Join(ins, " "))
-	fmt.Fprintf(bw, ".outputs %s\n", strings.Join(outs, " "))
+	bw.WriteString("\n.outputs ")
+	sep = false
+	for i := range n.Blocks {
+		if n.Blocks[i].Type == Output {
+			if sep {
+				bw.WriteByte(' ')
+			}
+			bw.WriteString("out_")
+			bw.WriteString(n.Blocks[i].Name)
+			sep = true
+		}
+	}
+	bw.WriteByte('\n')
 
+	var line []byte // one cube: a bit per input, then " 1\n"
 	for i := range n.Blocks {
 		b := &n.Blocks[i]
 		switch b.Type {
 		case LUT:
-			fmt.Fprintf(bw, ".names")
+			bw.WriteString(".names")
 			for _, in := range b.Inputs {
-				fmt.Fprintf(bw, " %s", netName(n, in))
+				bw.WriteByte(' ')
+				n.writeNet(bw, in)
 			}
-			fmt.Fprintf(bw, " %s\n", netName(n, i))
+			bw.WriteByte(' ')
+			n.writeNet(bw, i)
+			bw.WriteByte('\n')
 			k := len(b.Inputs)
+			line = append(append(line[:0], make([]byte, k)...), " 1\n"...)
 			for m := 0; m < 1<<uint(k); m++ {
 				if b.LUTEval(m) {
 					for bit := 0; bit < k; bit++ {
-						if m>>uint(bit)&1 == 1 {
-							fmt.Fprint(bw, "1")
-						} else {
-							fmt.Fprint(bw, "0")
-						}
+						line[bit] = '0' + byte(m>>uint(bit)&1)
 					}
-					fmt.Fprintln(bw, " 1")
+					bw.Write(line)
 				}
 			}
 		case FF:
-			fmt.Fprintf(bw, ".latch %s %s re clk 0\n", netName(n, b.Inputs[0]), netName(n, i))
+			bw.WriteString(".latch ")
+			n.writeNet(bw, b.Inputs[0])
+			bw.WriteByte(' ')
+			n.writeNet(bw, i)
+			bw.WriteString(" re clk 0\n")
 		case BRAM, DSP:
-			kind := "bram"
 			if b.Type == DSP {
-				kind = "dsp"
+				bw.WriteString(".subckt dsp")
+			} else {
+				bw.WriteString(".subckt bram")
 			}
-			fmt.Fprintf(bw, ".subckt %s", kind)
 			for j, in := range b.Inputs {
-				fmt.Fprintf(bw, " in%d=%s", j, netName(n, in))
+				bw.WriteString(" in")
+				bw.WriteString(strconv.Itoa(j))
+				bw.WriteByte('=')
+				n.writeNet(bw, in)
 			}
-			fmt.Fprintf(bw, " out=%s\n", netName(n, i))
+			bw.WriteString(" out=")
+			n.writeNet(bw, i)
+			bw.WriteByte('\n')
 		case Output:
 			// Outputs are buffers in BLIF.
-			fmt.Fprintf(bw, ".names %s out_%s\n1 1\n", netName(n, b.Inputs[0]), b.Name)
+			bw.WriteString(".names ")
+			n.writeNet(bw, b.Inputs[0])
+			bw.WriteString(" out_")
+			bw.WriteString(b.Name)
+			bw.WriteString("\n1 1\n")
 		}
 	}
-	fmt.Fprintln(bw, ".end")
+	bw.WriteString(".end\n")
 	return bw.Flush()
 }
 
-func netName(n *Netlist, id int) string {
-	b := &n.Blocks[id]
-	if b.Name != "" {
-		return b.Name
+// writeNet writes the name of net id: its driver's name, or n<id> for an
+// unnamed driver.
+func (n *Netlist) writeNet(bw *bufio.Writer, id int) {
+	if name := n.Blocks[id].Name; name != "" {
+		bw.WriteString(name)
+		return
 	}
-	return fmt.Sprintf("n%d", id)
+	bw.WriteByte('n')
+	bw.WriteString(strconv.Itoa(id))
 }
-
-// maxLUTInputs is the widest .names ParseBLIF accepts: Block.Truth holds
-// the 2^6 minterms of a 6-input LUT.
-const maxLUTInputs = 6
 
 // ParseBLIF reads the dialect WriteBLIF emits (plus tolerant whitespace,
 // comment and line-continuation handling) back into a Netlist. It supports

@@ -48,10 +48,15 @@ type Block struct {
 	// Inputs lists the IDs of the nets (equivalently, driving blocks) this
 	// block reads. Outputs have exactly one input; inputs have none.
 	Inputs []int
-	// Truth is the LUT truth-table seed; the function of input minterm m is
-	// bit (Truth >> (m % 64)) & 1. Only meaningful for LUT blocks.
+	// Truth is the LUT truth table; the function of input minterm m is
+	// bit (Truth >> m) & 1. Only meaningful for LUT blocks, which Freeze
+	// bounds to maxLUTInputs inputs.
 	Truth uint64
 }
+
+// maxLUTInputs is the widest LUT a netlist may hold: Truth holds the 2^6
+// minterms of a 6-input LUT.
+const maxLUTInputs = 6
 
 // Netlist is the mapped design.
 type Netlist struct {
@@ -90,6 +95,9 @@ func (n *Netlist) Freeze() error {
 		case LUT:
 			if len(b.Inputs) == 0 {
 				return fmt.Errorf("netlist %s: LUT %q has no inputs", n.Name, b.Name)
+			}
+			if len(b.Inputs) > maxLUTInputs {
+				return fmt.Errorf("netlist %s: LUT %q has %d inputs, at most %d supported", n.Name, b.Name, len(b.Inputs), maxLUTInputs)
 			}
 		case BRAM, DSP:
 			if len(b.Inputs) == 0 {

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -78,6 +79,22 @@ func TestFreezeRejectsMalformed(t *testing.T) {
 	for i, mk := range cases {
 		if err := mk().Freeze(); err == nil {
 			t.Fatalf("case %d: expected error", i)
+		}
+	}
+}
+
+// A LUT wider than Truth's 64 minterms is an error: LUTEval would wrap its
+// minterms mod 64.
+func TestFreezeRejectsWideLUT(t *testing.T) {
+	for k, wantErr := range map[int]bool{6: false, 7: true} {
+		n := New("wide")
+		var ins []int
+		for i := 0; i < k; i++ {
+			ins = append(ins, n.Add(Input, fmt.Sprintf("i%d", i), nil, 0))
+		}
+		n.Add(LUT, "l", ins, 1)
+		if err := n.Freeze(); (err != nil) != wantErr {
+			t.Fatalf("%d-input LUT: Freeze error %v, want error %t", k, err, wantErr)
 		}
 	}
 }

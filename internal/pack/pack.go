@@ -8,6 +8,7 @@ package pack
 
 import (
 	"fmt"
+	"sort"
 
 	"tafpga/internal/netlist"
 )
@@ -39,7 +40,9 @@ type Result struct {
 }
 
 // Pack clusters the netlist for a cluster size of n BLEs and a cluster
-// input bound of maxInputs.
+// input bound of maxInputs. The result is a pure function of its inputs:
+// each cluster grows by the candidate with the highest attraction score,
+// ties going to the lowest BLE index, and lists its ExtInputs ascending.
 func Pack(nl *netlist.Netlist, n, maxInputs int) (*Result, error) {
 	if n < 1 || maxInputs < 1 {
 		return nil, fmt.Errorf("pack: invalid cluster shape N=%d inputs=%d", n, maxInputs)
@@ -47,40 +50,35 @@ func Pack(nl *netlist.Netlist, n, maxInputs int) (*Result, error) {
 	if nl.Sinks == nil {
 		return nil, fmt.Errorf("pack: netlist %s not frozen", nl.Name)
 	}
-	res := &Result{Netlist: nl, ClusterOf: make([]int, len(nl.Blocks))}
+	nb := len(nl.Blocks)
+	res := &Result{Netlist: nl, ClusterOf: make([]int, nb)}
 	for i := range res.ClusterOf {
 		res.ClusterOf[i] = -1
 	}
 
 	// Build BLEs: fuse each FF with its driving LUT when that pairing is
 	// legal (the FF is the LUT's sink); leftover FFs and LUTs get their own
-	// BLE.
-	ffOfLUT := map[int]int{}
-	usedFF := map[int]bool{}
+	// BLE. mate links a fused LUT and FF both ways (-1 = unfused).
+	mate := make([]int, nb)
+	for i := range mate {
+		mate[i] = -1
+	}
 	for i := range nl.Blocks {
 		b := &nl.Blocks[i]
 		if b.Type != netlist.FF {
 			continue
 		}
-		d := b.Inputs[0]
-		if nl.Blocks[d].Type == netlist.LUT {
-			if _, taken := ffOfLUT[d]; !taken {
-				ffOfLUT[d] = i
-				usedFF[i] = true
-			}
+		if d := b.Inputs[0]; nl.Blocks[d].Type == netlist.LUT && mate[d] < 0 {
+			mate[d], mate[i] = i, d
 		}
 	}
 	var bles []BLE
 	for i := range nl.Blocks {
 		switch nl.Blocks[i].Type {
 		case netlist.LUT:
-			ff := -1
-			if f, ok := ffOfLUT[i]; ok {
-				ff = f
-			}
-			bles = append(bles, BLE{LUT: i, FF: ff})
+			bles = append(bles, BLE{LUT: i, FF: mate[i]})
 		case netlist.FF:
-			if !usedFF[i] {
+			if mate[i] < 0 {
 				bles = append(bles, BLE{LUT: -1, FF: i})
 			}
 		case netlist.BRAM:
@@ -94,52 +92,103 @@ func Pack(nl *netlist.Netlist, n, maxInputs int) (*Result, error) {
 		}
 	}
 
-	// Greedy seed-and-grow clustering.
-	placed := make([]bool, len(bles))
-	// netUsers maps a net to the indices of unplaced BLEs reading it.
-	netUsers := map[int][]int{}
+	// A BLE reads its LUT's inputs, or its lone FF's.
 	bleInputs := func(e BLE) []int {
-		var ins []int
 		if e.LUT >= 0 {
-			ins = append(ins, nl.Blocks[e.LUT].Inputs...)
+			return nl.Blocks[e.LUT].Inputs
 		}
-		if e.FF >= 0 && e.LUT < 0 {
-			ins = append(ins, nl.Blocks[e.FF].Inputs...)
-		}
-		return ins
+		return nl.Blocks[e.FF].Inputs
 	}
+	// users[userOff[net]:userOff[net+1]] are the BLEs reading net, one
+	// entry per input occurrence, so a BLE reading a net twice scores it
+	// twice.
+	userOff := make([]int, nb+1)
+	for _, e := range bles {
+		for _, in := range bleInputs(e) {
+			userOff[in+1]++
+		}
+	}
+	for i := 0; i < nb; i++ {
+		userOff[i+1] += userOff[i]
+	}
+	users := make([]int, userOff[nb])
+	fill := append([]int(nil), userOff[:nb]...)
 	for bi, e := range bles {
 		for _, in := range bleInputs(e) {
-			netUsers[in] = append(netUsers[in], bi)
+			users[fill[in]] = bi
+			fill[in]++
 		}
 	}
 
+	// Greedy seed-and-grow clustering. A candidate is an unplaced BLE that
+	// reads a net the growing cluster drives (2 points per read: absorbing
+	// it internalizes wiring) or already reads from outside (1 point per
+	// read). Scores change only when a net changes status, so they are kept
+	// up to date as nets do rather than recounted per grow step. Every mark
+	// is a stamp holding tag (cluster ID+1), so nothing is cleared between
+	// clusters: insideOf[net] and extOf[net] while the net is driven inside
+	// or read from outside, candOf[bi] while score[bi] and reach[bi] (its
+	// reads of inside or external nets) count for this cluster.
+	placed := make([]bool, len(bles))
+	insideOf := make([]int, nb)
+	extOf := make([]int, nb)
+	candOf := make([]int, len(bles))
+	score := make([]int, len(bles))
+	reach := make([]int, len(bles))
+	var extNets, cands []int
 	for seed := 0; seed < len(bles); seed++ {
 		if placed[seed] {
 			continue
 		}
 		cl := Cluster{ID: len(res.Clusters)}
-		inside := map[int]bool{} // nets driven inside the cluster
-		ext := map[int]bool{}    // external input nets
+		tag := cl.ID + 1
+		extNets, cands = extNets[:0], cands[:0]
+		nExt := 0
+		// credit adds points (and newReach reads) to every BLE reading net.
+		credit := func(net, points, newReach int) {
+			for _, bi := range users[userOff[net]:userOff[net+1]] {
+				if candOf[bi] != tag {
+					candOf[bi], score[bi], reach[bi] = tag, 0, 0
+					cands = append(cands, bi)
+				}
+				score[bi] += points
+				reach[bi] += newReach
+			}
+		}
+		// extra counts the reads of bi the cluster neither drives nor
+		// already reads: each would take a cluster input.
+		extra := func(bi int) int {
+			x := len(bleInputs(bles[bi]))
+			if candOf[bi] == tag {
+				x -= reach[bi]
+			}
+			return x
+		}
 		add := func(bi int) {
 			e := bles[bi]
 			placed[bi] = true
 			cl.BLEs = append(cl.BLEs, e)
-			for _, id := range []int{e.LUT, e.FF} {
-				if id >= 0 {
-					inside[id] = true
-					res.ClusterOf[id] = cl.ID
+			for _, id := range [2]int{e.LUT, e.FF} {
+				if id < 0 {
+					continue
 				}
+				res.ClusterOf[id] = cl.ID
+				if extOf[id] == tag {
+					// Newly internal nets stop counting as external.
+					extOf[id] = 0
+					nExt--
+					credit(id, 1, 0)
+				} else {
+					credit(id, 2, 1)
+				}
+				insideOf[id] = tag
 			}
 			for _, in := range bleInputs(e) {
-				if !inside[in] {
-					ext[in] = true
-				}
-			}
-			// Newly internal nets stop counting as external.
-			for _, id := range []int{e.LUT, e.FF} {
-				if id >= 0 {
-					delete(ext, id)
+				if insideOf[in] != tag && extOf[in] != tag {
+					extOf[in] = tag
+					extNets = append(extNets, in)
+					nExt++
+					credit(in, 1, 1)
 				}
 			}
 		}
@@ -147,35 +196,13 @@ func Pack(nl *netlist.Netlist, n, maxInputs int) (*Result, error) {
 
 		for len(cl.BLEs) < n {
 			best, bestScore := -1, -1
-			// Candidates: unplaced BLEs sharing a net with the cluster.
-			cands := map[int]int{}
-			for net := range ext {
-				for _, bi := range netUsers[net] {
-					if !placed[bi] {
-						cands[bi]++
-					}
-				}
-			}
-			for net := range inside {
-				for _, bi := range netUsers[net] {
-					if !placed[bi] {
-						cands[bi] += 2 // absorbing a sink internalizes wiring
-					}
-				}
-			}
-			for bi, score := range cands {
+			for _, bi := range cands {
 				// Would adding it blow the input budget?
-				extra := 0
-				for _, in := range bleInputs(bles[bi]) {
-					if !inside[in] && !ext[in] {
-						extra++
-					}
-				}
-				if len(ext)+extra > maxInputs {
+				if placed[bi] || nExt+extra(bi) > maxInputs {
 					continue
 				}
-				if score > bestScore || (score == bestScore && bi < best) {
-					best, bestScore = bi, score
+				if score[bi] > bestScore || (score[bi] == bestScore && bi < best) {
+					best, bestScore = bi, score[bi]
 				}
 			}
 			if best < 0 {
@@ -184,13 +211,7 @@ func Pack(nl *netlist.Netlist, n, maxInputs int) (*Result, error) {
 					if placed[bi] {
 						continue
 					}
-					extra := 0
-					for _, in := range bleInputs(bles[bi]) {
-						if !inside[in] && !ext[in] {
-							extra++
-						}
-					}
-					if len(ext)+extra <= maxInputs {
+					if nExt+extra(bi) <= maxInputs {
 						best = bi
 					}
 					break
@@ -202,9 +223,12 @@ func Pack(nl *netlist.Netlist, n, maxInputs int) (*Result, error) {
 			add(best)
 		}
 
-		for net := range ext {
-			cl.ExtInputs = append(cl.ExtInputs, net)
+		for _, net := range extNets {
+			if extOf[net] == tag {
+				cl.ExtInputs = append(cl.ExtInputs, net)
+			}
 		}
+		sort.Ints(cl.ExtInputs)
 		res.Clusters = append(res.Clusters, cl)
 	}
 	return res, nil
