@@ -1,6 +1,7 @@
 // Inner-loop profiling benchmarks: the three kernels Algorithm 1 spends
-// its time in — the full-netlist timing probe, the steady-state thermal
-// solve, and the complete guardbanding run. They are entry points for pprof:
+// its time in — the full-netlist timing probe, the per-tile power vector and
+// the steady-state thermal solve — and the complete guardbanding run. They
+// are entry points for pprof:
 //
 //	go test -run '^$' -bench BenchmarkGuardbandRun -cpuprofile cpu.out .
 //
@@ -71,6 +72,20 @@ func BenchmarkSTAAnalyze(b *testing.B) {
 		if rep := im.Timing.Analyze(temps); rep.PeriodPs <= 0 {
 			b.Fatal("degenerate probe")
 		}
+	}
+}
+
+// BenchmarkPowerVector measures one power evaluation into a reused buffer:
+// the precomputed dynamic vector scaled to the clock plus every tile's
+// leakage at its own temperature.
+func BenchmarkPowerVector(b *testing.B) {
+	im := innerLoopFixture(b)
+	temps := hotTemps(im)
+	dst := im.Power.VectorInto(100, temps, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = im.Power.VectorInto(100, temps, dst)
 	}
 }
 

@@ -169,3 +169,22 @@ func TestWriteVPRXML(t *testing.T) {
 		t.Fatal("temperature must change the emitted delays")
 	}
 }
+
+// TestWriteVPRXMLDeterministic: the description is the same bytes on every
+// call; its logic tile area is a float sum that once followed map order.
+func TestWriteVPRXMLDeterministic(t *testing.T) {
+	dev := coffe.MustSizeDevice(techmodel.Default22nm(), coffe.DefaultParams(), 25)
+	var first bytes.Buffer
+	if err := WriteVPRXML(&first, dev, 25); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		var buf bytes.Buffer
+		if err := WriteVPRXML(&buf, dev, 25); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), first.Bytes()) {
+			t.Fatalf("call %d wrote different bytes than the first", i)
+		}
+	}
+}

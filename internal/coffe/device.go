@@ -362,13 +362,15 @@ func (d *Device) ExpectedRepCP(tMinC, tMaxC float64) float64 {
 }
 
 // SoftTileArea returns the area in µm² of one logic tile (cluster plus its
-// share of routing), the quantity the paper quotes as ~1196 µm².
+// share of routing), the quantity the paper quotes as ~1196 µm². The
+// resources are summed in ResourceKind order, so the result is the same
+// bits on every call.
 func (d *Device) SoftTileArea() float64 {
 	c := d.Arch.tileCounts()
 	a := 0.0
-	for k, n := range c {
+	for k := ResourceKind(0); k < numKinds; k++ {
 		if k != BRAM && k != DSP {
-			a += float64(n) * d.Area(k)
+			a += float64(c[k]) * d.Area(k)
 		}
 	}
 	// Flip-flops, then clock network and configuration overhead.
@@ -377,10 +379,11 @@ func (d *Device) SoftTileArea() float64 {
 	return a * 1.30
 }
 
-// tileCounts returns how many of each soft resource one logic tile holds.
-func (p Params) tileCounts() map[ResourceKind]int {
+// tileCounts returns how many of each soft resource one logic tile holds,
+// indexed by ResourceKind (BRAM and DSP hold 0).
+func (p Params) tileCounts() [numKinds]int {
 	sbPerTile := p.ChannelTracks / (2 * p.SegmentLength) * 2 // both channel directions
-	return map[ResourceKind]int{
+	return [numKinds]int{
 		SBMux:       sbPerTile,
 		CBMux:       p.ClusterInputs,
 		LocalMux:    p.N * p.K,
@@ -403,8 +406,7 @@ func (d *Device) TileLeak(tile TileClass, tempC float64) float64 {
 		l += float64(counts[FeedbackMux]) * d.Leak(FeedbackMux, tempC)
 		l += float64(counts[OutputMux]) * d.Leak(OutputMux, tempC)
 		l += float64(counts[LUTA]) * d.Leak(LUTA, tempC)
-		lib := stdcell.Characterize(d.Kit, tempC)
-		l += float64(d.Arch.N) * lib.Cell(stdcell.DFF).LeakUW
+		l += float64(d.Arch.N) * stdcell.CellLeak(d.Kit, stdcell.DFF, tempC)
 		return l
 	case TileBRAM:
 		return routing + d.Leak(BRAM, tempC)

@@ -197,16 +197,12 @@ func Implement(nl *netlist.Netlist, dev *coffe.Device, opts Options) (*Implement
 
 // thermalCost prepares thermal-aware placement inputs. The annealer needs
 // the influence kernel *before* any placement exists; the base (leakage-
-// only) power the thermal model calibrates against is a function of the
-// grid alone, so the model built here matches assemble's exactly and the
-// kernel cache is shared with every later estimator use.
+// only) power the thermal model calibrates against is power.BaseUW, a
+// function of the grid alone, so the model built here matches assemble's
+// and the kernel cache is shared with every later estimator use.
 func thermalCost(nl *netlist.Netlist, dev *coffe.Device, grid *arch.Grid,
 	act []activity.Stats, tp ThermalPlace) (place.ThermalCost, error) {
-	base := 0.0
-	for idx := 0; idx < grid.NumTiles(); idx++ {
-		base += dev.TileLeak(grid.ClassAt(idx), 25)
-	}
-	th, err := hotspot.NewModel(grid.W, grid.H, base)
+	th, err := hotspot.NewModel(grid.W, grid.H, power.BaseUW(dev, grid, 25))
 	if err != nil {
 		return place.ThermalCost{}, err
 	}
@@ -230,7 +226,7 @@ func assemble(im Implementation, dev *coffe.Device) (*Implementation, error) {
 	im.Device = dev
 	im.Timing = sta.New(im.Netlist, dev, im.Placed, im.Routed)
 	im.Power = power.New(dev, im.Netlist, im.Placed, im.Routed, im.Activity)
-	th, err := hotspot.NewModel(im.Grid.W, im.Grid.H, im.Power.BasePowerUW(25))
+	th, err := hotspot.NewModel(im.Grid.W, im.Grid.H, power.BaseUW(dev, im.Grid, 25))
 	if err != nil {
 		return nil, fmt.Errorf("flow: thermal: %w", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"tafpga/internal/activity"
+	"tafpga/internal/arch"
 	"tafpga/internal/coffe"
 	"tafpga/internal/netlist"
 	"tafpga/internal/place"
@@ -55,7 +56,7 @@ func (m *Model) buildDynamic() {
 	m.dynPerMHz = make([]float64, m.PL.Grid.NumTiles())
 	dev := m.Dev
 	add := func(tile int, cFF, alpha, v float64) {
-		m.dynPerMHz[tile] += dynUWPerMHz(cFF, alpha, v)
+		m.dynPerMHz[tile] += float64(dynUWPerMHz(cFF, alpha, v))
 	}
 
 	for i := range m.NL.Blocks {
@@ -77,34 +78,21 @@ func (m *Model) buildDynamic() {
 			add(tile, 10, 1.0, m.Vdd)
 			add(tile, 6, m.Act[b.Inputs[0]].Density, m.Vdd)
 		case netlist.BRAM:
-			add(tile, dev.CEff(coffe.BRAM), 0.5+0.5*alpha, m.VddL)
+			add(tile, dev.CEff(coffe.BRAM), 0.5+float64(0.5*alpha), m.VddL)
 		case netlist.DSP:
 			add(tile, dev.CEff(coffe.DSP), alpha, m.Vdd)
 		}
 	}
 
 	// Routed interconnect: every hop's mux+wire capacitance switches with
-	// the net's activity, in the hop's tile. Paths share tree wires; to
-	// avoid double counting shared trunks across sinks, deposit each
-	// distinct (tile, kind) of a net once. Nets and sinks are visited in
-	// sorted order: the deposits are float64 accumulations, so map-order
-	// iteration would make the power vector — and everything thermal
-	// downstream of it — vary run to run in the last bits.
-	for _, d := range sortedNetKeys(m.RT.Nets) {
-		nr := m.RT.Nets[d]
+	// the net's activity, in the hop's tile, after the driver's output mux.
+	m.walkNets(func(d int, hops []route.Hop) {
 		alpha := m.Act[d].Density
-		seen := map[route.Hop]bool{}
-		add(m.PL.TileOf[d], m.Dev.CEff(coffe.OutputMux), alpha, m.Vdd)
-		for _, s := range sortedPathKeys(nr.Paths) {
-			for _, h := range nr.Paths[s] {
-				if seen[h] {
-					continue
-				}
-				seen[h] = true
-				add(h.Tile, m.Dev.CEff(h.Kind), alpha, m.Vdd)
-			}
+		add(m.PL.TileOf[d], dev.CEff(coffe.OutputMux), alpha, m.Vdd)
+		for _, h := range hops {
+			add(h.Tile, dev.CEff(h.Kind), alpha, m.Vdd)
 		}
-	}
+	})
 
 	// Clock distribution: a fixed per-occupied-tile spine load.
 	for i := range m.NL.Blocks {
@@ -127,18 +115,23 @@ func (m *Model) VectorInto(fMHz float64, temps, dst []float64) []float64 {
 		dst = make([]float64, grid.NumTiles())
 	}
 	for tile := 0; tile < grid.NumTiles(); tile++ {
-		dst[tile] = m.dynPerMHz[tile]*fMHz + m.Dev.TileLeak(grid.ClassAt(tile), temps[tile])
+		dst[tile] = float64(m.dynPerMHz[tile]*fMHz) + m.Dev.TileLeak(grid.ClassAt(tile), temps[tile])
 	}
 	return dst
 }
 
 // BasePowerUW returns the device's idle (leakage-only) power at a uniform
 // temperature — the p_base of the paper's XPE cross-validation.
-func (m *Model) BasePowerUW(tempC float64) float64 {
-	grid := m.PL.Grid
+func (m *Model) BasePowerUW(tempC float64) float64 { return BaseUW(m.Dev, m.PL.Grid, tempC) }
+
+// BaseUW returns the idle (leakage-only) power in µW of every tile of grid
+// on dev at a uniform temperature tempC, summed in tile order. It needs no
+// placement, so the thermal model a placer calibrates before any placement
+// exists is the one every later model of the same grid uses.
+func BaseUW(dev *coffe.Device, grid *arch.Grid, tempC float64) float64 {
 	total := 0.0
 	for tile := 0; tile < grid.NumTiles(); tile++ {
-		total += m.Dev.TileLeak(grid.ClassAt(tile), tempC)
+		total += dev.TileLeak(grid.ClassAt(tile), tempC)
 	}
 	return total
 }
@@ -178,6 +171,9 @@ func (m *Model) Report(fMHz float64, temps []float64) Breakdown {
 		b.LeakUW += m.Dev.TileLeak(grid.ClassAt(tile), temps[tile])
 	}
 	dev := m.Dev
+	// dyn is one deposit's µW at fMHz, rounded before it is summed so that
+	// no target fuses the multiply into the add.
+	dyn := func(cFF, alpha, v float64) float64 { return float64(dynUWPerMHz(cFF, alpha, v) * fMHz) }
 	for i := range m.NL.Blocks {
 		blk := &m.NL.Blocks[i]
 		if m.PL.TileOf[i] < 0 {
@@ -186,39 +182,60 @@ func (m *Model) Report(fMHz float64, temps []float64) Breakdown {
 		alpha := m.Act[i].Density
 		switch blk.Type {
 		case netlist.LUT:
-			b.DynLogicUW += dynUWPerMHz(dev.CEff(coffe.LUTA), alpha, m.Vdd) * fMHz
+			b.DynLogicUW += dyn(dev.CEff(coffe.LUTA), alpha, m.Vdd)
 			for _, in := range blk.Inputs {
-				b.DynLogicUW += dynUWPerMHz(dev.CEff(coffe.LocalMux), m.Act[in].Density, m.Vdd) * fMHz
+				b.DynLogicUW += dyn(dev.CEff(coffe.LocalMux), m.Act[in].Density, m.Vdd)
 			}
 		case netlist.FF:
-			b.DynClockingUW += dynUWPerMHz(10, 1.0, m.Vdd) * fMHz
-			b.DynClockingUW += dynUWPerMHz(4, 1.0, m.Vdd) * fMHz
-			b.DynLogicUW += dynUWPerMHz(6, m.Act[blk.Inputs[0]].Density, m.Vdd) * fMHz
+			b.DynClockingUW += dyn(10, 1.0, m.Vdd)
+			b.DynClockingUW += dyn(4, 1.0, m.Vdd)
+			b.DynLogicUW += dyn(6, m.Act[blk.Inputs[0]].Density, m.Vdd)
 		case netlist.BRAM:
-			b.DynMacroUW += dynUWPerMHz(dev.CEff(coffe.BRAM), 0.5+0.5*alpha, m.VddL) * fMHz
+			b.DynMacroUW += dyn(dev.CEff(coffe.BRAM), 0.5+float64(0.5*alpha), m.VddL)
 		case netlist.DSP:
-			b.DynMacroUW += dynUWPerMHz(dev.CEff(coffe.DSP), alpha, m.Vdd) * fMHz
+			b.DynMacroUW += dyn(dev.CEff(coffe.DSP), alpha, m.Vdd)
 		}
 	}
-	// Sorted net/sink order for the same reason as buildDynamic: the
-	// routing bucket is a float64 sum, and its value must not depend on
-	// map iteration order.
-	for _, d := range sortedNetKeys(m.RT.Nets) {
-		nr := m.RT.Nets[d]
+	m.walkNets(func(d int, hops []route.Hop) {
 		alpha := m.Act[d].Density
-		seen := map[route.Hop]bool{}
-		b.DynRoutingUW += dynUWPerMHz(dev.CEff(coffe.OutputMux), alpha, m.Vdd) * fMHz
-		for _, s := range sortedPathKeys(nr.Paths) {
+		b.DynRoutingUW += dyn(dev.CEff(coffe.OutputMux), alpha, m.Vdd)
+		for _, h := range hops {
+			b.DynRoutingUW += dyn(dev.CEff(h.Kind), alpha, m.Vdd)
+		}
+	})
+	return b
+}
+
+// walkNets calls visit once per routed net, in ascending driver order, with
+// the net's distinct hops: its sinks' paths are walked in ascending sink
+// order and a (tile, kind) already reached through an earlier sink is left
+// out, so tree wires the paths share are counted once. Callers accumulate
+// float64 sums over the walk, and the fixed order keeps those sums — the
+// power vector and everything thermal downstream of it — the same bits on
+// every run. Duplicates are marked in one stamp array over (tile, kind).
+// visit must not keep hops: the slice is reused for the next net.
+func (m *Model) walkNets(visit func(driver int, hops []route.Hop)) {
+	kinds := len(coffe.Kinds())
+	stamp := make([]int32, m.PL.Grid.NumTiles()*kinds)
+	var hops []route.Hop
+	var sinks []int
+	for i, d := range sortedNetKeys(m.RT.Nets) {
+		nr := m.RT.Nets[d]
+		mark := int32(i + 1)
+		hops = hops[:0]
+		sinks = sortedPathKeys(sinks[:0], nr.Paths)
+		for _, s := range sinks {
 			for _, h := range nr.Paths[s] {
-				if seen[h] {
+				slot := h.Tile*kinds + int(h.Kind)
+				if stamp[slot] == mark {
 					continue
 				}
-				seen[h] = true
-				b.DynRoutingUW += dynUWPerMHz(dev.CEff(h.Kind), alpha, m.Vdd) * fMHz
+				stamp[slot] = mark
+				hops = append(hops, h)
 			}
 		}
+		visit(d, hops)
 	}
-	return b
 }
 
 // sortedNetKeys returns the routed net drivers in ascending block-ID order.
@@ -231,9 +248,8 @@ func sortedNetKeys(nets map[int]*route.NetRoute) []int {
 	return keys
 }
 
-// sortedPathKeys returns a net's sinks in ascending block-ID order.
-func sortedPathKeys(paths map[int][]route.Hop) []int {
-	keys := make([]int, 0, len(paths))
+// sortedPathKeys appends a net's sinks to keys in ascending block-ID order.
+func sortedPathKeys(keys []int, paths map[int][]route.Hop) []int {
 	for s := range paths {
 		keys = append(keys, s)
 	}

@@ -154,3 +154,19 @@ func TestReportMatchesVector(t *testing.T) {
 		t.Fatalf("routing power share %.2f implausibly small for an FPGA", rep.DynRoutingUW/dyn)
 	}
 }
+
+// TestVectorIntoAllocatesNothing: with a right-sized dst, a power
+// evaluation — dynamic plus per-tile leakage — allocates no objects, so
+// Algorithm 1 re-evaluates power every iteration for free in the heap.
+func TestVectorIntoAllocatesNothing(t *testing.T) {
+	m := testModel(t)
+	n := m.PL.Grid.NumTiles()
+	temps := make([]float64, n)
+	for i := range temps {
+		temps[i] = 45 + 20*float64(i%m.PL.Grid.W)/float64(m.PL.Grid.W)
+	}
+	dst := m.VectorInto(100, temps, nil)
+	if avg := testing.AllocsPerRun(20, func() { dst = m.VectorInto(100, temps, dst) }); avg != 0 {
+		t.Fatalf("VectorInto allocates %.1f objects per warmed call, want 0", avg)
+	}
+}

@@ -54,7 +54,7 @@ type proto struct {
 	inputs     int
 }
 
-var protos = map[Kind]proto{
+var protos = [numKinds]proto{
 	INV:   {driveUm: 0.5, stack: 1.0, internalFF: 0.0, inputLoads: 1.0, leakUm: 1.0, areaUm2: 0.65, inputs: 1},
 	NAND2: {driveUm: 0.5, stack: 1.35, internalFF: 0.3, inputLoads: 1.0, leakUm: 1.6, areaUm2: 0.98, inputs: 2},
 	NAND3: {driveUm: 0.5, stack: 1.75, internalFF: 0.6, inputLoads: 1.0, leakUm: 2.2, areaUm2: 1.30, inputs: 3},
@@ -135,6 +135,17 @@ func CharacterizeScaled(kit *techmodel.Kit, tempC, scale, pnSkew float64) *Libra
 		}
 	}
 	return lib
+}
+
+// CellLeak returns the static power in µW of one nominal-drive cell of kind
+// k at tempC: Characterize(kit, tempC).Cell(k).LeakUW without building the
+// other cells' timing. The FPGA's per-tile leakage reads the flip-flop's
+// from it once per tile per power evaluation.
+func CellLeak(kit *techmodel.Kit, k Kind, tempC float64) float64 {
+	if k < 0 || k >= numKinds {
+		panic(fmt.Sprintf("stdcell: invalid kind %d", int(k)))
+	}
+	return kit.Cell.Leak(protos[k].leakUm, tempC)
 }
 
 // Kit returns the process kit the library was characterized against,

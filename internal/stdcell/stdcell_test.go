@@ -1,6 +1,7 @@
 package stdcell
 
 import (
+	"math"
 	"testing"
 
 	"tafpga/internal/techmodel"
@@ -129,5 +130,21 @@ func TestKitAccessor(t *testing.T) {
 	kit := techmodel.Default22nm()
 	if Characterize(kit, 25).Kit() != kit {
 		t.Fatal("library must expose its kit")
+	}
+}
+
+// TestCellLeakMatchesCharacterize: the one-cell leakage query is the
+// library snapshot's LeakUW, bit for bit, for every kind across the
+// admitted ambient range and beyond the device tables.
+func TestCellLeakMatchesCharacterize(t *testing.T) {
+	kit := techmodel.Default22nm()
+	for tempC := -55.0; tempC <= 150; tempC += 2.5 {
+		lib := Characterize(kit, tempC)
+		for _, k := range Kinds() {
+			got, want := CellLeak(kit, k, tempC), lib.Cell(k).LeakUW
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v at %g °C: CellLeak %v, Characterize %v", k, tempC, got, want)
+			}
+		}
 	}
 }
